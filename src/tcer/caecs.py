@@ -14,8 +14,7 @@ and ``ge`` for lower bounds (anchor = earliest reset, orderings inverted).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .model import ComplexEvent, Rational
 
@@ -97,18 +96,13 @@ def is_empty(node: Optional[Node]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Gadgets: the at-most-two-node reset/check blocks sitting over a base node
+# Gadgets: at most one reset over at most one clock check, over a base node
 # ---------------------------------------------------------------------------
 
-_EMPTY_GADGET = object()
 
-# gadget items: ("r", t) or ("c", t0, bound); a gadget is [] (void), [r], [c],
-# or [r, c] (composed), always paired with the node below it
-
-
-@dataclass
-class Gadget:
-    items: list
+class Gadget(NamedTuple):
+    reset: Optional[Rational]
+    check: Optional[tuple[Rational, Rational]]  # (t0, bound)
     base: Node
 
 
@@ -165,65 +159,47 @@ class Caecs:
     # -- gadget algebra ------------------------------------------------------
 
     def get_gadget(self, n: Node) -> Gadget:
+        reset = None
         if isinstance(n, Reset):
-            if isinstance(n.left, ClockCheck):
-                inner = n.left
-                return Gadget([("r", n.time), ("c", inner.t0, inner.bound)], inner.left)
-            return Gadget([("r", n.time)], n.left)
+            reset, n = n.time, n.left
         if isinstance(n, ClockCheck):
-            return Gadget([("c", n.t0, n.bound)], n.left)
-        return Gadget([], n)
+            return Gadget(reset, (n.t0, n.bound), n.left)
+        return Gadget(reset, None, n)
 
-    def _pair(self, outer, inner):
-        """Merge two adjacent reset/check items; None means not mergeable."""
-        if outer[0] == "r" and inner[0] == "r":
-            return outer
-        if outer[0] == "c" and inner[0] == "c":
-            _, t1, w1 = outer
-            _, t2, w2 = inner
-            if self.direction == "le":
-                if t1 - w1 <= t2 - w2:
-                    return inner  # outer window contains the inner one
-                if t1 - w1 <= t2:
-                    return ("c", t2, w1 - (t1 - t2))  # windows intersect
-                return _EMPTY_GADGET
-            if t1 - w1 >= t2 - w2:
-                return inner
-            return ("c", t2, w1 - (t1 - t2))
-        if outer[0] == "c" and inner[0] == "r":
-            _, t1, w1 = outer
-            _, t2 = inner
-            return inner if self.window_pass(t1, w1, t2) else _EMPTY_GADGET
-        return None  # reset over check: already the composed form
+    def _intersect(self, outer, inner):
+        """Two windows checked against the same clock; None = disjoint."""
+        t1, w1 = outer
+        t2, w2 = inner
+        if self.better(t2 - w2, t1 - w1):
+            return inner  # the outer window contains the inner one
+        if self.direction == "ge" or t1 - w1 <= t2:
+            return (t2, w1 - (t1 - t2))  # the outer bound, seen at t2
+        return None
 
-    def merge_gadgets(self, g1: Gadget, g2: Gadget) -> Gadget | object:
-        """g1 composed over g2; returns the merged gadget or the empty marker."""
-        out: list = []
-        for item in reversed(g1.items + g2.items):
-            while out:
-                merged = self._pair(item, out[0])
-                if merged is None:
-                    break
-                if merged is _EMPTY_GADGET:
-                    return _EMPTY_GADGET
-                item = merged
-                out.pop(0)
-            out.insert(0, item)
-        assert len(out) <= 2
-        return Gadget(out, g2.base)
+    def merge_gadgets(self, g1: Gadget, g2: Gadget) -> Optional[Gadget]:
+        """g1 composed over g2; None when no clock value survives both."""
+        check = g2.check
+        if g2.reset is not None:
+            # g1's check sees the constant clock set by g2's reset
+            if g1.check is not None and not self.window_pass(*g1.check, g2.reset):
+                return None
+        elif g1.check is not None:
+            check = g1.check if check is None else self._intersect(g1.check, check)
+            if check is None:
+                return None
+        reset = g2.reset if g1.reset is None else g1.reset
+        return Gadget(reset, check, g2.base)
 
-    def apply_gadget(self, g, base: Node) -> Node:
-        if g is _EMPTY_GADGET:
+    def apply_gadget(self, g: Optional[Gadget], base: Node) -> Node:
+        if g is None:
             return Empty(base)
         node = base
-        for item in reversed(g.items):
-            if item[0] == "c":
-                _, t0, bound = item
-                if not self.window_pass(t0, bound, node.anchor):
-                    return Empty(base)
-                node = self._made(ClockCheck(t0, bound, node))
-            else:
-                node = self._made(Reset(item[1], node))
+        if g.check is not None:
+            if not self.window_pass(*g.check, node.anchor):
+                return Empty(base)
+            node = self._made(ClockCheck(*g.check, node))
+        if g.reset is not None:
+            node = self._made(Reset(g.reset, node))
         return node
 
     def _regadget(self, g1: Gadget, n: Node) -> Node:
@@ -233,13 +209,13 @@ class Caecs:
 
     def add_reset(self, n: Node, t: Rational) -> Node:
         assert not is_empty(n)
-        return self._regadget(Gadget([("r", t)], n), n)
+        return self._regadget(Gadget(t, None, n), n)
 
     def add_clock_check(self, n: Node, t0: Rational, bound: Rational) -> Node:
         assert not is_empty(n)
         if not self.window_pass(t0, bound, n.anchor):
             return Empty(n)
-        return self._regadget(Gadget([("c", t0, bound)], n), n)
+        return self._regadget(Gadget(None, (t0, bound), n), n)
 
     # -- union ---------------------------------------------------------------
 
@@ -281,9 +257,6 @@ class Caecs:
         return node
 
     # -- union-lists ---------------------------------------------------------
-
-    def new_union_list(self, n: Node) -> list[Node]:
-        return [n]
 
     def ul_insert(self, ul: list[Node], n: Node) -> list[Node]:
         out = list(ul)
@@ -355,17 +328,11 @@ def _enum(caecs: Caecs, node: Node, t0, bound):
         yield from _enum(caecs, node.left, None, None)
         return
     if isinstance(node, ClockCheck):
-        if t0 is None:
-            yield from _enum(caecs, node.left, node.t0, node.bound)
-            return
-        outer = t0 - bound
-        inner = node.t0 - node.bound
-        if caecs.better(inner, outer):
-            # the incoming window is the looser one
-            yield from _enum(caecs, node.left, node.t0, node.bound)
-        elif caecs.direction == "ge" or outer <= node.t0:
-            # re-express the tighter incoming bound at this node's instant
-            yield from _enum(caecs, node.left, node.t0, bound - (t0 - node.t0))
+        window = (node.t0, node.bound)
+        if t0 is not None:
+            window = caecs._intersect((t0, bound), window)
+        if window is not None:
+            yield from _enum(caecs, node.left, *window)
         return
     # union: flatten the chain, pruning right children outside the window
     stack = [node]

@@ -14,7 +14,6 @@ from .model import (
     Predicate,
     TimedStream,
     format_rat,
-    pred_satisfiable,
     preds_intersect,
 )
 from . import model

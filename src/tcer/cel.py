@@ -282,14 +282,6 @@ def eval_cel_oracle(
     return _sem(phi, stream, memo)
 
 
-def eval_cel_at(
-    phi: CelFormula, stream: TimedStream, j: int, cap: int = DEFAULT_ORACLE_CAP
-) -> frozenset[ComplexEvent]:
-    return frozenset(
-        c for c in eval_cel_oracle(phi, stream, cap=cap) if c.end == j
-    )
-
-
 def _sem(
     phi: CelFormula,
     s: TimedStream,

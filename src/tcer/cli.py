@@ -3,7 +3,8 @@
 Streams are JSON Lines, one event per line:
 ``{"type": "H", "attrs": {"temp": 45}, "ts": "2.5"}``.
 Timestamps and numeric attributes are parsed as exact decimal rationals.
-Exit codes: 0 ok, 1 mismatch/violation, 2 usage error, 3 input format error.
+Exit codes: 0 ok; 1 mismatch, violation, or a query the streaming engine
+refuses; 2 usage error or missing file; 3 bad stream or query text.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import random
 import sys
 import time as _time
 from fractions import Fraction
-from functools import partial
 
 from . import cel
 from .cea import (
@@ -28,7 +28,7 @@ from .compiler import NotWindowed, compile_cel, compile_windowed
 from .determinize import SyncResetViolation, determinize
 from .engine import NotStreamable, StreamingEngine
 from .model import Basic, ComplexEvent, Event, TimedStream, format_rat
-from .parser import ParseError, parse_query
+from .parser import ParseError, parse_query, pretty
 from .regions import check_sync
 
 
@@ -53,17 +53,18 @@ def parse_stream_line(line: str, lineno: int) -> tuple[Event, Fraction]:
 
 
 def read_stream(fh):
-    """Yield (event, timestamp) pairs, enforcing strictly increasing time."""
-    last = None
+    """Yield (event, timestamp) pairs, enforcing positive, strictly
+    increasing time."""
+    last = 0
     for lineno, line in enumerate(fh, start=1):
         line = line.strip()
         if not line:
             continue
         event, ts = parse_stream_line(line, lineno)
-        if last is not None and ts <= last:
+        if ts <= last:
             raise StreamFormatError(
-                f"line {lineno}: timestamp {format_rat(ts)} does not increase "
-                f"past {format_rat(last)}"
+                f"line {lineno}: timestamp {format_rat(ts)} is not above "
+                f"{format_rat(last)}; timestamps must be positive and increase"
             )
         last = ts
         yield event, ts
@@ -86,39 +87,21 @@ def match_json(ce: ComplexEvent, pos: int) -> str:
     )
 
 
-def rewrite_ge40(phi):
-    """Turn strict temp > 40 filters into temp ≥ 40 (the narrative fixture)."""
-    def fix_pred(p):
-        if isinstance(p, Basic) and p.attr == "temp" and p.op == ">" and p.value == 40:
-            return Basic("temp", ">=", p.value)
-        return p
-
-    if isinstance(phi, cel.Filter):
-        return cel.Filter(rewrite_ge40(phi.body), phi.var, fix_pred(phi.pred))
-    kids = cel.children(phi)
-    if not kids:
-        return phi
-    if len(kids) == 2:
-        left, right = (rewrite_ge40(k) for k in kids)
-        if isinstance(phi, (cel.TimedSeq, cel.TimedContigSeq)):
-            return type(phi)(left, phi.interval, right)
-        return type(phi)(left, right)
-    body = rewrite_ge40(kids[0])
-    if isinstance(phi, cel.As):
-        return cel.As(body, phi.var)
-    if isinstance(phi, cel.Project):
-        return cel.Project(phi.vars, body)
-    if isinstance(phi, (cel.Within, cel.TimedIter, cel.TimedContigIter)):
-        return type(phi)(body, phi.interval)
-    return type(phi)(body)
-
-
-def load_query(path: str, fixture_ge40: bool = False):
+def load_query(path: str):
     with open(path, encoding="utf-8") as fh:
-        phi = parse_query(fh.read())
-    if fixture_ge40:
-        phi = rewrite_ge40(phi)
-    return phi
+        return parse_query(fh.read())
+
+
+REFUSALS = (NotWindowed, SyncResetViolation, NotStreamable)
+
+
+def streaming_engine(phi, debug: bool = False) -> StreamingEngine:
+    """The query's streaming engine; raises one of ``REFUSALS`` when the
+    query is outside the class the engine evaluates."""
+    label, _ = classify(phi)
+    if label == "general":
+        raise NotWindowed("query is outside the windowed fragment")
+    return StreamingEngine(determinize(compile_windowed(phi)), debug=debug)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +110,7 @@ def load_query(path: str, fixture_ge40: bool = False):
 
 
 def cmd_run(args) -> int:
-    phi = load_query(args.query, args.fixture_ge40)
+    phi = load_query(args.query)
     stream = load_stream(args.stream)
     lines: list[str] = []
     if args.engine == "oracle":
@@ -138,16 +121,7 @@ def cmd_run(args) -> int:
         for ce in sorted(eval_cea_oracle(cea, stream, cap=max(len(stream), 1)), key=ce_sort_key):
             lines.append(match_json(ce, ce.end))
     else:
-        label, _ = classify(phi)
-        if label == "general":
-            print("query is outside the windowed fragment", file=sys.stderr)
-            return 1
-        try:
-            det = determinize(compile_windowed(phi))
-            engine = StreamingEngine(det, debug=False)
-        except (NotWindowed, SyncResetViolation, NotStreamable) as exc:
-            print(f"streaming engine rejected the query: {exc}", file=sys.stderr)
-            return 1
+        engine = streaming_engine(phi)
         for event, ts in stream.pairs_et():
             for ce in sorted(engine.feed(event, ts), key=ce_sort_key):
                 lines.append(match_json(ce, engine.position))
@@ -157,7 +131,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    phi = load_query(args.query, args.fixture_ge40)
+    phi = load_query(args.query)
     try:
         cea = compile_windowed(phi) if args.windowed else compile_cel(phi)
     except NotWindowed as exc:
@@ -228,9 +202,8 @@ def _bench_stream(phi, n: int, rng: random.Random):
 
 
 def cmd_bench(args) -> int:
-    phi = load_query(args.query, args.fixture_ge40)
-    det = determinize(compile_windowed(phi))
-    engine = StreamingEngine(det, debug=False)
+    phi = load_query(args.query)
+    engine = streaming_engine(phi)
     rng = random.Random(args.seed)
     update_times: list[float] = []
     delay_ratios: list[float] = []
@@ -283,8 +256,6 @@ def cmd_diff_test(args) -> int:
 
 def _diff_one(phi, stream) -> str | None:
     """Return a description of the first disagreement, or None."""
-    from .parser import pretty
-
     try:
         expected = eval_cel_oracle(phi, stream, cap=len(stream) + 1)
         via_cea = eval_cea_oracle(compile_cel(phi), stream, cap=len(stream) + 1)
@@ -292,19 +263,15 @@ def _diff_one(phi, stream) -> str | None:
         return None
     if expected != via_cea:
         return f"compiled automaton disagrees for: {pretty(phi)}"
-    label, _ = classify(phi)
-    if label != "general":
-        try:
-            det = determinize(compile_windowed(phi))
-            engine = StreamingEngine(det, debug=True)
-        except (NotWindowed, SyncResetViolation, NotStreamable):
-            return None
-        got = set()
-        for event, ts in stream.pairs_et():
-            got.update(engine.feed(event, ts))
-        want = {ce for ce in eval_cel_oracle(phi, stream, cap=len(stream) + 1)}
-        if got != want:
-            return f"streaming engine disagrees for: {pretty(phi)}"
+    try:
+        engine = streaming_engine(phi, debug=True)
+    except REFUSALS:
+        return None
+    got = set()
+    for event, ts in stream.pairs_et():
+        got.update(engine.feed(event, ts))
+    if got != expected:
+        return f"streaming engine disagrees for: {pretty(phi)}"
     return None
 
 
@@ -330,13 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True)
     p.add_argument("--stream", required=True)
     p.add_argument("--engine", choices=["oracle", "automaton", "streaming"], required=True)
-    p.add_argument("--fixture-ge40", action="store_true")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compile", help="compile a query to an automaton file")
     p.add_argument("--query", required=True)
     p.add_argument("--windowed", action="store_true")
-    p.add_argument("--fixture-ge40", action="store_true")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_compile)
 
@@ -354,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True)
     p.add_argument("--events", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fixture-ge40", action="store_true")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("diff-test", help="randomized differential testing")
@@ -372,6 +336,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except REFUSALS as exc:
+        print(f"streaming engine rejected the query: {exc}", file=sys.stderr)
+        return 1
     except (ParseError, StreamFormatError) as exc:
         print(str(exc), file=sys.stderr)
         return 3

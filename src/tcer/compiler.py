@@ -9,23 +9,22 @@ function of the transition label and hence synchronous across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import cel
 from .cea import (
     Cmp,
     ClockCondition,
-    GAnd,
-    GFalse,
     GTrue,
     State,
     TimedCea,
     Transition,
     gand,
+    guard_clocks,
 )
 from .model import And as PAnd
-from .model import Interval, Predicate, TrueP, TypeIs
+from .model import Interval, TrueP, TypeIs
 
 
 class NotWindowed(Exception):
@@ -46,10 +45,6 @@ def interval_guard(clock: str, interval: Interval) -> ClockCondition:
     if interval.high is not None:
         atoms.append(Cmp(clock, "<=" if interval.high_closed else "<", interval.high))
     return gand(*atoms)
-
-
-def zero_in(interval: Interval) -> ClockCondition:
-    return GTrue() if interval.contains_zero() else GFalse()
 
 
 @dataclass
@@ -442,8 +437,6 @@ def _drop_dead_marking_resets(b: _Build) -> _Build:
 
 def _exposed_states(b: _Build, clock: str) -> set[State]:
     """States from which some path checks the clock before resetting it."""
-    from .cea import guard_clocks
-
     exposed: set[State] = set()
     changed = True
     while changed:
@@ -476,8 +469,6 @@ def _prune_unreachable(b: _Build) -> _Build:
     b.finals = b.finals & reachable
     used = set()
     for tr in b.delta:
-        from .cea import guard_clocks
-
         used |= set(tr.resets) | set(guard_clocks(tr.guard))
     b.clocks = b.clocks & used
     return b

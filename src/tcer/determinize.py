@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -26,14 +25,15 @@ from .cea import (
     GFalse,
     GOr,
     GTrue,
-    State,
     TimedCea,
     Transition,
+    _conj_box,
     _guard_dnf,
     gand,
+    guard_clocks,
     guard_satisfiable,
 )
-from .model import Not, Predicate, TrueP, pred_and, pred_satisfiable
+from .model import Not, Predicate, pred_and, pred_satisfiable
 
 
 class SyncResetViolation(Exception):
@@ -86,8 +86,6 @@ def _guard_boxes(gamma: ClockCondition) -> list[Box]:
     is the trivial [0, ∞): a guard mentioning a clock fails while the clock
     is uninitialized, so mention is part of the meaning.
     """
-    from .cea import _conj_box
-
     boxes = []
     for conj in _guard_dnf(gamma):
         box = _conj_box(conj)
@@ -228,7 +226,7 @@ def split_disjunctions(cea: TimedCea) -> TimedCea:
         if isinstance(tr.guard, GTrue) or tr.guard == GTrue():
             delta.append(tr)
             continue
-        mentioned = _guard_clockset(tr.guard)
+        mentioned = guard_clocks(tr.guard)
         boxes = []
         for box in _guard_boxes(tr.guard):
             padded = dict(box)
@@ -239,14 +237,6 @@ def split_disjunctions(cea: TimedCea) -> TimedCea:
             guard = boxes_to_guard([box])
             delta.append(Transition(tr.source, tr.pred, guard, tr.label, tr.resets, tr.target))
     return TimedCea(cea.states, cea.vars, cea.clocks, tuple(delta), cea.initial, cea.finals)
-
-
-@dataclass(frozen=True)
-class _Cell:
-    pred: Predicate
-    label: frozenset[str]
-    resets: frozenset[str]
-    target: frozenset
 
 
 def _prune_dead_transitions(delta: list[Transition], finals: frozenset) -> list[Transition]:
@@ -262,7 +252,7 @@ def _prune_dead_transitions(delta: list[Transition], finals: frozenset) -> list[
     removing them keeps guards monotonic without changing the semantics.
     """
     clocks = sorted(
-        {z for tr in delta for z in set(tr.resets) | _guard_clockset(tr.guard)}
+        {z for tr in delta for z in set(tr.resets) | guard_clocks(tr.guard)}
     )
     if not clocks:
         return delta
@@ -339,7 +329,7 @@ def determinize(cea: TimedCea) -> TimedCea:
             tr
             for q in subset
             for tr in cea.out(q)
-            if _guard_clockset(tr.guard) <= dom
+            if guard_clocks(tr.guard) <= dom
         ]
         if not out:
             continue
@@ -437,7 +427,7 @@ def determinize(cea: TimedCea) -> TimedCea:
                 frontier.append(tr.target)
     delta = [tr for tr in delta if tr.source in reachable]
     clocks = frozenset(
-        z for tr in delta for z in set(tr.resets) | _guard_clockset(tr.guard)
+        z for tr in delta for z in set(tr.resets) | guard_clocks(tr.guard)
     )
     return TimedCea(
         states=frozenset(reachable),
@@ -464,12 +454,6 @@ def _name_states(keys) -> dict[tuple, tuple]:
             for key in group:
                 names[key] = base + (tuple(sorted(key[1])),)
     return names
-
-
-def _guard_clockset(gamma: ClockCondition) -> frozenset[str]:
-    from .cea import guard_clocks
-
-    return guard_clocks(gamma)
 
 
 def _dedup(items: list) -> list:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .caecs import Caecs, Node, enumerate_node, is_empty
-from .cea import Cmp, GAnd, GTrue, TimedCea, Transition, guard_clocks, is_deterministic, is_monotonic
+from .cea import TimedCea, _conj_atoms, guard_clocks, is_deterministic, is_monotonic
 from .model import ComplexEvent, Event, Rational, sat
 
 
@@ -30,16 +30,6 @@ class _Trans:
     label: frozenset
     reset: bool
     target: object
-
-
-def _conj_atoms(gamma) -> list[Cmp]:
-    if isinstance(gamma, GTrue):
-        return []
-    if isinstance(gamma, Cmp):
-        return [gamma]
-    if isinstance(gamma, GAnd):
-        return _conj_atoms(gamma.left) + _conj_atoms(gamma.right)
-    raise NotStreamable(f"guard is not a conjunction of comparisons: {gamma}")
 
 
 def _prepare(cea: TimedCea) -> tuple[list[_Trans], Optional[str], str]:
@@ -117,7 +107,7 @@ class StreamingEngine:
         self.table = self.next_table
         if self.debug:
             self._check_invariants()
-        return self._output(j)
+        return list(self.enumerate_at(j))
 
     def _exec(self, p, ul, event, j, time, delta, fresh: bool = False):
         caecs = self.caecs
@@ -136,7 +126,7 @@ class StreamingEngine:
                 if tr.reset and not is_empty(node):
                     node = caecs.add_reset(node, time)
                 if not is_empty(node):
-                    self._add(tr.target, node, caecs.new_union_list(node))
+                    self._add(tr.target, node, [node])
             else:
                 ul2: Optional[list[Node]] = ul
                 if tr.bound is not None:
@@ -159,14 +149,6 @@ class StreamingEngine:
         return sorted(table, key=lambda q: (sign * table[q][0].anchor, repr(q)))
 
     # -- output --------------------------------------------------------------
-
-    def _output(self, j: int) -> list[ComplexEvent]:
-        out: list[ComplexEvent] = []
-        for p in self._ordered_keys(self.table):
-            if p in self.cea.finals:
-                merged = self.caecs.ul_merge(self.table[p])
-                out.extend(enumerate_node(self.caecs, merged, j))
-        return out
 
     def enumerate_at(self, j: int) -> Iterator[ComplexEvent]:
         for p in self._ordered_keys(self.table):

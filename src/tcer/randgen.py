@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from . import cel
-from .cea import Cmp, GAnd, GTrue, TimedCea, Transition, gand
+from .cea import Cmp, GTrue, TimedCea, Transition
 from .model import Basic, Event, Interval, TimedStream, TrueP, TypeIs
 
 TYPES = ("A", "B", "C")

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Optional
 
-from .cea import Cmp, ClockCondition, GAnd, GFalse, GOr, GTrue, TimedCea, Transition, guard_clocks
+from .cea import Cmp, ClockCondition, GAnd, GFalse, GTrue, TimedCea, Transition, guard_clocks, guard_constants
 from .model import preds_intersect
 
 DEFAULT_SYNC_CAP = 1_000_000
@@ -160,32 +159,17 @@ def _holds(region: Region, gamma: ClockCondition, scale: int) -> bool:
 
 
 def _scale_and_ceilings(cea: TimedCea) -> tuple[int, dict[str, int]]:
-    scale = 1
-    for tr in cea.delta:
-        for c in _guard_constants(tr.guard):
-            scale = scale * c.denominator // math.gcd(scale, c.denominator)
+    constants = [
+        (z, c)
+        for tr in cea.delta
+        for z, cs in guard_constants(tr.guard).items()
+        for c in cs
+    ]
+    scale = math.lcm(1, *(c.denominator for _, c in constants))
     ceilings = {z: 0 for z in cea.clocks}
-    for tr in cea.delta:
-        for z, c in _guard_atoms(tr.guard):
-            scaled = c * scale
-            ceilings[z] = max(ceilings.get(z, 0), int(scaled))
+    for z, c in constants:
+        ceilings[z] = max(ceilings.get(z, 0), int(c * scale))
     return scale, ceilings
-
-
-def _guard_constants(gamma: ClockCondition):
-    if isinstance(gamma, Cmp):
-        yield gamma.constant
-    elif isinstance(gamma, (GAnd, GOr)):
-        yield from _guard_constants(gamma.left)
-        yield from _guard_constants(gamma.right)
-
-
-def _guard_atoms(gamma: ClockCondition):
-    if isinstance(gamma, Cmp):
-        yield gamma.clock, gamma.constant
-    elif isinstance(gamma, (GAnd, GOr)):
-        yield from _guard_atoms(gamma.left)
-        yield from _guard_atoms(gamma.right)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Shared fixtures: the nine-event reference stream, two reference queries,
-and the hand-built single-clock automaton used across the suite."""
+the hand-built single-clock automaton used across the suite, and the
+``temp > 40`` to ``temp >= 40`` rewrite that makes PHI1P match on s0."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from tcer import cel
 from tcer.cea import Cmp, GTrue, TimedCea, Transition
 from tcer.model import Basic, Event, TimedStream, TrueP
 
@@ -39,6 +41,33 @@ def make_s0() -> TimedStream:
         (Event(etype, {attr: Fraction(value)}), ts)
         for etype, attr, value, ts in S0_ROWS
     )
+
+
+def rewrite_ge40(phi):
+    """Turn strict temp > 40 filters into temp >= 40 (the narrative fixture)."""
+    def fix_pred(p):
+        if isinstance(p, Basic) and p.attr == "temp" and p.op == ">" and p.value == 40:
+            return Basic("temp", ">=", p.value)
+        return p
+
+    if isinstance(phi, cel.Filter):
+        return cel.Filter(rewrite_ge40(phi.body), phi.var, fix_pred(phi.pred))
+    kids = cel.children(phi)
+    if not kids:
+        return phi
+    if len(kids) == 2:
+        left, right = (rewrite_ge40(k) for k in kids)
+        if isinstance(phi, (cel.TimedSeq, cel.TimedContigSeq)):
+            return type(phi)(left, phi.interval, right)
+        return type(phi)(left, right)
+    body = rewrite_ge40(kids[0])
+    if isinstance(phi, cel.As):
+        return cel.As(body, phi.var)
+    if isinstance(phi, cel.Project):
+        return cel.Project(phi.vars, body)
+    if isinstance(phi, (cel.Within, cel.TimedIter, cel.TimedContigIter)):
+        return type(phi)(body, phi.interval)
+    return type(phi)(body)
 
 
 def make_t1(temp_op: str = ">=") -> TimedCea:

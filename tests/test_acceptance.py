@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from tcer import cel
-from tcer.caecs import Caecs, Gadget, _EMPTY_GADGET
+from tcer.caecs import Caecs, Gadget
 from tcer.cea import (
     GTrue,
     TimedCea,
@@ -282,6 +282,23 @@ def _apply_items(cs: Caecs, items, anchor):
     return anchor
 
 
+def _gadget(items, base):
+    """The closed-form gadget of an item list (a reset over a check)."""
+    reset = check = None
+    for item in items:
+        if item[0] == "r":
+            reset = item[1]
+        else:
+            check = item[1:]
+    return Gadget(reset, check, base)
+
+
+def _items(g: Gadget):
+    """The item list of a gadget, outermost first, as ``_apply_items`` reads it."""
+    items = [] if g.reset is None else [("r", g.reset)]
+    return items if g.check is None else items + [("c", *g.check)]
+
+
 def _merge_cases(grid, bounds):
     for t1, t2 in itertools.product(grid, repeat=2):
         if t1 < t2:
@@ -307,12 +324,12 @@ def test_gadget_merge_grid_matches_brute_force():
             # clock components below the pair predate the inner gadget
             inner_time = inner[0][1]
             anchors = [a for a in grid if a <= inner_time]
-            merged = cs.merge_gadgets(Gadget(outer, base), Gadget(inner, base))
-            items = [] if merged is _EMPTY_GADGET else merged.items
+            merged = cs.merge_gadgets(_gadget(outer, base), _gadget(inner, base))
+            items = [] if merged is None else _items(merged)
             assert len(items) <= 2
             for a in anchors:
                 expected = _apply_items(cs, outer + inner, a)
-                if merged is _EMPTY_GADGET:
+                if merged is None:
                     assert expected is None, (direction, outer, inner, a)
                 else:
                     assert _apply_items(cs, items, a) == expected, (

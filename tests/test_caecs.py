@@ -17,7 +17,6 @@ from tcer.caecs import (
     Gadget,
     Reset,
     Union,
-    _EMPTY_GADGET,
     enumerate_node,
     is_empty,
     node_semantics,
@@ -53,52 +52,74 @@ def test_empty_is_recognized(cs):
 # -- gadget merging -----------------------------------------------------------
 
 
+def _gadget(items, base):
+    """The closed-form gadget of an item list (a reset over a check)."""
+    reset = check = None
+    for item in items:
+        if item[0] == "r":
+            reset = item[1]
+        else:
+            check = item[1:]
+    return Gadget(reset, check, base)
+
+
 def _items(g):
-    return g if g is _EMPTY_GADGET else g.items
+    """The item list of a merged gadget, outermost first; None stays None."""
+    if g is None:
+        return None
+    items = [] if g.reset is None else [("r", g.reset)]
+    return items if g.check is None else items + [("c", *g.check)]
 
 
 def test_merge_two_checks_intersects_windows(cs):
     base = cs.new_bottom(1, F(1))
-    g1 = Gadget([("c", F(10), F(5))], base)
-    g2 = Gadget([("c", F(8), F(6))], base)
+    g1 = _gadget([("c", F(10), F(5))], base)
+    g2 = _gadget([("c", F(8), F(6))], base)
     merged = cs.merge_gadgets(g1, g2)
     assert _items(merged) == [("c", F(8), F(3))]
 
 
 def test_merge_check_subsumed_by_outer(cs):
     base = cs.new_bottom(1, F(1))
-    g1 = Gadget([("c", F(10), F(9))], base)
-    g2 = Gadget([("c", F(8), F(6))], base)
+    g1 = _gadget([("c", F(10), F(9))], base)
+    g2 = _gadget([("c", F(8), F(6))], base)
     assert _items(cs.merge_gadgets(g1, g2)) == [("c", F(8), F(6))]
+
+
+def test_merge_disjoint_windows_is_void(cs):
+    base = cs.new_bottom(1, F(1))
+    g1 = _gadget([("c", F(10), F(1))], base)  # clock set at or after 9
+    g2 = _gadget([("c", F(8), F(6))], base)  # clock set by 8
+    assert cs.merge_gadgets(g1, g2) is None
 
 
 def test_merge_check_over_late_reset_is_void(cs):
     base = cs.new_bottom(1, F(1))
-    g1 = Gadget([("c", F(10), F(1))], base)
-    g2 = Gadget([("r", F(8))], base)
-    assert cs.merge_gadgets(g1, g2) is _EMPTY_GADGET
+    g1 = _gadget([("c", F(10), F(1))], base)
+    g2 = _gadget([("r", F(8))], base)
+    assert cs.merge_gadgets(g1, g2) is None
 
 
 def test_merge_check_over_recent_reset_keeps_the_reset(cs):
     base = cs.new_bottom(1, F(1))
-    g1 = Gadget([("c", F(10), F(3))], base)
-    g2 = Gadget([("r", F(8))], base)
+    g1 = _gadget([("c", F(10), F(3))], base)
+    g2 = _gadget([("r", F(8))], base)
     assert _items(cs.merge_gadgets(g1, g2)) == [("r", F(8))]
 
 
 def test_merge_reset_over_reset_keeps_the_outer(cs):
     base = cs.new_bottom(1, F(1))
-    g1 = Gadget([("r", F(9))], base)
-    g2 = Gadget([("r", F(4))], base)
+    g1 = _gadget([("r", F(9))], base)
+    g2 = _gadget([("r", F(4))], base)
     assert _items(cs.merge_gadgets(g1, g2)) == [("r", F(9))]
 
 
 def test_merged_gadgets_have_at_most_two_items(cs):
     base = cs.new_bottom(1, F(0))
-    g1 = Gadget([("r", F(9)), ("c", F(8), F(5))], base)
-    g2 = Gadget([("r", F(4)), ("c", F(3), F(2))], base)
+    g1 = _gadget([("r", F(9)), ("c", F(8), F(5))], base)
+    g2 = _gadget([("r", F(4)), ("c", F(3), F(2))], base)
     merged = cs.merge_gadgets(g1, g2)
-    assert merged is _EMPTY_GADGET or len(merged.items) <= 2
+    assert merged is None or len(_items(merged)) <= 2
 
 
 # -- reset and clock-check constructors ---------------------------------------
@@ -153,14 +174,14 @@ def test_check_semantics_filters_by_reset_time(cs):
 
 
 def test_ul_insert_keeps_anchors_strictly_ordered(cs):
-    ul = cs.new_union_list(cs.new_bottom(1, F(3)))
+    ul = [cs.new_bottom(1, F(3))]
     ul = cs.ul_insert(ul, cs.new_bottom(2, F(7)))
     ul = cs.ul_insert(ul, cs.new_bottom(3, F(5)))
     assert [u.anchor for u in ul] == [7, 5, 3]
 
 
 def test_ul_insert_unions_equal_anchors(cs):
-    ul = cs.new_union_list(cs.new_bottom(1, F(3)))
+    ul = [cs.new_bottom(1, F(3))]
     ul = cs.ul_insert(ul, cs.new_bottom(2, F(3)))
     assert len(ul) == 1 and isinstance(ul[0], Union)
 
@@ -235,7 +256,7 @@ def test_enumeration_matches_semantics_on_random_lists(direction, seed):
     cs = Caecs(direction, debug=True)
     rng = random.Random(seed)
     t = Fraction(0)
-    ul = cs.new_union_list(cs.new_bottom(1, t))
+    ul = [cs.new_bottom(1, t)]
     for i in range(2, 14):
         t += Fraction(rng.randint(1, 4), 2)
         op = rng.random()
@@ -251,7 +272,7 @@ def test_enumeration_matches_semantics_on_random_lists(direction, seed):
             )
             checked = cs.ul_clock_check(ul, t, bound)
             if checked is None:
-                ul = cs.new_union_list(cs.new_bottom(i, t))
+                ul = [cs.new_bottom(i, t)]
             else:
                 ul = checked
         anchors = [u.anchor for u in ul]

@@ -6,11 +6,11 @@ import json
 
 import pytest
 
-from tcer.cli import main, parse_stream_line, read_stream, rewrite_ge40, StreamFormatError
+from tcer.cli import main, parse_stream_line, read_stream, StreamFormatError
 from tcer.model import Basic
-from tcer.parser import parse_query
+from tcer.parser import parse_query, pretty
 
-from conftest import PHI1P_TEXT, PHI2_TEXT, S0_ROWS
+from conftest import PHI1P_TEXT, PHI2_TEXT, S0_ROWS, rewrite_ge40
 
 
 @pytest.fixture
@@ -87,18 +87,10 @@ def test_fixture_flag_flips_the_borderline_reading(capsys, stream_file, tmp_path
         ["run", "--query", str(query), "--stream", stream_file, "--engine", "oracle"],
     )
     assert code == 0 and out == ""  # strict > 40 finds nothing
+    query.write_text(pretty(rewrite_ge40(parse_query(PHI1P_TEXT))) + "\n", encoding="utf-8")
     code, out, _ = _run(
         capsys,
-        [
-            "run",
-            "--query",
-            str(query),
-            "--stream",
-            stream_file,
-            "--engine",
-            "oracle",
-            "--fixture-ge40",
-        ],
+        ["run", "--query", str(query), "--stream", stream_file, "--engine", "oracle"],
     )
     assert code == 0
     match = json.loads(out.splitlines()[0])
@@ -206,6 +198,19 @@ def test_bad_stream_exits_3(capsys, tmp_path, query_file):
     assert code == 3
 
 
+@pytest.mark.parametrize("engine", ["oracle", "streaming"])
+@pytest.mark.parametrize("ts", ["-1", "0"])
+def test_non_positive_timestamp_exits_3(capsys, tmp_path, query_file, engine, ts):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps({"type": "H", "attrs": {"hum": 20}, "ts": ts}) + "\n", encoding="utf-8")
+    code, _, err = _run(
+        capsys,
+        ["run", "--query", query_file, "--stream", str(bad), "--engine", engine],
+    )
+    assert code == 3
+    assert "line 1" in err
+
+
 def test_general_query_rejected_by_streaming_engine(capsys, tmp_path, stream_file):
     query = tmp_path / "gen.tcel"
     query.write_text("(A within [0,1]) ;[0,2] B\n", encoding="utf-8")
@@ -235,3 +240,11 @@ def test_bench_reports_deciles(capsys, tmp_path, query_file):
     report = json.loads(out)
     assert len(report["decile_mean_update_s"]) == 10
     assert report["nodes_created"] > 0
+
+
+def test_bench_rejects_a_query_the_streaming_engine_refuses(capsys, tmp_path):
+    query = tmp_path / "q1.tcel"
+    query.write_text(PHI1P_TEXT + "\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["bench", "--query", str(query), "--events", "50"])
+    assert code == 1 and out == ""
+    assert err.startswith("streaming engine rejected the query: ")

@@ -20,7 +20,7 @@ from conftest import PHI1P_TEXT, PHI2_TEXT, make_s0, make_t1
 
 
 def _rewrite_ge(phi):
-    from tcer.cli import rewrite_ge40
+    from conftest import rewrite_ge40
 
     return rewrite_ge40(phi)
 
