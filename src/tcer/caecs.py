@@ -3,17 +3,20 @@
 The per-state results of the streaming evaluator are stored as an immutable
 DAG whose nodes denote sets of *open* complex events (start index, bound
 positions, last clock-reset time).  Reset and clock-check nodes never stack:
-adjacent ones are merged by a small gadget algebra, which keeps the distance
-from any node to the next output node bounded and therefore makes
-enumeration output-linear.
+adjacent ones are merged by a small gadget algebra (a gadget is at most one
+reset over at most one anchor limit), which keeps the distance from any node
+to the next output node bounded and therefore makes enumeration
+output-linear.  Enumeration is a loop, so no match length makes it recurse.
 
-All operations exist in two mirrored flavours selected by ``direction``:
-``le`` for automata whose guards are upper bounds (anchor = latest reset)
-and ``ge`` for lower bounds (anchor = earliest reset, orderings inverted).
+A clock check ``t0 - anchor <= bound`` (``le``) or ``>= bound`` (``ge``) is
+stored as the limit ``t0 - bound`` it puts on the anchor, so both directions
+run one algorithm: an anchor passes iff ``better(anchor, limit)``, which is
+``>=`` for ``le`` and ``<=`` for ``ge``, the order that sorts union-lists.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator, NamedTuple, Optional
 
 from .model import ComplexEvent, Rational
@@ -72,21 +75,19 @@ class Reset(Node):
 
 
 class ClockCheck(Node):
-    __slots__ = ("t0", "bound", "left")
+    __slots__ = ("limit", "left")
 
-    def __init__(self, t0: Rational, bound: Rational, left: Node):
-        self.t0 = t0
-        self.bound = bound
+    def __init__(self, limit: Rational, left: Node):
+        self.limit = limit
         self.left = left
         self.anchor = left.anchor
         self.odepth = 1 + left.odepth
 
 
 class Empty(Node):
-    __slots__ = ("left",)
+    __slots__ = ()
 
-    def __init__(self, left: Optional[Node] = None):
-        self.left = left
+    def __init__(self):
         self.anchor = None
         self.odepth = 0
 
@@ -96,13 +97,13 @@ def is_empty(node: Optional[Node]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Gadgets: at most one reset over at most one clock check, over a base node
+# Gadgets: at most one reset over at most one anchor limit, over a base node
 # ---------------------------------------------------------------------------
 
 
 class Gadget(NamedTuple):
     reset: Optional[Rational]
-    check: Optional[tuple[Rational, Rational]]  # (t0, bound)
+    check: Optional[Rational]  # the anchor limit t0 - bound
     base: Node
 
 
@@ -112,21 +113,13 @@ class Caecs:
     def __init__(self, direction: str = "le", debug: bool = False):
         assert direction in ("le", "ge")
         self.direction = direction
+        self.better = operator.ge if direction == "le" else operator.le
         self.debug = debug
         self.created = 0
 
-    # -- direction helpers ---------------------------------------------------
-
-    def window_pass(self, t0: Rational, bound: Rational, t: Rational) -> bool:
-        if self.direction == "le":
-            return t0 - t <= bound
-        return t0 - t >= bound
-
-    def better(self, a: Rational, b: Rational) -> bool:
-        """Whether anchor a should precede anchor b in orderings."""
-        if self.direction == "le":
-            return a >= b
-        return a <= b
+    def _intersect(self, limit: Optional[Rational], other: Rational) -> Rational:
+        """The stricter of two anchor limits; None admits every anchor."""
+        return other if limit is None or self.better(other, limit) else limit
 
     # -- node constructors ---------------------------------------------------
 
@@ -137,7 +130,7 @@ class Caecs:
             if isinstance(node, Union):
                 assert self.better(node.left.anchor, node.right.anchor)
             if isinstance(node, ClockCheck):
-                assert self.window_pass(node.t0, node.bound, node.left.anchor)
+                assert self.better(node.left.anchor, node.limit)
             if isinstance(node, (Reset, ClockCheck)):
                 assert not isinstance(node.left, (Reset, ClockCheck)) or isinstance(
                     node, Reset
@@ -151,11 +144,6 @@ class Caecs:
         assert not is_empty(n)
         return self._made(Extended(j, label, n))
 
-    def _union_node(self, a: Node, b: Node) -> Node:
-        if not self.better(a.anchor, b.anchor):
-            a, b = b, a
-        return self._made(Union(a, b))
-
     # -- gadget algebra ------------------------------------------------------
 
     def get_gadget(self, n: Node) -> Gadget:
@@ -163,41 +151,30 @@ class Caecs:
         if isinstance(n, Reset):
             reset, n = n.time, n.left
         if isinstance(n, ClockCheck):
-            return Gadget(reset, (n.t0, n.bound), n.left)
+            return Gadget(reset, n.limit, n.left)
         return Gadget(reset, None, n)
 
-    def _intersect(self, outer, inner):
-        """Two windows checked against the same clock; None = disjoint."""
-        t1, w1 = outer
-        t2, w2 = inner
-        if self.better(t2 - w2, t1 - w1):
-            return inner  # the outer window contains the inner one
-        if self.direction == "ge" or t1 - w1 <= t2:
-            return (t2, w1 - (t1 - t2))  # the outer bound, seen at t2
-        return None
-
     def merge_gadgets(self, g1: Gadget, g2: Gadget) -> Optional[Gadget]:
-        """g1 composed over g2; None when no clock value survives both."""
+        """g1 composed over g2; None when g1's check fails g2's reset (a limit
+        that the base's anchor fails is caught by ``apply_gadget``)."""
         check = g2.check
         if g2.reset is not None:
             # g1's check sees the constant clock set by g2's reset
-            if g1.check is not None and not self.window_pass(*g1.check, g2.reset):
+            if g1.check is not None and not self.better(g2.reset, g1.check):
                 return None
         elif g1.check is not None:
-            check = g1.check if check is None else self._intersect(g1.check, check)
-            if check is None:
-                return None
+            check = self._intersect(check, g1.check)
         reset = g2.reset if g1.reset is None else g1.reset
         return Gadget(reset, check, g2.base)
 
     def apply_gadget(self, g: Optional[Gadget], base: Node) -> Node:
         if g is None:
-            return Empty(base)
+            return Empty()
         node = base
         if g.check is not None:
-            if not self.window_pass(*g.check, node.anchor):
-                return Empty(base)
-            node = self._made(ClockCheck(*g.check, node))
+            if not self.better(node.anchor, g.check):
+                return Empty()
+            node = self._made(ClockCheck(g.check, node))
         if g.reset is not None:
             node = self._made(Reset(g.reset, node))
         return node
@@ -213,9 +190,10 @@ class Caecs:
 
     def add_clock_check(self, n: Node, t0: Rational, bound: Rational) -> Node:
         assert not is_empty(n)
-        if not self.window_pass(t0, bound, n.anchor):
-            return Empty(n)
-        return self._regadget(Gadget(None, (t0, bound), n), n)
+        limit = t0 - bound
+        if not self.better(n.anchor, limit):
+            return Empty()
+        return self._regadget(Gadget(None, limit, n), n)
 
     # -- union ---------------------------------------------------------------
 
@@ -228,33 +206,26 @@ class Caecs:
         t1 = isinstance(g1.base, (Bottom, Extended))
         t2 = isinstance(g2.base, (Bottom, Extended))
         if t1 and t2:
-            return self._union_node(n1, n2)
+            return self._made(Union(n1, n2))
         if t1 != t2:
             if not t1:
                 n1, n2 = n2, n1
                 g1, g2 = g2, g1
             # n1 is the plain gadget-over-output root, n2 carries a union
             u = g2.base
-            m_left = self._regadget(g2, u.left)
-            m_right = self._regadget(g2, u.right)
-            return self._chain([n1, m_left, m_right])
-        u1, u2 = g1.base, g2.base
-        e13 = self._regadget(g1, u1.left)
-        e24 = self._regadget(g2, u2.left)
-        m5 = self._regadget(g1, u1.right)
-        m6 = self._regadget(g2, u2.right)
-        tail = [m for m in (m5, m6) if not is_empty(m)]
-        if len(tail) == 2 and not self.better(tail[0].anchor, tail[1].anchor):
-            tail.reverse()
-        return self._chain([e13, e24] + tail)
-
-    def _chain(self, parts: list[Node]) -> Node:
-        parts = [p for p in parts if not is_empty(p)]
-        assert parts
-        node = parts[-1]
-        for p in reversed(parts[:-1]):
-            node = self._union_node(p, node)
-        return node
+            parts = [n1, self._regadget(g2, u.left), self._regadget(g2, u.right)]
+        else:
+            u1, u2 = g1.base, g2.base
+            e13 = self._regadget(g1, u1.left)
+            e24 = self._regadget(g2, u2.left)
+            tail = [self._regadget(g1, u1.right), self._regadget(g2, u2.right)]
+            tail = [m for m in tail if not is_empty(m)]
+            if len(tail) == 2 and not self.better(tail[0].anchor, tail[1].anchor):
+                tail.reverse()
+            parts = [e13, e24] + tail
+        # a left child keeps its union's anchor and a right one cannot beat
+        # it, so the parts are already in union-list order
+        return self.ul_merge([p for p in parts if not is_empty(p)])
 
     # -- union-lists ---------------------------------------------------------
 
@@ -304,46 +275,38 @@ class Caecs:
 def enumerate_node(
     caecs: Caecs, node: Node, end: int
 ) -> Iterator[ComplexEvent]:
-    """Yield each complex event of the node once, closed at position ``end``."""
-    for start, entries in _enum(caecs, node, None, None):
-        mapping: dict[str, set[int]] = {}
-        for pos, label in entries:
-            for var in label:
-                mapping.setdefault(var, set()).add(pos)
-        yield ComplexEvent.make(start, end, mapping)
+    """Yield each complex event of the node once, closed at position ``end``.
 
-
-def _enum(caecs: Caecs, node: Node, t0, bound):
-    if isinstance(node, Empty):
-        return
-    if isinstance(node, Bottom):
-        yield node.index, ()
-        return
-    if isinstance(node, Extended):
-        entry = (node.index, node.label)
-        for start, entries in _enum(caecs, node.left, t0, bound):
-            yield start, entries + (entry,)
-        return
-    if isinstance(node, Reset):
-        yield from _enum(caecs, node.left, None, None)
-        return
-    if isinstance(node, ClockCheck):
-        window = (node.t0, node.bound)
-        if t0 is not None:
-            window = caecs._intersect((t0, bound), window)
-        if window is not None:
-            yield from _enum(caecs, node.left, *window)
-        return
-    # union: flatten the chain, pruning right children outside the window
-    stack = [node]
+    A loop over (node, limit, depth) frames that share one path of (position,
+    label) entries.  Only a union's right child can fail the limit, so it is
+    pushed only when it passes, and every frame yields.  Left comes first.
+    """
+    better = caecs.better
+    path: list[tuple[int, frozenset]] = []
+    stack = [(node, None, 0)]
     while stack:
-        top = stack.pop()
-        if isinstance(top, Union):
-            if t0 is None or caecs.window_pass(t0, bound, top.right.anchor):
-                stack.append(top.right)
-            stack.append(top.left)
-            continue
-        yield from _enum(caecs, top, t0, bound)
+        node, limit, depth = stack.pop()
+        del path[depth:]
+        while True:
+            if isinstance(node, Extended):
+                path.append((node.index, node.label))
+            elif isinstance(node, Union):
+                right = node.right
+                if limit is None or better(right.anchor, limit):
+                    stack.append((right, limit, len(path)))
+            elif isinstance(node, Reset):
+                limit = None
+            elif isinstance(node, ClockCheck):
+                limit = caecs._intersect(limit, node.limit)
+            else:
+                break
+            node = node.left
+        if isinstance(node, Bottom):
+            mapping: dict[str, set[int]] = {}
+            for pos, label in path:
+                for var in label:
+                    mapping.setdefault(var, set()).add(pos)
+            yield ComplexEvent.make(node.index, end, mapping)
 
 
 def node_semantics(caecs: Caecs, node: Node) -> frozenset:
@@ -369,6 +332,6 @@ def node_semantics(caecs: Caecs, node: Node) -> frozenset:
         return frozenset(
             (i, entries, t)
             for i, entries, t in node_semantics(caecs, node.left)
-            if caecs.window_pass(node.t0, node.bound, t)
+            if caecs.better(t, node.limit)
         )
     raise TypeError(node)

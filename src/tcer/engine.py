@@ -49,15 +49,9 @@ def _prepare(cea: TimedCea) -> tuple[list[_Trans], Optional[str], str]:
     out: list[_Trans] = []
     for tr in cea.delta:
         atoms = _conj_atoms(tr.guard)
-        bound: Optional[Rational] = None
-        for atom in atoms:
-            assert atom.clock == clock
-            if bound is None:
-                bound = atom.constant
-            elif direction == "le":
-                bound = min(bound, atom.constant)
-            else:
-                bound = max(bound, atom.constant)
+        assert all(atom.clock == clock for atom in atoms)
+        strictest = min if direction == "le" else max
+        bound = strictest(atom.constant for atom in atoms) if atoms else None
         reset = clock is not None and clock in tr.resets
         if tr.source == cea.initial and clock is not None and not reset and bound is None:
             raise NotStreamable(
@@ -83,7 +77,7 @@ class StreamingEngine:
             table.setdefault(tr.source, []).append(tr)
         self.table: dict[object, list[Node]] = {}
         self.position = 0
-        self.last_time: Optional[Rational] = None
+        self.last_time: Rational = 0
         self.max_list_len = 0
         self.max_odepth = 0
 
@@ -91,8 +85,8 @@ class StreamingEngine:
 
     def feed(self, event: Event, time: Rational) -> list[ComplexEvent]:
         """Consume one stream element; return this position's matches."""
-        if self.last_time is not None and time <= self.last_time:
-            raise ValueError("timestamps must increase strictly")
+        if time <= self.last_time:
+            raise ValueError("timestamps must be positive and increase strictly")
         self.last_time = time
         self.position += 1
         j = self.position

@@ -13,6 +13,10 @@ Grammar sketch (loosest to tightest binding)::
 Interval literals are ``[a,b]``, ``(a,b]``, ``[a,inf)`` etc., or the
 comparison shorthands ``<= c``, ``< c``, ``>= c``, ``> c``, ``= c``.
 ``FILTER (X[p] and Y[q])`` desugars to nested single-variable filters.
+
+A query may nest at most ``MAX_QUERY_DEPTH`` brackets deep, and its tree
+(filter predicates included) may be at most that high, because the parser
+and the compilers recurse once or more per level.
 """
 
 from __future__ import annotations
@@ -24,6 +28,12 @@ from typing import Optional
 
 from . import cel
 from .model import And, Basic, Interval, Not, Predicate, TrueP, TypeIs, format_rat
+
+# At the default recursion limit of 1000 the parser overflows at about 165
+# nested parentheses (six frames each), determinize and the oracles at a
+# tree height of about 495, and classify, the compilers and pretty at about
+# 990; 100 leaves room for the caller's own frames.
+MAX_QUERY_DEPTH = 100
 
 _KEYWORDS = {"as", "filter", "or", "and", "within", "pi", "not", "true", "type", "inf"}
 
@@ -237,9 +247,16 @@ class _Parser:
         return node
 
     def pred_term(self) -> Predicate:
-        if self.at("keyword", "not") or self.at("symbol", "!"):
+        negations = 0
+        while self.at("keyword", "not") or self.at("symbol", "!"):
             self.take()
-            return Not(self.pred_term())
+            negations += 1
+        node = self.pred_atom()
+        for _ in range(negations):
+            node = Not(node)
+        return node
+
+    def pred_atom(self) -> Predicate:
         if self.at("symbol", "("):
             self.take()
             node = self.pred()
@@ -351,12 +368,34 @@ def parse_query(text: str) -> cel.CelFormula:
     tokens = tokenize(text)
     if not tokens:
         raise ParseError("empty query", 1, 1)
+    depth = 0
+    for tok in tokens:
+        if tok.kind == "symbol" and tok.text in ("(", "[", ")", "]"):
+            depth += 1 if tok.text in ("(", "[") else -1
+            if depth > MAX_QUERY_DEPTH:
+                message = f"query nests deeper than {MAX_QUERY_DEPTH} brackets"
+                raise ParseError(message, tok.line, tok.col)
     parser = _Parser(tokens)
     node = parser.expr()
     leftover = parser.peek()
     if leftover is not None:
         raise ParseError(f"trailing input {leftover.text!r}", leftover.line, leftover.col)
+    if _height(node) > MAX_QUERY_DEPTH:
+        raise ParseError(f"query tree is higher than {MAX_QUERY_DEPTH} levels", 1, 1)
     return node
+
+
+def _height(phi: cel.CelFormula) -> int:
+    """Height of the query tree by a loop; the subtrees of formulas and
+    predicates are their ``left``, ``right``, ``body`` and ``pred`` fields."""
+    height, stack = 0, [(phi, 1)]
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        for field in ("left", "right", "body", "pred"):
+            if hasattr(node, field):
+                stack.append((getattr(node, field), level + 1))
+    return height
 
 
 # ---------------------------------------------------------------------------

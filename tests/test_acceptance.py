@@ -238,7 +238,8 @@ def _accumulating_automaton() -> TimedCea:
 
 
 def _delay_per_output_unit(engine: StreamingEngine, j: int) -> tuple[int, float]:
-    """Mean enumeration time per unit of output, minimized over repetitions."""
+    """Mean enumeration time per unit of output (one per match plus one per
+    bound position), minimized over repetitions."""
     best = None
     count = 0
     for _ in range(5):
@@ -246,7 +247,7 @@ def _delay_per_output_unit(engine: StreamingEngine, j: int) -> tuple[int, float]
         out = list(engine.enumerate_at(j))
         elapsed = time.perf_counter() - t0
         count = len(out)
-        size = sum(1 + len(m.binding) for m in out)
+        size = sum(1 + sum(len(ps) for _, ps in m.binding) for m in out)
         per_unit = elapsed / size
         best = per_unit if best is None else min(best, per_unit)
     return count, best
@@ -267,6 +268,35 @@ def test_enumeration_delay_is_output_linear():
     assert late <= 2 * early, f"delay grew with position: {early:.2e} -> {late:.2e}"
 
 
+def _heat_spell(n: int) -> tuple[StreamingEngine, list[ComplexEvent]]:
+    """PHI2's engine after a dry H, n T readings 0.5 apart and a humid H,
+    with the matches at the last position."""
+    engine = StreamingEngine(determinize(compile_windowed(parse_query(PHI2_TEXT))), debug=False)
+    t = Fraction(1)
+    assert engine.feed(Event("H", {"hum": Fraction(20)}), t) == []
+    for _ in range(n):
+        t += Fraction(1, 2)
+        assert engine.feed(Event("T", {"temp": Fraction(45)}), t) == []
+    return engine, engine.feed(Event("H", {"hum": Fraction(40)}), t + Fraction(1, 2))
+
+
+def test_deep_match_is_enumerated():
+    _, matches = _heat_spell(5000)
+    expected = ComplexEvent.make(1, 5002, {"X": {1}, "T": range(2, 5002), "Y": {5002}})
+    assert matches == [expected]
+    assert sum(len(ps) for _, ps in matches[0].binding) == 5002
+
+
+def test_enumeration_cost_per_bound_position_is_flat():
+    probes = {}
+    for n in (100, 5000):
+        engine, _ = _heat_spell(n)
+        probes[n] = _delay_per_output_unit(engine, engine.position)
+    (short_count, short), (long_count, long) = probes[100], probes[5000]
+    assert short_count == long_count == 1
+    assert long <= 2 * short, f"cost per position grew: {short:.2e} -> {long:.2e}"
+
+
 # -- 8. gadget-merge grid vs a brute-force oracle -----------------------------
 
 
@@ -275,7 +305,8 @@ def _apply_items(cs: Caecs, items, anchor):
     for item in reversed(items):
         if item[0] == "c":
             _, t0, bound = item
-            if not cs.window_pass(t0, bound, anchor):
+            passes = t0 - anchor <= bound if cs.direction == "le" else t0 - anchor >= bound
+            if not passes:
                 return None
         else:
             anchor = item[1]
@@ -289,14 +320,16 @@ def _gadget(items, base):
         if item[0] == "r":
             reset = item[1]
         else:
-            check = item[1:]
+            _, t0, bound = item
+            check = t0 - bound
     return Gadget(reset, check, base)
 
 
 def _items(g: Gadget):
-    """The item list of a gadget, outermost first, as ``_apply_items`` reads it."""
+    """The item list of a gadget, outermost first, as ``_apply_items`` reads it;
+    a limit is the check ``limit - anchor`` against a bound of 0."""
     items = [] if g.reset is None else [("r", g.reset)]
-    return items if g.check is None else items + [("c", *g.check)]
+    return items if g.check is None else items + [("c", g.check, 0)]
 
 
 def _merge_cases(grid, bounds):

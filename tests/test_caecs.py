@@ -59,7 +59,8 @@ def _gadget(items, base):
         if item[0] == "r":
             reset = item[1]
         else:
-            check = item[1:]
+            _, t0, bound = item
+            check = t0 - bound
     return Gadget(reset, check, base)
 
 
@@ -68,7 +69,7 @@ def _items(g):
     if g is None:
         return None
     items = [] if g.reset is None else [("r", g.reset)]
-    return items if g.check is None else items + [("c", *g.check)]
+    return items if g.check is None else items + [("c", g.check)]
 
 
 def test_merge_two_checks_intersects_windows(cs):
@@ -76,21 +77,21 @@ def test_merge_two_checks_intersects_windows(cs):
     g1 = _gadget([("c", F(10), F(5))], base)
     g2 = _gadget([("c", F(8), F(6))], base)
     merged = cs.merge_gadgets(g1, g2)
-    assert _items(merged) == [("c", F(8), F(3))]
+    assert merged == _gadget([("c", F(8), F(3))], base)
 
 
 def test_merge_check_subsumed_by_outer(cs):
     base = cs.new_bottom(1, F(1))
     g1 = _gadget([("c", F(10), F(9))], base)
     g2 = _gadget([("c", F(8), F(6))], base)
-    assert _items(cs.merge_gadgets(g1, g2)) == [("c", F(8), F(6))]
+    assert cs.merge_gadgets(g1, g2) == _gadget([("c", F(8), F(6))], base)
 
 
 def test_merge_disjoint_windows_is_void(cs):
     base = cs.new_bottom(1, F(1))
     g1 = _gadget([("c", F(10), F(1))], base)  # clock set at or after 9
     g2 = _gadget([("c", F(8), F(6))], base)  # clock set by 8
-    assert cs.merge_gadgets(g1, g2) is None
+    assert is_empty(cs.apply_gadget(cs.merge_gadgets(g1, g2), base))
 
 
 def test_merge_check_over_late_reset_is_void(cs):

@@ -8,7 +8,7 @@ import pytest
 
 from tcer.cli import main, parse_stream_line, read_stream, StreamFormatError
 from tcer.model import Basic
-from tcer.parser import parse_query, pretty
+from tcer.parser import MAX_QUERY_DEPTH, parse_query, pretty
 
 from conftest import PHI1P_TEXT, PHI2_TEXT, S0_ROWS, rewrite_ge40
 
@@ -186,6 +186,40 @@ def test_bad_query_exits_3(capsys, tmp_path, stream_file):
     )
     assert code == 3
     assert err
+
+
+def _nested(depth: int) -> str:
+    return "(" * depth + "A" + ")" * depth
+
+
+def _chain(length: int) -> str:
+    return " ; ".join(["A"] * length)
+
+
+@pytest.mark.parametrize("text", [_nested(300), _chain(2000)], ids=["nested", "chain"])
+def test_too_deep_query_exits_3(capsys, tmp_path, stream_file, text):
+    deep = tmp_path / "deep.tcel"
+    deep.write_text(text, encoding="utf-8")
+    code, _, err = _run(
+        capsys,
+        ["run", "--query", str(deep), "--stream", stream_file, "--engine", "streaming"],
+    )
+    assert code == 3
+    assert f"than {MAX_QUERY_DEPTH}" in err
+
+
+@pytest.mark.parametrize("engine", ["oracle", "automaton", "streaming"])
+@pytest.mark.parametrize(
+    "text", [_nested(MAX_QUERY_DEPTH), _chain(MAX_QUERY_DEPTH)], ids=["nested", "chain"]
+)
+def test_deepest_accepted_query_runs(capsys, tmp_path, stream_file, text, engine):
+    deep = tmp_path / "deep.tcel"
+    deep.write_text(text, encoding="utf-8")
+    code, _, err = _run(
+        capsys,
+        ["run", "--query", str(deep), "--stream", stream_file, "--engine", engine],
+    )
+    assert code == 0, err
 
 
 def test_bad_stream_exits_3(capsys, tmp_path, query_file):

@@ -61,6 +61,14 @@ def test_timestamps_must_increase(det_t1):
         engine.feed(Event("T", {"temp": Fraction(50)}), Fraction(1))
 
 
+@pytest.mark.parametrize("time", [Fraction(-5), Fraction(0)])
+def test_timestamps_must_be_positive(det_t1, time):
+    engine = StreamingEngine(det_t1)
+    with pytest.raises(ValueError):
+        engine.feed(Event("H", {"hum": Fraction(20)}), time)
+    assert engine.position == 0
+
+
 # -- streamability preconditions ----------------------------------------------
 
 
