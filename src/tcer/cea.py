@@ -17,6 +17,7 @@ from .model import (
     preds_intersect,
 )
 from . import model
+from .parser import MAX_QUERY_DEPTH
 
 # ---------------------------------------------------------------------------
 # Clock conditions
@@ -460,22 +461,27 @@ def pred_to_json(pred: Predicate):
     raise TypeError(f"not a predicate: {pred!r}")
 
 
-def pred_from_json(doc) -> Predicate:
-    kind = doc["kind"]
+def pred_from_json(doc, where: str, depth: int = 0) -> Predicate:
+    if depth > MAX_QUERY_DEPTH:
+        raise AutomatonFormatError(f"{where}: nested deeper than {MAX_QUERY_DEPTH}")
+    kind = _field(doc, "kind", str, where)
     if kind == "true":
         return model.TrueP()
     if kind == "type":
-        return model.TypeIs(doc["etype"])
+        return model.TypeIs(_field(doc, "etype", str, where))
     if kind == "basic":
-        value = doc["value"]
+        value = _field(doc, "value", (str, int, dict), where)
         if isinstance(value, dict):
-            value = Fraction(value["rat"])
-        return model.Basic(doc["attr"], doc["op"], value)
+            value = model.rat(_field(value, "rat", str, f"{where}.value"))
+        return model.Basic(_field(doc, "attr", str, where), _field(doc, "op", str, where), value)
     if kind == "and":
-        return model.And(pred_from_json(doc["left"]), pred_from_json(doc["right"]))
+        return model.And(
+            pred_from_json(doc.get("left"), where, depth + 1),
+            pred_from_json(doc.get("right"), where, depth + 1),
+        )
     if kind == "not":
-        return model.Not(pred_from_json(doc["body"]))
-    raise ValueError(f"unknown predicate kind {kind!r}")
+        return model.Not(pred_from_json(doc.get("body"), where, depth + 1))
+    raise AutomatonFormatError(f"{where}: unknown predicate kind {kind!r}")
 
 
 def guard_to_json(gamma: ClockCondition):
@@ -494,16 +500,24 @@ def guard_to_json(gamma: ClockCondition):
     return {"kind": tag, "left": guard_to_json(gamma.left), "right": guard_to_json(gamma.right)}
 
 
-def guard_from_json(doc) -> ClockCondition:
-    kind = doc["kind"]
+def guard_from_json(doc, where: str, depth: int = 0) -> ClockCondition:
+    if depth > MAX_QUERY_DEPTH:
+        raise AutomatonFormatError(f"{where}: nested deeper than {MAX_QUERY_DEPTH}")
+    kind = _field(doc, "kind", str, where)
     if kind == "true":
         return GTrue()
     if kind == "false":
         return GFalse()
     if kind == "cmp":
-        return Cmp(doc["clock"], doc["op"], Fraction(doc["constant"]))
-    ctor = GAnd if kind == "and" else GOr
-    return ctor(guard_from_json(doc["left"]), guard_from_json(doc["right"]))
+        constant = model.rat(_field(doc, "constant", str, where))
+        return Cmp(_field(doc, "clock", str, where), _field(doc, "op", str, where), constant)
+    if kind in ("and", "or"):
+        ctor = GAnd if kind == "and" else GOr
+        return ctor(
+            guard_from_json(doc.get("left"), where, depth + 1),
+            guard_from_json(doc.get("right"), where, depth + 1),
+        )
+    raise AutomatonFormatError(f"{where}: unknown guard kind {kind!r}")
 
 
 def cea_to_json(cea: TimedCea) -> dict:
@@ -529,27 +543,63 @@ def cea_to_json(cea: TimedCea) -> dict:
     }
 
 
-def cea_from_json(doc: dict) -> TimedCea:
-    n = len(doc["states"])
-    delta = tuple(
-        Transition(
-            tr["source"],
-            pred_from_json(tr["pred"]),
-            guard_from_json(tr["guard"]),
-            frozenset(tr["label"]),
-            frozenset(tr["resets"]),
-            tr["target"],
+class AutomatonFormatError(Exception):
+    """A document that does not describe a ``TimedCea``; names the field."""
+
+
+def _field(doc, key: str, kinds, where: str):
+    """``doc[key]``, refused unless it is one of ``kinds`` and not a bool."""
+    if not isinstance(doc, dict):
+        raise AutomatonFormatError(f"{where}: expected an object")
+    value = doc.get(key)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise AutomatonFormatError(f"{where}.{key}: missing or of the wrong type")
+    return value
+
+
+def _items(doc, key: str, kind, where: str) -> list:
+    items = _field(doc, key, list, where)
+    if any(isinstance(x, bool) or not isinstance(x, kind) for x in items):
+        raise AutomatonFormatError(f"{where}.{key}: expected a list of {kind.__name__}")
+    return items
+
+
+def cea_from_json(doc) -> TimedCea:
+    """The automaton ``cea_to_json`` wrote; raises ``AutomatonFormatError``,
+    naming the field, for a document that does not describe one."""
+    n = len(_items(doc, "states", str, "automaton"))
+    var_names = frozenset(_items(doc, "vars", str, "automaton"))
+    clocks = frozenset(_items(doc, "clocks", str, "automaton"))
+    delta = []
+    for i, tr in enumerate(_items(doc, "transitions", dict, "automaton")):
+        where = f"transitions[{i}]"
+        try:
+            transition = Transition(
+                _field(tr, "source", int, where),
+                pred_from_json(tr.get("pred"), f"{where}.pred"),
+                guard_from_json(tr.get("guard"), f"{where}.guard"),
+                frozenset(_items(tr, "label", str, where)),
+                frozenset(_items(tr, "resets", str, where)),
+                _field(tr, "target", int, where),
+            )
+        except ValueError as exc:
+            raise AutomatonFormatError(f"{where}: {exc}") from exc
+        if not transition.label <= var_names:
+            raise AutomatonFormatError(f"{where}.label: unknown variable")
+        if not transition.resets | guard_clocks(transition.guard) <= clocks:
+            raise AutomatonFormatError(f"{where}: unknown clock")
+        delta.append(transition)
+    try:
+        return TimedCea(
+            states=frozenset(range(n)),
+            vars=var_names,
+            clocks=clocks,
+            delta=tuple(delta),
+            initial=_field(doc, "initial", int, "automaton"),
+            finals=frozenset(_items(doc, "finals", int, "automaton")),
         )
-        for tr in doc["transitions"]
-    )
-    return TimedCea(
-        states=frozenset(range(n)),
-        vars=frozenset(doc["vars"]),
-        clocks=frozenset(doc["clocks"]),
-        delta=delta,
-        initial=doc["initial"],
-        finals=frozenset(doc["finals"]),
-    )
+    except ValueError as exc:
+        raise AutomatonFormatError(f"automaton: {exc}") from exc
 
 
 def cea_to_dot(cea: TimedCea) -> str:

@@ -3,22 +3,36 @@
 Streams are JSON Lines, one event per line:
 ``{"type": "H", "attrs": {"temp": 45}, "ts": "2.5"}``.
 Timestamps and numeric attributes are parsed as exact decimal rationals.
-Exit codes: 0 ok; 1 mismatch, violation, or a query the streaming engine
-refuses; 2 usage error or missing file; 3 bad stream or query text.
+
+``run`` prints each match as a JSON line as soon as it is produced, in
+``(end, start, bindings)`` order, with ``pos`` the match's end, so the three
+engines print the same bytes.  The streaming engine reads one line at a time,
+so its memory does not grow with the stream; the oracle and automaton
+engines load the whole stream first.  A bad line after some matches ends the
+run with those matches printed.
+
+Exit codes: 0 ok, or stdout closed by its reader; 1 mismatch, violation, or
+a query the streaming engine refuses; 2 usage error or a path that cannot be
+opened; 3 bad stream, query text or automaton file, input that is not UTF-8,
+or a number longer than ``model.MAX_DIGITS``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time as _time
 from fractions import Fraction
+from typing import Iterable
 
 from . import cel
 from .cea import (
+    AutomatonFormatError,
     CeaCapExceeded,
+    TimedCea,
     cea_from_json,
     cea_to_json,
     eval_cea_oracle,
@@ -27,7 +41,7 @@ from .cel import OracleCapExceeded, classify, eval_cel_oracle
 from .compiler import NotWindowed, compile_cel, compile_windowed
 from .determinize import SyncResetViolation, determinize
 from .engine import NotStreamable, StreamingEngine
-from .model import Basic, ComplexEvent, Event, TimedStream, format_rat
+from .model import Basic, ComplexEvent, Event, TimedStream, format_rat, rat
 from .parser import ParseError, parse_query, pretty
 from .regions import check_sync
 
@@ -36,20 +50,30 @@ class StreamFormatError(Exception):
     pass
 
 
+# One decoder for every line: ``json.loads`` with ``parse_float`` builds a
+# new one per call.
+_EVENT_DECODER = json.JSONDecoder(parse_float=rat)
+
+
 def parse_stream_line(line: str, lineno: int) -> tuple[Event, Fraction]:
     try:
-        obj = json.loads(line, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
+        obj = _EVENT_DECODER.decode(line)
+    except (ValueError, RecursionError) as exc:
         raise StreamFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
     try:
         etype = obj["type"]
         attrs = obj.get("attrs", {})
-        ts = Fraction(obj["ts"])
+        ts = rat(obj["ts"])
     except (KeyError, TypeError, ValueError) as exc:
         raise StreamFormatError(f"line {lineno}: bad event object: {exc}") from exc
     if not isinstance(etype, str) or not isinstance(attrs, dict):
         raise StreamFormatError(f"line {lineno}: bad event object")
-    return Event(etype, dict(attrs)), ts
+    for name, value in attrs.items():
+        if value is not None and not isinstance(value, (str, int, Fraction)):
+            raise StreamFormatError(
+                f"line {lineno}: attribute {name!r} is not a number, string, boolean or null"
+            )
+    return Event(etype, attrs), ts
 
 
 def read_stream(fh):
@@ -70,13 +94,8 @@ def read_stream(fh):
         yield event, ts
 
 
-def load_stream(path: str) -> TimedStream:
-    with open(path, encoding="utf-8") as fh:
-        return TimedStream(list(read_stream(fh)))
-
-
 def ce_sort_key(ce: ComplexEvent):
-    return (ce.start, ce.end, [(var, sorted(ps)) for var, ps in ce.binding])
+    return (ce.end, ce.start, [(var, sorted(ps)) for var, ps in ce.binding])
 
 
 def match_json(ce: ComplexEvent, pos: int) -> str:
@@ -92,6 +111,16 @@ def load_query(path: str):
         return parse_query(fh.read())
 
 
+def load_automaton(path: str) -> TimedCea:
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise AutomatonFormatError(f"invalid JSON: {exc}") from exc
+    return cea_from_json(doc)
+
+
 REFUSALS = (NotWindowed, SyncResetViolation, NotStreamable)
 
 
@@ -104,6 +133,21 @@ def streaming_engine(phi, debug: bool = False) -> StreamingEngine:
     return StreamingEngine(determinize(compile_windowed(phi)), debug=debug)
 
 
+def run_matches(engine: str, phi, pairs) -> Iterable[Iterable[ComplexEvent]]:
+    """The query's matches over ``(event, ts)`` pairs, in groups in stream
+    order.  The streaming engine takes one pair at a time and gives one group
+    per event; the two oracle engines need random access, so they load every
+    pair and give one group of all matches."""
+    if engine == "streaming":
+        streaming = streaming_engine(phi)
+        return (streaming.feed(event, ts) for event, ts in pairs)
+    stream = TimedStream(pairs)
+    cap = max(len(stream), 1)
+    if engine == "oracle":
+        return [eval_cel_oracle(phi, stream, cap=cap)]
+    return [eval_cea_oracle(compile_cel(phi), stream, cap=cap)]
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -111,22 +155,10 @@ def streaming_engine(phi, debug: bool = False) -> StreamingEngine:
 
 def cmd_run(args) -> int:
     phi = load_query(args.query)
-    stream = load_stream(args.stream)
-    lines: list[str] = []
-    if args.engine == "oracle":
-        for ce in sorted(eval_cel_oracle(phi, stream, cap=max(len(stream), 1)), key=ce_sort_key):
-            lines.append(match_json(ce, ce.end))
-    elif args.engine == "automaton":
-        cea = compile_cel(phi)
-        for ce in sorted(eval_cea_oracle(cea, stream, cap=max(len(stream), 1)), key=ce_sort_key):
-            lines.append(match_json(ce, ce.end))
-    else:
-        engine = streaming_engine(phi)
-        for event, ts in stream.pairs_et():
-            for ce in sorted(engine.feed(event, ts), key=ce_sort_key):
-                lines.append(match_json(ce, engine.position))
-    for line in lines:
-        print(line)
+    with open(args.stream, encoding="utf-8") as fh:
+        for found in run_matches(args.engine, phi, read_stream(fh)):
+            for ce in sorted(found, key=ce_sort_key):
+                print(match_json(ce, ce.end))
     return 0
 
 
@@ -144,8 +176,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_determinize(args) -> int:
-    with open(args.automaton, encoding="utf-8") as fh:
-        cea = cea_from_json(json.load(fh))
+    cea = load_automaton(args.automaton)
     try:
         det = determinize(cea)
     except SyncResetViolation as exc:
@@ -158,8 +189,7 @@ def cmd_determinize(args) -> int:
 
 
 def cmd_check_sync(args) -> int:
-    with open(args.automaton, encoding="utf-8") as fh:
-        cea = cea_from_json(json.load(fh))
+    cea = load_automaton(args.automaton)
     result = check_sync(cea, cap=args.cap)
     report = {"verdict": result.verdict, "explored": result.explored}
     if result.witness is not None:
@@ -335,14 +365,24 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except REFUSALS as exc:
         print(f"streaming engine rejected the query: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, StreamFormatError) as exc:
+    except (ParseError, StreamFormatError, AutomatonFormatError) as exc:
         print(str(exc), file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except UnicodeDecodeError as exc:
+        print(f"input is not UTF-8 text: {exc}", file=sys.stderr)
+        return 3
+    except BrokenPipeError:
+        # The reader closed stdout (``tcer run ... | head -1``) and chose to
+        # stop.  Point stdout at the null device so the flush at exit is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

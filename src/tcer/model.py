@@ -16,11 +16,24 @@ Rational = Fraction
 AttrValue = Union[int, Fraction, str]
 
 
+# The most digits a number string may stand for: its length plus the zeros
+# its exponent adds.  Without a bound "1e999999999" makes Fraction build a
+# billion-digit power of ten, and Python's int/str conversions refuse more
+# than 4300 digits.
+MAX_DIGITS = 1000
+
+
 def rat(value: Union[int, str, Fraction]) -> Fraction:
     """Build an exact rational from an int, a Fraction, or a decimal string.
 
-    ``rat("1.33")`` is exactly 133/100.
+    ``rat("1.33")`` is exactly 133/100.  A string that stands for more than
+    ``MAX_DIGITS`` digits raises ``ValueError``.
     """
+    if isinstance(value, str):
+        mantissa, _, exponent = value.lower().partition("e")
+        if len(mantissa) + abs(int(exponent or 0)) > MAX_DIGITS:
+            raise ValueError(f"number longer than {MAX_DIGITS} digits")
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -225,8 +238,9 @@ class TypeIs:
 class Basic:
     """Comparison of one attribute against a constant.
 
-    Absent attributes never satisfy a Basic predicate, and neither do values
-    of a different kind than the constant (string vs. number).
+    Absent attributes never satisfy a Basic predicate, and neither do
+    booleans or values of a different kind than the constant (string vs.
+    number).
     """
 
     attr: str
@@ -271,11 +285,10 @@ Predicate = Union[TrueP, TypeIs, Basic, And, Not]
 
 
 def _compare(lhs: AttrValue, op: str, rhs: AttrValue) -> bool:
-    lhs_num = not isinstance(lhs, str) and not isinstance(lhs, bool)
-    rhs_num = not isinstance(rhs, str)
-    if lhs_num != rhs_num:
-        # Mixed string/number never satisfies any comparison, including !=;
-        # a Basic predicate constrains values of its constant's kind.
+    if isinstance(lhs, bool) or isinstance(lhs, str) != isinstance(rhs, str):
+        # A boolean, or mixed string/number, never satisfies any comparison,
+        # including !=; a Basic predicate constrains values of its
+        # constant's kind.
         return False
     if op == "<":
         return lhs < rhs

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import cel
-from .model import And, Basic, Interval, Not, Predicate, TrueP, TypeIs, format_rat
+from .model import And, Basic, Interval, Not, Predicate, TrueP, TypeIs, format_rat, rat
 
 # At the default recursion limit of 1000 the parser overflows at about 165
 # nested parentheses (six frames each), determinize and the oracles at a
@@ -290,7 +290,7 @@ class _Parser:
         if op == "=":
             op = "=="
         if self.at("number"):
-            value = Fraction(self.take().text)
+            value = self.number()
             if value.denominator == 1:
                 value = int(value)
             return Basic(attr, op, value)
@@ -320,6 +320,13 @@ class _Parser:
         # "(" starts an interval only when a number follows and then a comma
         return self.at("number", offset=1) and self.at("symbol", ",", offset=2)
 
+    def number(self) -> Fraction:
+        tok = self.expect("number")
+        try:
+            return rat(tok.text)
+        except ValueError as exc:
+            raise ParseError(str(exc), tok.line, tok.col) from None
+
     def interval(self) -> Interval:
         tok = self.peek()
         if tok is None:
@@ -327,7 +334,7 @@ class _Parser:
             raise ParseError("expected interval", last.line, last.col)
         if tok.kind == "symbol" and tok.text in ("<=", "<", ">=", ">", "=", "=="):
             op = self.take().text
-            value = Fraction(self.expect("number").text)
+            value = self.number()
             if op == "<=":
                 return Interval.at_most(value)
             if op == "<":
@@ -341,13 +348,13 @@ class _Parser:
             return Interval.exactly(value)
         if tok.kind == "symbol" and tok.text in ("[", "("):
             low_closed = self.take().text == "["
-            low = Fraction(self.expect("number").text)
+            low = self.number()
             self.expect("symbol", ",")
             if self.at("keyword", "inf"):
                 self.take()
                 high: Optional[Fraction] = None
             else:
-                high = Fraction(self.expect("number").text)
+                high = self.number()
             closer = self.take()
             if closer.kind != "symbol" or closer.text not in ("]", ")"):
                 raise ParseError(

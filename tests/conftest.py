@@ -7,10 +7,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from tcer import cel
 from tcer.cea import Cmp, GTrue, TimedCea, Transition
 from tcer.model import Basic, Event, TimedStream, TrueP
+
+# ``--hypothesis-profile=ci`` runs the property tests longer than tier-1 does.
+settings.register_profile("ci", max_examples=2000)
 
 # A heat-then-dry scenario: humidity (H) and temperature (T) readings.
 S0_ROWS = [

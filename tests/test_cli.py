@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
@@ -72,9 +76,9 @@ def test_engines_agree_on_reference_query(capsys, stream_file, query_file):
             ["run", "--query", query_file, "--stream", stream_file, "--engine", engine],
         )
         assert code == 0, err
-        outputs.append(sorted(out.splitlines()))
+        outputs.append(out)
     assert outputs[0] == outputs[1] == outputs[2]
-    match = json.loads(outputs[0][0])
+    match = json.loads(outputs[0].splitlines()[0])
     assert match["start"] == 4 and match["end"] == 8
     assert match["bindings"] == {"T": [5, 6, 7], "X": [4], "Y": [8]}
 
@@ -282,3 +286,205 @@ def test_bench_rejects_a_query_the_streaming_engine_refuses(capsys, tmp_path):
     code, out, err = _run(capsys, ["bench", "--query", str(query), "--events", "50"])
     assert code == 1 and out == ""
     assert err.startswith("streaming engine rejected the query: ")
+
+
+# -- output streams as it is produced -----------------------------------------
+
+
+def _write_bench_stream(path, n: int) -> None:
+    from tcer.cli import _bench_stream
+    from tcer.model import format_rat
+
+    with open(path, "w", encoding="utf-8") as fh:
+        for event, ts in _bench_stream(parse_query(PHI2_TEXT), n, random.Random(0)):
+            attrs = ", ".join(f'"{k}": {format_rat(v)}' for k, v in event.attrs.items())
+            fh.write(f'{{"type": "{event.etype}", "attrs": {{{attrs}}}, "ts": "{format_rat(ts)}"}}\n')
+
+
+def test_engines_print_identical_bytes_on_a_longer_stream(capsys, tmp_path, query_file):
+    stream = tmp_path / "bench.jsonl"
+    _write_bench_stream(stream, 400)
+    outputs = []
+    for engine in ("oracle", "automaton", "streaming"):
+        code, out, err = _run(
+            capsys, ["run", "--query", query_file, "--stream", str(stream), "--engine", engine]
+        )
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    keys = [(m["end"], m["start"]) for m in map(json.loads, outputs[0].splitlines())]
+    assert len(keys) > 5 and keys == sorted(keys)
+
+
+@pytest.mark.parametrize("engine", ["oracle", "automaton", "streaming"])
+def test_bad_last_line_prints_earlier_matches_then_exits_3(capsys, tmp_path, query_file, stream_file, engine):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(open(stream_file, encoding="utf-8").read() + "not json\n", encoding="utf-8")
+    code, out, err = _run(
+        capsys, ["run", "--query", query_file, "--stream", str(bad), "--engine", engine]
+    )
+    assert code == 3 and "line 10" in err
+    if engine == "streaming":
+        assert json.loads(out)["bindings"] == {"T": [5, 6, 7], "X": [4], "Y": [8]}
+    else:  # the oracle engines load the whole stream before they match
+        assert out == ""
+
+
+def test_streaming_run_builds_no_timed_stream(capsys, monkeypatch, stream_file, query_file):
+    import tcer.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the streaming engine loaded the whole stream")
+
+    monkeypatch.setattr(tcer.cli, "TimedStream", refuse)
+    code, out, err = _run(
+        capsys, ["run", "--query", query_file, "--stream", stream_file, "--engine", "streaming"]
+    )
+    assert code == 0, err
+    assert json.loads(out)["end"] == 8
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    query = tmp_path / "a.tcel"
+    query.write_text("A\n", encoding="utf-8")
+    stream = tmp_path / "many.jsonl"
+    stream.write_text(
+        "".join(f'{{"type": "A", "ts": {i}}}\n' for i in range(1, 3001)), encoding="utf-8"
+    )
+    argv = [sys.executable, "-m", "tcer.cli", "run", "--query", str(query), "--stream", str(stream)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        argv + ["--engine", "streaming"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    assert json.loads(proc.stdout.readline())["end"] == 1
+    proc.stdout.close()  # more output than a pipe holds is still to come
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+# -- every bad input ends in its exit code ------------------------------------
+
+
+def _run_stream(capsys, tmp_path, data: bytes, query: str = "A filter A[x < 2]", engine="streaming"):
+    qpath, spath = tmp_path / "q.tcel", tmp_path / "s.jsonl"
+    qpath.write_text(query, encoding="utf-8")
+    spath.write_bytes(data)
+    return _run(capsys, ["run", "--query", str(qpath), "--stream", str(spath), "--engine", engine])
+
+
+@pytest.mark.parametrize("engine", ["oracle", "streaming"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"type": "A", "attrs": {"x": [1]}, "ts": 1}',
+        '{"type": "A", "attrs": {"x": {"y": 1}}, "ts": 1}',
+        '{"type": "A", "attrs": {"x": NaN}, "ts": 1}',
+        '{"type": "A", "attrs": {"x": ' + "9" * 4500 + '}, "ts": 1}',
+        '{"type": "A", "ts": ' + "9" * 4500 + "}",
+        "[" * 100_000,
+        '{"type": "A", "ts": true}',
+        '{"type": "A", "ts": "1e999999999"}',
+        '{"type": "A", "ts": 1e999999999}',
+        '{"type": "A", "attrs": {"x": 1e-999999999}, "ts": 1}',
+    ],
+    ids=["list", "object", "nan", "huge-int-attr", "huge-int-ts", "deep", "bool-ts",
+         "huge-exponent-string", "huge-exponent-number", "huge-negative-exponent"],
+)
+def test_bad_stream_line_exits_3(capsys, tmp_path, line, engine):
+    code, out, err = _run_stream(capsys, tmp_path, (line + "\n").encode(), engine=engine)
+    assert code == 3 and err.startswith("line 1: ")
+    assert out == ""
+
+
+def test_non_utf8_stream_exits_3(capsys, tmp_path):
+    code, _, err = _run_stream(capsys, tmp_path, b'{"type": "A", "ts": 1}\n\xff\xfe\n')
+    assert code == 3 and "UTF-8" in err
+
+
+@pytest.mark.parametrize("engine", ["oracle", "streaming"])
+@pytest.mark.parametrize("value", ["null", "true", "false", '"b"', "1.5"])
+def test_scalar_attribute_values_are_accepted(capsys, tmp_path, value, engine):
+    """Only a string satisfies a string comparison; a boolean satisfies none."""
+    line = '{"type": "A", "attrs": {"x": %s}, "ts": 1}\n' % value
+    for query, hit in (("A as X filter X[x != 'a']", value == '"b"'), ("A as X filter X[x < 'a']", False)):
+        code, out, err = _run_stream(capsys, tmp_path, line.encode(), query=query, engine=engine)
+        assert code == 0, err
+        assert bool(out) == hit
+
+
+@pytest.mark.parametrize(
+    "query", ["A ;[0," + "9" * 5000 + "] B", "A filter A[x < " + "9" * 5000 + "]"], ids=["interval", "filter"]
+)
+def test_oversized_query_number_exits_3(capsys, tmp_path, query):
+    code, _, err = _run_stream(capsys, tmp_path, b'{"type": "A", "ts": 1}\n', query=query, engine="oracle")
+    assert code == 3 and "digits" in err
+
+
+def test_non_utf8_query_exits_3(capsys, tmp_path, stream_file):
+    query = tmp_path / "q.tcel"
+    query.write_bytes(b"A \xff")
+    code, _, err = _run(capsys, ["run", "--query", str(query), "--stream", stream_file, "--engine", "oracle"])
+    assert code == 3 and "UTF-8" in err
+
+
+def _automaton(tmp_path, text: str) -> str:
+    path = tmp_path / "a.json"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _compiled(tmp_path, capsys) -> dict:
+    query = tmp_path / "q.tcel"
+    query.write_text("(A as X ;[0,1] B) within [0,2]", encoding="utf-8")
+    out = tmp_path / "c.json"
+    assert _run(capsys, ["compile", "--windowed", "--query", str(query), "-o", str(out)])[0] == 0
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def _with_deep_predicate(doc: dict, depth: int) -> str:
+    """The document with its first predicate under ``depth`` negations."""
+    pred = '{"kind": "not", "body": ' * depth + '{"kind": "true"}' + "}" * depth
+    doc = json.loads(json.dumps(doc))
+    doc["transitions"][0]["pred"] = "PRED"
+    return json.dumps(doc).replace('"PRED"', pred)
+
+
+@pytest.mark.parametrize("command", ["determinize", "check-sync"])
+def test_bad_automaton_file_exits_3_naming_the_field(capsys, tmp_path, command):
+    doc = _compiled(tmp_path, capsys)
+    cases = [
+        ('{"states": 1}', "states"),
+        (json.dumps(dict(doc, initial=len(doc["states"]))), "initial"),
+        (json.dumps(dict(doc, clocks=[])), "clock"),
+        (_with_deep_predicate(doc, 3000), "JSON"),
+        ("{", "JSON"),
+    ]
+    for text, field in cases:
+        argv = [command, "--automaton", _automaton(tmp_path, text)]
+        if command == "determinize":
+            argv += ["-o", str(tmp_path / "d.json")]
+        code, _, err = _run(capsys, argv)
+        assert code == 3 and field in err, (text[:40], err)
+
+
+def test_automaton_predicate_depth_is_bounded(capsys, tmp_path):
+    doc = _compiled(tmp_path, capsys)
+    for depth, code in ((MAX_QUERY_DEPTH, 0), (MAX_QUERY_DEPTH + 1, 3)):
+        path = _automaton(tmp_path, _with_deep_predicate(doc, depth))
+        got, out, err = _run(capsys, ["check-sync", "--automaton", path])
+        assert got == code, err
+        assert code == 3 or json.loads(out)["verdict"] == "yes"
+
+
+@pytest.mark.parametrize("flag", ["--query", "--stream"])
+def test_directory_path_exits_2(capsys, tmp_path, stream_file, query_file, flag):
+    paths = {"--query": query_file, "--stream": stream_file, flag: str(tmp_path)}
+    argv = ["run", "--engine", "streaming"] + [x for kv in paths.items() for x in kv]
+    code, _, err = _run(capsys, argv)
+    assert code == 2 and err
+
+
+def test_directory_automaton_exits_2(capsys, tmp_path):
+    code, _, err = _run(capsys, ["check-sync", "--automaton", str(tmp_path)])
+    assert code == 2 and err

@@ -13,6 +13,7 @@ from tcer.model import (
     ComplexEvent,
     Event,
     Interval,
+    MAX_DIGITS,
     Not,
     TimedStream,
     TrueP,
@@ -33,6 +34,18 @@ def test_rat_parses_decimal_strings_exactly():
     assert rat("1.33") == Fraction(133, 100)
     assert rat("0.5") == Fraction(1, 2)
     assert rat(3) == Fraction(3)
+
+
+def test_rat_bounds_the_digits_a_string_stands_for():
+    assert rat("1e" + str(MAX_DIGITS - 1)) == 10 ** (MAX_DIGITS - 1)
+    for text in ("1e" + str(MAX_DIGITS), "1E-" + str(MAX_DIGITS), "1" * (MAX_DIGITS + 1)):
+        with pytest.raises(ValueError):
+            rat(text)
+
+
+def test_booleans_satisfy_no_comparison():
+    for pred in (Basic("x", "<", "a"), Basic("x", "!=", "a"), Basic("x", "==", 1), Basic("x", "!=", 0)):
+        assert not sat(Event("A", {"x": True}), pred)
 
 
 def test_interval_membership_matches_bracket_notation():
