@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .model import (
     ComplexEvent,
@@ -262,21 +262,42 @@ class TimedCea:
 
     def exposed_clocks(self, state: State) -> frozenset[str]:
         """Clocks that some path from the state checks before resetting."""
-        exposed: dict[State, set[str]] = {q: set() for q in self.states}
-        changed = True
-        while changed:
-            changed = False
-            for tr in self.delta:
-                want = set(guard_clocks(tr.guard))
-                want |= exposed[tr.target] - set(tr.resets)
-                if not want <= exposed[tr.source]:
-                    exposed[tr.source] |= want
-                    changed = True
-        return frozenset(exposed[state])
+        return frozenset(exposed_clocks(self.delta).get(state, ()))
 
     def resets_before_checks(self) -> bool:
         """Every clock is reset before it is first checked, on every path."""
         return not self.exposed_clocks(self.initial)
+
+
+def exposed_clocks(delta: Sequence[Transition]) -> dict[State, set[str]]:
+    """Per source state, the clocks that some path from it checks before
+    resetting them (a state with none may be missing)."""
+    exposed: dict[State, set[str]] = {}
+    changed = True
+    while changed:
+        changed = False
+        for tr in delta:
+            want = guard_clocks(tr.guard) | (exposed.get(tr.target, set()) - tr.resets)
+            have = exposed.setdefault(tr.source, set())
+            if not want <= have:
+                have |= want
+                changed = True
+    return exposed
+
+
+def reachable(initial: State, delta: Iterable[Transition]) -> set[State]:
+    """The states that some path of transitions leads to from ``initial``."""
+    out: dict[State, list[State]] = {}
+    for tr in delta:
+        out.setdefault(tr.source, []).append(tr.target)
+    seen = {initial}
+    frontier = [initial]
+    while frontier:
+        for q in out.get(frontier.pop(), ()):
+            if q not in seen:
+                seen.add(q)
+                frontier.append(q)
+    return seen
 
 
 def _pred_size(pred: Predicate) -> int:

@@ -1,10 +1,12 @@
 """Query-to-automaton compilation, operator by operator.
 
 `compile_cel` builds one automaton per syntax node with fresh states/clocks.
-`compile_windowed` builds the restricted two-clock form for the two-level
-fragment: one clock (``zx``) reset on exactly the marking transitions and one
-(``zn``) reset on exactly the initial out-transitions, which keeps resets a
-function of the transition label and hence synchronous across runs.
+`compile_windowed` is the same build with its clocks fixed to two: ``zx``,
+reset on exactly the marking transitions, and ``zn``, reset on exactly the
+initial out-transitions, which keeps resets a function of the transition
+label and hence synchronous across runs.  Both builds apply AS, FILTER, OR,
+AND and projection through the same combinators, and an untimed iteration is
+a timed one with no clock and no gap guard.
 """
 
 from __future__ import annotations
@@ -20,11 +22,13 @@ from .cea import (
     State,
     TimedCea,
     Transition,
+    exposed_clocks,
     gand,
     guard_clocks,
+    reachable,
 )
 from .model import And as PAnd
-from .model import Interval, TrueP, TypeIs
+from .model import Interval, Predicate, TrueP, TypeIs
 
 
 class NotWindowed(Exception):
@@ -100,6 +104,69 @@ def _resource(tr: Transition, source: State) -> Transition:
     return Transition(source, tr.pred, tr.guard, tr.label, tr.resets, tr.target)
 
 
+# AS, FILTER, OR, AND and projection: one combinator each, shared by the
+# general and the windowed build.
+
+
+def _as(b: _Build, var: str) -> _Build:
+    b.delta = [
+        tr
+        if not tr.label
+        else Transition(tr.source, tr.pred, tr.guard, tr.label | {var}, tr.resets, tr.target)
+        for tr in b.delta
+    ]
+    return b
+
+
+def _filter(b: _Build, var: str, pred: Predicate) -> _Build:
+    b.delta = [
+        tr
+        if var not in tr.label
+        else Transition(tr.source, PAnd(tr.pred, pred), tr.guard, tr.label, tr.resets, tr.target)
+        for tr in b.delta
+    ]
+    return b
+
+
+def _or(b1: _Build, b2: _Build, fresh: _Fresh) -> _Build:
+    q0 = fresh.state()
+    delta = list(b1.delta) + list(b2.delta)
+    for b in (b1, b2):
+        for tr in b.delta:
+            if tr.source == b.initial:
+                delta.append(_resource(tr, q0))
+    return _Build(
+        b1.states | b2.states | {q0}, delta, q0, b1.finals | b2.finals, b1.clocks | b2.clocks
+    )
+
+
+def _and(b1: _Build, b2: _Build) -> _Build:
+    delta = [
+        Transition(
+            (t1.source, t2.source),
+            PAnd(t1.pred, t2.pred),
+            gand(t1.guard, t2.guard),
+            t1.label,
+            t1.resets | t2.resets,
+            (t1.target, t2.target),
+        )
+        for t1 in b1.delta
+        for t2 in b2.delta
+        if t1.label == t2.label
+    ]
+    states = {(p1, p2) for p1 in b1.states for p2 in b2.states}
+    finals = {(f1, f2) for f1 in b1.finals for f2 in b2.finals}
+    return _Build(states, delta, (b1.initial, b2.initial), finals, b1.clocks | b2.clocks)
+
+
+def _project(b: _Build, keep: frozenset[str]) -> _Build:
+    b.delta = [
+        Transition(tr.source, tr.pred, tr.guard, tr.label & keep, tr.resets, tr.target)
+        for tr in b.delta
+    ]
+    return b
+
+
 def _compile(phi: cel.CelFormula, fresh: _Fresh, shared_clock: Optional[str] = None) -> _Build:
     """Build the automaton for a formula.
 
@@ -115,65 +182,21 @@ def _compile(phi: cel.CelFormula, fresh: _Fresh, shared_clock: Optional[str] = N
         return _Build({q1, q2}, [tr], q1, {q2}, clocks)
 
     if isinstance(phi, cel.As):
-        b = _compile(phi.body, fresh, shared_clock)
-        b.delta = [
-            tr
-            if not tr.label
-            else Transition(tr.source, tr.pred, tr.guard, tr.label | {phi.var}, tr.resets, tr.target)
-            for tr in b.delta
-        ]
-        return b
+        return _as(_compile(phi.body, fresh, shared_clock), phi.var)
 
     if isinstance(phi, cel.Filter):
-        b = _compile(phi.body, fresh, shared_clock)
-        b.delta = [
-            tr
-            if phi.var not in tr.label
-            else Transition(tr.source, PAnd(tr.pred, phi.pred), tr.guard, tr.label, tr.resets, tr.target)
-            for tr in b.delta
-        ]
-        return b
+        return _filter(_compile(phi.body, fresh, shared_clock), phi.var, phi.pred)
 
     if isinstance(phi, cel.Or):
         b1 = _compile(phi.left, fresh, shared_clock)
-        b2 = _compile(phi.right, fresh, shared_clock)
-        q0 = fresh.state()
-        delta = list(b1.delta) + list(b2.delta)
-        for b in (b1, b2):
-            for tr in b.delta:
-                if tr.source == b.initial:
-                    delta.append(_resource(tr, q0))
-        return _Build(
-            b1.states | b2.states | {q0},
-            delta,
-            q0,
-            b1.finals | b2.finals,
-            b1.clocks | b2.clocks,
-        )
+        return _or(b1, _compile(phi.right, fresh, shared_clock), fresh)
 
     if isinstance(phi, cel.And):
         b1 = _compile(phi.left, fresh, shared_clock)
         b2 = _compile(phi.right, fresh, shared_clock)
         if shared_clock is None:
             assert not (b1.clocks & b2.clocks), "operand clocks must be disjoint"
-        delta = []
-        for t1 in b1.delta:
-            for t2 in b2.delta:
-                if t1.label != t2.label:
-                    continue
-                delta.append(
-                    Transition(
-                        (t1.source, t2.source),
-                        PAnd(t1.pred, t2.pred),
-                        gand(t1.guard, t2.guard),
-                        t1.label,
-                        t1.resets | t2.resets,
-                        (t1.target, t2.target),
-                    )
-                )
-        states = {(p1, p2) for p1 in b1.states for p2 in b2.states}
-        finals = {(f1, f2) for f1 in b1.finals for f2 in b2.finals}
-        return _Build(states, delta, (b1.initial, b2.initial), finals, b1.clocks | b2.clocks)
+        return _and(b1, b2)
 
     if isinstance(phi, (cel.Seq, cel.ContigSeq)):
         b1 = _compile(phi.left, fresh, shared_clock)
@@ -188,34 +211,12 @@ def _compile(phi: cel.CelFormula, fresh: _Fresh, shared_clock: Optional[str] = N
             b1.states | b2.states, delta, b1.initial, set(b2.finals), b1.clocks | b2.clocks
         )
 
-    if isinstance(phi, (cel.Plus, cel.ContigPlus)):
-        b = _compile(phi.body, fresh, shared_clock)
-        q_new = fresh.state()
-        delta = list(b.delta)
-        for tr in b.delta:
-            if tr.target in b.finals:
-                delta.append(_retarget(tr, q_new))
-        if isinstance(phi, cel.Plus):
-            delta.append(Transition(q_new, TrueP(), GTrue(), frozenset(), frozenset(), q_new))
-        for tr in b.delta:
-            if tr.source == b.initial:
-                delta.append(_resource(tr, q_new))
-                if tr.target in b.finals:
-                    delta.append(_retarget(_resource(tr, q_new), q_new))
-        return _Build(b.states | {q_new}, delta, b.initial, set(b.finals), b.clocks)
-
     if isinstance(phi, cel.Project):
-        b = _compile(phi.body, fresh, shared_clock)
-        b.delta = [
-            Transition(tr.source, tr.pred, tr.guard, tr.label & phi.vars, tr.resets, tr.target)
-            for tr in b.delta
-        ]
-        return b
+        return _project(_compile(phi.body, fresh, shared_clock), phi.vars)
 
     if isinstance(phi, cel.Within):
         b = _compile(phi.body, fresh, shared_clock)
-        z_n = fresh.clock()
-        return _within_wrap(b, phi.interval, z_n, fresh, add_initial_resets=True)
+        return _within_wrap(b, phi.interval, fresh.clock(), fresh)
 
     if isinstance(phi, (cel.TimedSeq, cel.TimedContigSeq)):
         b1 = _compile(phi.left, fresh, shared_clock)
@@ -244,45 +245,38 @@ def _compile(phi: cel.CelFormula, fresh: _Fresh, shared_clock: Optional[str] = N
             b1.clocks | b2.clocks | {z_x},
         )
 
-    if isinstance(phi, (cel.TimedIter, cel.TimedContigIter)):
+    if isinstance(phi, (cel.Plus, cel.ContigPlus, cel.TimedIter, cel.TimedContigIter)):
+        # an untimed iteration is a timed one with no clock and no gap guard
         b = _compile(phi.body, fresh, shared_clock)
-        z_x = shared_clock if shared_clock else fresh.clock()
+        timed = isinstance(phi, (cel.TimedIter, cel.TimedContigIter))
+        z_x = (shared_clock or fresh.clock()) if timed else None
+        marks = frozenset((z_x,)) if timed else frozenset()
+        gamma_i = interval_guard(z_x, phi.interval) if timed else GTrue()
         q_new = fresh.state()
-        gamma_i = interval_guard(z_x, phi.interval)
         delta = list(b.delta)
         for tr in b.delta:
             if tr.target in b.finals:
                 delta.append(
-                    Transition(tr.source, tr.pred, tr.guard, tr.label, tr.resets | {z_x}, q_new)
+                    Transition(tr.source, tr.pred, tr.guard, tr.label, tr.resets | marks, q_new)
                 )
-        if isinstance(phi, cel.TimedIter):
+        if isinstance(phi, (cel.Plus, cel.TimedIter)):
             delta.append(Transition(q_new, TrueP(), GTrue(), frozenset(), frozenset(), q_new))
         for tr in b.delta:
             if tr.source == b.initial:
-                delta.append(
-                    Transition(q_new, tr.pred, gand(tr.guard, gamma_i), tr.label, tr.resets, tr.target)
-                )
+                guard = gand(tr.guard, gamma_i)
+                delta.append(Transition(q_new, tr.pred, guard, tr.label, tr.resets, tr.target))
                 if tr.target in b.finals:
                     # one-step sub-match looping back: the gap must also be
                     # checked here, and the block-end reset applied
                     delta.append(
-                        Transition(
-                            q_new,
-                            tr.pred,
-                            gand(tr.guard, gamma_i),
-                            tr.label,
-                            tr.resets | {z_x},
-                            q_new,
-                        )
+                        Transition(q_new, tr.pred, guard, tr.label, tr.resets | marks, q_new)
                     )
-        return _Build(b.states | {q_new}, delta, b.initial, set(b.finals), b.clocks | {z_x})
+        return _Build(b.states | {q_new}, delta, b.initial, set(b.finals), b.clocks | marks)
 
     raise TypeError(f"not a formula: {phi!r}")
 
 
-def _within_wrap(
-    b: _Build, interval: Interval, z_n: str, fresh: _Fresh, add_initial_resets: bool
-) -> _Build:
+def _within_wrap(b: _Build, interval: Interval, z_n: str, fresh: _Fresh) -> _Build:
     """Wrap a build with a window clock: reset on the initial out-transitions,
     checked on the transitions entering a fresh final state."""
     q_f = fresh.state()
@@ -290,17 +284,12 @@ def _within_wrap(
     delta: list[Transition] = []
     for tr in b.delta:
         if tr.source == b.initial:
+            tr = Transition(tr.source, tr.pred, tr.guard, tr.label, tr.resets | {z_n}, tr.target)
             if tr.target not in b.finals:
-                resets = tr.resets | {z_n} if add_initial_resets else tr.resets
-                delta.append(
-                    Transition(tr.source, tr.pred, tr.guard, tr.label, resets, tr.target)
-                )
-            resets = tr.resets | {z_n} if add_initial_resets else tr.resets
-            if tr.target in b.finals and interval.contains_zero():
+                delta.append(tr)
+            elif interval.contains_zero():
                 # single-event matches are possible only when 0 lies in the window
-                delta.append(
-                    Transition(tr.source, tr.pred, tr.guard, tr.label, resets, q_f)
-                )
+                delta.append(_retarget(tr, q_f))
         else:
             delta.append(tr)
             if tr.target in b.finals:
@@ -355,68 +344,19 @@ def _windowed(phi: cel.CelFormula, fresh: _Fresh) -> _Build:
     if cel._is_simple(phi):
         return _add_zn_on_initial(_compile(phi, fresh, shared_clock=ZX))
     if isinstance(phi, cel.As):
-        b = _windowed(phi.body, fresh)
-        b.delta = [
-            tr
-            if not tr.label
-            else Transition(tr.source, tr.pred, tr.guard, tr.label | {phi.var}, tr.resets, tr.target)
-            for tr in b.delta
-        ]
-        return b
+        return _as(_windowed(phi.body, fresh), phi.var)
     if isinstance(phi, cel.Filter):
-        b = _windowed(phi.body, fresh)
-        b.delta = [
-            tr
-            if phi.var not in tr.label
-            else Transition(tr.source, PAnd(tr.pred, phi.pred), tr.guard, tr.label, tr.resets, tr.target)
-            for tr in b.delta
-        ]
-        return b
+        return _filter(_windowed(phi.body, fresh), phi.var, phi.pred)
     if isinstance(phi, cel.Or):
         b1 = _windowed(phi.left, fresh)
-        b2 = _windowed(phi.right, fresh)
-        q0 = fresh.state()
-        delta = list(b1.delta) + list(b2.delta)
-        for b in (b1, b2):
-            for tr in b.delta:
-                if tr.source == b.initial:
-                    delta.append(_resource(tr, q0))
-        return _Build(
-            b1.states | b2.states | {q0}, delta, q0, b1.finals | b2.finals, b1.clocks | b2.clocks
-        )
+        return _or(b1, _windowed(phi.right, fresh), fresh)
     if isinstance(phi, cel.And):
         b1 = _windowed(phi.left, fresh)
-        b2 = _windowed(phi.right, fresh)
-        delta = []
-        for t1 in b1.delta:
-            for t2 in b2.delta:
-                if t1.label != t2.label:
-                    continue
-                delta.append(
-                    Transition(
-                        (t1.source, t2.source),
-                        PAnd(t1.pred, t2.pred),
-                        gand(t1.guard, t2.guard),
-                        t1.label,
-                        t1.resets | t2.resets,
-                        (t1.target, t2.target),
-                    )
-                )
-        states = {(p1, p2) for p1 in b1.states for p2 in b2.states}
-        finals = {(f1, f2) for f1 in b1.finals for f2 in b2.finals}
-        return _Build(states, delta, (b1.initial, b2.initial), finals, b1.clocks | b2.clocks)
+        return _and(b1, _windowed(phi.right, fresh))
     if isinstance(phi, cel.Within):
-        b = _windowed(phi.body, fresh)
-        # the shared window clock is already reset on the initial transitions
-        b.clocks.add(ZN)
-        return _within_wrap(b, phi.interval, ZN, fresh, add_initial_resets=False)
+        return _within_wrap(_windowed(phi.body, fresh), phi.interval, ZN, fresh)
     if isinstance(phi, cel.Project):
-        b = _windowed(phi.body, fresh)
-        b.delta = [
-            Transition(tr.source, tr.pred, tr.guard, tr.label & phi.vars, tr.resets, tr.target)
-            for tr in b.delta
-        ]
-        return _drop_dead_marking_resets(b)
+        return _drop_dead_marking_resets(_project(_windowed(phi.body, fresh), phi.vars))
     raise NotWindowed(f"operator outside the two-level fragment: {phi!r}")
 
 
@@ -425,50 +365,20 @@ def _drop_dead_marking_resets(b: _Build) -> _Build:
     the marking clock without a label.  When no later guard can observe that
     reset, remove it; this restores "reset iff marking" (and synchronicity).
     """
-    exposed = _exposed_states(b, ZX)
-    delta = []
-    for tr in b.delta:
-        if not tr.label and ZX in tr.resets and tr.target not in exposed:
-            tr = Transition(tr.source, tr.pred, tr.guard, tr.label, tr.resets - {ZX}, tr.target)
-        delta.append(tr)
-    b.delta = delta
+    exposed = exposed_clocks(b.delta)
+    b.delta = [
+        Transition(tr.source, tr.pred, tr.guard, tr.label, tr.resets - {ZX}, tr.target)
+        if not tr.label and ZX in tr.resets and ZX not in exposed.get(tr.target, ())
+        else tr
+        for tr in b.delta
+    ]
     return b
 
 
-def _exposed_states(b: _Build, clock: str) -> set[State]:
-    """States from which some path checks the clock before resetting it."""
-    exposed: set[State] = set()
-    changed = True
-    while changed:
-        changed = False
-        for tr in b.delta:
-            if tr.source in exposed:
-                continue
-            if clock in guard_clocks(tr.guard) or (
-                clock not in tr.resets and tr.target in exposed
-            ):
-                exposed.add(tr.source)
-                changed = True
-    return exposed
-
-
 def _prune_unreachable(b: _Build) -> _Build:
-    reachable = {b.initial}
-    frontier = [b.initial]
-    out: dict[State, list[Transition]] = {}
-    for tr in b.delta:
-        out.setdefault(tr.source, []).append(tr)
-    while frontier:
-        q = frontier.pop()
-        for tr in out.get(q, ()):
-            if tr.target not in reachable:
-                reachable.add(tr.target)
-                frontier.append(tr.target)
-    b.states = set(reachable)
-    b.delta = [tr for tr in b.delta if tr.source in reachable and tr.target in reachable]
-    b.finals = b.finals & reachable
-    used = set()
-    for tr in b.delta:
-        used |= set(tr.resets) | set(guard_clocks(tr.guard))
-    b.clocks = b.clocks & used
+    live = reachable(b.initial, b.delta)
+    b.states = live
+    b.delta = [tr for tr in b.delta if tr.source in live]
+    b.finals = b.finals & live
+    b.clocks = {z for tr in b.delta for z in tr.resets | guard_clocks(tr.guard)} & b.clocks
     return b

@@ -32,6 +32,7 @@ from .cea import (
     gand,
     guard_clocks,
     guard_satisfiable,
+    reachable,
 )
 from .model import Not, Predicate, pred_and, pred_satisfiable
 
@@ -414,28 +415,18 @@ def determinize(cea: TimedCea) -> TimedCea:
     finals = frozenset(state_name[s] for s in seen if s[0] & cea.finals)
     delta = _prune_dead_transitions(delta, finals)
     initial = state_name[start]
-    reachable = {initial}
-    frontier = [initial]
-    by_source: dict[object, list[Transition]] = {}
-    for tr in delta:
-        by_source.setdefault(tr.source, []).append(tr)
-    while frontier:
-        q = frontier.pop()
-        for tr in by_source.get(q, ()):
-            if tr.target not in reachable:
-                reachable.add(tr.target)
-                frontier.append(tr.target)
-    delta = [tr for tr in delta if tr.source in reachable]
+    live = reachable(initial, delta)
+    delta = [tr for tr in delta if tr.source in live]
     clocks = frozenset(
         z for tr in delta for z in set(tr.resets) | guard_clocks(tr.guard)
     )
     return TimedCea(
-        states=frozenset(reachable),
+        states=frozenset(live),
         vars=cea.vars,
         clocks=clocks or cea.clocks,
         delta=tuple(delta),
         initial=initial,
-        finals=finals & reachable,
+        finals=finals & live,
     )
 
 

@@ -1,11 +1,12 @@
 """Streaming evaluation of deterministic monotonic single-clock automata.
 
-Per event: start a fresh run from the initial state, advance every stored
-run, and store the surviving runs' result sets (as CAECS union-lists) keyed
-by their current state.  Reset transitions are executed before non-reset
-ones, and states are visited in anchor order, so union-lists stay ordered.
-Update work per event is constant in the stream length; outputs for the
-position are then enumerated from the union-lists of the final states.
+Per event: start a fresh run from the initial state, then advance each
+stored state's runs once, through that state's transitions, and store the
+surviving runs' result sets (as CAECS union-lists) keyed by their current
+state.  A union-list is kept sorted by anchor, because ``ul_insert`` places
+each node by its anchor, so the order in which states are visited does not
+matter.  Update work per event is constant in the stream length; outputs for
+the position are then enumerated from the union-lists of the final states.
 """
 
 from __future__ import annotations
@@ -70,11 +71,11 @@ class StreamingEngine:
         self.clock = clock
         self.caecs = Caecs(direction, debug=debug)
         self.debug = debug
-        self.delta_z: dict[object, list[_Trans]] = {}
-        self.delta_0: dict[object, list[_Trans]] = {}
+        self.out: dict[object, list[_Trans]] = {}
         for tr in trans:
-            table = self.delta_z if tr.reset else self.delta_0
-            table.setdefault(tr.source, []).append(tr)
+            if tr.source == cea.initial and tr.bound is not None:
+                continue  # a guard cannot pass before the clock is started
+            self.out.setdefault(tr.source, []).append(tr)
         self.table: dict[object, list[Node]] = {}
         self.position = 0
         self.last_time: Rational = 0
@@ -91,24 +92,18 @@ class StreamingEngine:
         self.position += 1
         j = self.position
         self.next_table: dict[object, list[Node]] = {}
-        fresh = [self.caecs.new_bottom(j, time)]
-        self._exec(self.cea.initial, fresh, event, j, time, self.delta_z, fresh=True)
-        for p in list(self.table):
-            self._exec(p, self.table[p], event, j, time, self.delta_z)
-        self._exec(self.cea.initial, fresh, event, j, time, self.delta_0, fresh=True)
-        for p in self._ordered_keys(self.table):
-            self._exec(p, self.table[p], event, j, time, self.delta_0)
+        self._exec(self.cea.initial, [self.caecs.new_bottom(j, time)], event, j, time)
+        for p, ul in self.table.items():
+            self._exec(p, ul, event, j, time)
         self.table = self.next_table
         if self.debug:
             self._check_invariants()
         return list(self.enumerate_at(j))
 
-    def _exec(self, p, ul, event, j, time, delta, fresh: bool = False):
+    def _exec(self, p, ul: list[Node], event: Event, j: int, time: Rational) -> None:
         caecs = self.caecs
         merged: Optional[Node] = None
-        for tr in delta.get(p, ()):
-            if fresh and tr.bound is not None:
-                continue  # a guard cannot pass before the clock is started
+        for tr in self.out.get(p, ()):
             if not sat(event, tr.pred):
                 continue
             if tr.label:
@@ -117,39 +112,34 @@ class StreamingEngine:
                 node = caecs.extend(merged, j, tr.label)
                 if tr.bound is not None:
                     node = caecs.add_clock_check(node, time, tr.bound)
-                if tr.reset and not is_empty(node):
+                if is_empty(node):
+                    continue
+                if tr.reset:
                     node = caecs.add_reset(node, time)
-                if not is_empty(node):
-                    self._add(tr.target, node, [node])
+                self._add(tr.target, [node])
             else:
                 ul2: Optional[list[Node]] = ul
                 if tr.bound is not None:
                     ul2 = caecs.ul_clock_check(ul2, time, tr.bound)
-                if tr.reset and ul2 is not None:
+                if ul2 is None:
+                    continue
+                if tr.reset:
                     ul2 = caecs.ul_reset(ul2, time)
-                if ul2 is not None:
-                    self._add(tr.target, caecs.ul_merge(ul2), ul2)
+                self._add(tr.target, ul2)
 
-    def _add(self, q, node: Node, ul: list[Node]) -> None:
-        if is_empty(node):
-            return
-        if q in self.next_table:
-            self.next_table[q] = self.caecs.ul_insert(self.next_table[q], node)
-        else:
+    def _add(self, q, ul: list[Node]) -> None:
+        have = self.next_table.get(q)
+        if have is None:
             self.next_table[q] = ul
-
-    def _ordered_keys(self, table):
-        sign = -1 if self.caecs.direction == "le" else 1
-        return sorted(table, key=lambda q: (sign * table[q][0].anchor, repr(q)))
+        else:
+            self.next_table[q] = self.caecs.ul_insert(have, self.caecs.ul_merge(ul))
 
     # -- output --------------------------------------------------------------
 
     def enumerate_at(self, j: int) -> Iterator[ComplexEvent]:
-        for p in self._ordered_keys(self.table):
+        for p, ul in self.table.items():
             if p in self.cea.finals:
-                yield from enumerate_node(
-                    self.caecs, self.caecs.ul_merge(self.table[p]), j
-                )
+                yield from enumerate_node(self.caecs, self.caecs.ul_merge(ul), j)
 
     # -- invariants ----------------------------------------------------------
 

@@ -240,7 +240,7 @@ class Basic:
 
     Absent attributes never satisfy a Basic predicate, and neither do
     booleans or values of a different kind than the constant (string vs.
-    number).
+    number).  A string constant takes only ``==`` and ``!=``.
     """
 
     attr: str
@@ -250,6 +250,8 @@ class Basic:
     def __post_init__(self) -> None:
         if self.op not in ("<", "<=", ">", ">=", "==", "!="):
             raise ValueError(f"unknown comparison {self.op!r}")
+        if isinstance(self.value, str) and self.op not in ("==", "!="):
+            raise ValueError(f"ordered comparison {self.op!r} needs a number constant")
         if isinstance(self.value, float):
             object.__setattr__(self, "value", rat(self.value))
 
@@ -383,12 +385,7 @@ def _attr_constraints_satisfiable(constraints: list[tuple[bool, Basic]]) -> bool
     Negated Basic literals admit an absent attribute, so a set with no
     positive literal is always satisfiable.
     """
-    norm: list[tuple[str, AttrValue]] = []
-    any_positive = False
-    for positive, atom in constraints:
-        any_positive = any_positive or positive
-        norm.append((atom.op if positive else _NEG[atom.op], atom.value))
-    if not any_positive:
+    if not any(positive for positive, _ in constraints):
         return True
     # With a positive literal present, the attribute must hold a value of the
     # constant's kind; negative literals of the other kind are then free...
@@ -406,12 +403,7 @@ def _attr_constraints_satisfiable(constraints: list[tuple[bool, Basic]]) -> bool
                     continue  # negated numeric literal: satisfied by a string value
                 return False
             op = atom.op if positive else _NEG[atom.op]
-            if op == "==":
-                required.add(atom.value)
-            elif op == "!=":
-                excluded.add(atom.value)
-            else:
-                return False  # ordered comparison forced on a string value
+            (required if op == "==" else excluded).add(atom.value)
         if len(required) > 1 or required & excluded:
             return False
         return True

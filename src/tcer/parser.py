@@ -295,8 +295,12 @@ class _Parser:
                 value = int(value)
             return Basic(attr, op, value)
         if self.at("string"):
-            raw = self.take().text
-            return Basic(attr, op, raw[1:-1])
+            tok = self.take()
+            if op not in ("==", "!="):
+                raise ParseError(
+                    f"ordered comparison {op!r} needs a number constant", tok.line, tok.col
+                )
+            return Basic(attr, op, tok.text[1:-1])
         tok = self.peek()
         if tok is None:
             last = self.tokens[-1]

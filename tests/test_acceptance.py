@@ -8,7 +8,9 @@ time, output-linear enumeration delay, and an exhaustive gadget-merge grid.
 
 from __future__ import annotations
 
+import gc
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -237,33 +239,39 @@ def _accumulating_automaton() -> TimedCea:
     )
 
 
-def _delay_per_output_unit(engine: StreamingEngine, j: int) -> tuple[int, float]:
-    """Mean enumeration time per unit of output (one per match plus one per
-    bound position), minimized over repetitions."""
-    best = None
-    count = 0
-    for _ in range(5):
-        t0 = time.perf_counter()
-        out = list(engine.enumerate_at(j))
-        elapsed = time.perf_counter() - t0
-        count = len(out)
-        size = sum(1 + sum(len(ps) for _, ps in m.binding) for m in out)
-        per_unit = elapsed / size
-        best = per_unit if best is None else min(best, per_unit)
-    return count, best
+def _delays_per_output_unit(engines: list[StreamingEngine]) -> list[tuple[int, float]]:
+    """Per engine, the match count at its last position and the enumeration
+    time per unit of output (one per match plus one per bound position),
+    minimized over repetitions.  Each round probes every engine once, so a
+    drift in machine speed reaches them alike, and ``gc`` is paused while
+    timing, as ``timeit`` does."""
+    best = [math.inf] * len(engines)
+    counts = [0] * len(engines)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(5):
+            for k, engine in enumerate(engines):
+                t0 = time.perf_counter()
+                out = list(engine.enumerate_at(engine.position))
+                elapsed = time.perf_counter() - t0
+                counts[k] = len(out)
+                size = sum(1 + sum(len(ps) for _, ps in m.binding) for m in out)
+                best[k] = min(best[k], elapsed / size)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return list(zip(counts, best))
 
 
 def test_enumeration_delay_is_output_linear():
-    engine = StreamingEngine(_accumulating_automaton(), debug=False)
-    t = Fraction(0)
-    probes = {}
-    for j in range(1, 1501):
-        t += 1
-        engine.feed(Event("A", {}), t)
-        if j in (150, 1500):
-            probes[j] = _delay_per_output_unit(engine, j)
-    early_count, early = probes[150]
-    late_count, late = probes[1500]
+    engines = []
+    for n in (150, 1500):
+        engine = StreamingEngine(_accumulating_automaton(), debug=False)
+        for j in range(1, n + 1):
+            engine.feed(Event("A", {}), Fraction(j))
+        engines.append(engine)
+    (early_count, early), (late_count, late) = _delays_per_output_unit(engines)
     assert early_count == 150 and late_count == 1500  # >= 10^3 matches late
     assert late <= 2 * early, f"delay grew with position: {early:.2e} -> {late:.2e}"
 
@@ -288,11 +296,8 @@ def test_deep_match_is_enumerated():
 
 
 def test_enumeration_cost_per_bound_position_is_flat():
-    probes = {}
-    for n in (100, 5000):
-        engine, _ = _heat_spell(n)
-        probes[n] = _delay_per_output_unit(engine, engine.position)
-    (short_count, short), (long_count, long) = probes[100], probes[5000]
+    engines = [_heat_spell(n)[0] for n in (100, 5000)]
+    (short_count, short), (long_count, long) = _delays_per_output_unit(engines)
     assert short_count == long_count == 1
     assert long <= 2 * short, f"cost per position grew: {short:.2e} -> {long:.2e}"
 

@@ -407,10 +407,19 @@ def test_non_utf8_stream_exits_3(capsys, tmp_path):
 def test_scalar_attribute_values_are_accepted(capsys, tmp_path, value, engine):
     """Only a string satisfies a string comparison; a boolean satisfies none."""
     line = '{"type": "A", "attrs": {"x": %s}, "ts": 1}\n' % value
-    for query, hit in (("A as X filter X[x != 'a']", value == '"b"'), ("A as X filter X[x < 'a']", False)):
+    for query, hit in (("A as X filter X[x != 'a']", value == '"b"'), ("A as X filter X[x == 'a']", False)):
         code, out, err = _run_stream(capsys, tmp_path, line.encode(), query=query, engine=engine)
         assert code == 0, err
         assert bool(out) == hit
+
+
+@pytest.mark.parametrize("engine", ["oracle", "automaton", "streaming"])
+def test_ordered_comparison_with_a_string_exits_3(capsys, tmp_path, engine):
+    line = b'{"type": "A", "attrs": {"x": "b"}, "ts": 1}\n'
+    query = "A as X filter X[x < 'c']"
+    code, out, err = _run_stream(capsys, tmp_path, line, query=query, engine=engine)
+    assert (code, out) == (3, "")
+    assert "needs a number constant" in err and "column 21" in err
 
 
 @pytest.mark.parametrize(
@@ -466,6 +475,17 @@ def test_bad_automaton_file_exits_3_naming_the_field(capsys, tmp_path, command):
             argv += ["-o", str(tmp_path / "d.json")]
         code, _, err = _run(capsys, argv)
         assert code == 3 and field in err, (text[:40], err)
+
+
+@pytest.mark.parametrize("command", ["determinize", "check-sync"])
+def test_automaton_with_ordered_string_comparison_exits_3(capsys, tmp_path, command):
+    doc = _compiled(tmp_path, capsys)
+    doc["transitions"][1]["pred"] = {"kind": "basic", "attr": "x", "op": ">=", "value": "c"}
+    argv = [command, "--automaton", _automaton(tmp_path, json.dumps(doc))]
+    if command == "determinize":
+        argv += ["-o", str(tmp_path / "d.json")]
+    code, _, err = _run(capsys, argv)
+    assert code == 3 and "transitions[1]" in err and "needs a number constant" in err
 
 
 def test_automaton_predicate_depth_is_bounded(capsys, tmp_path):

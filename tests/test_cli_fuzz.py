@@ -43,7 +43,7 @@ QUERIES = [
     PHI2_TEXT,
     PHI1P_TEXT,
     "A filter A[x < 2]",
-    "A as X filter X[x < 'a']",
+    "A as X filter X[x == 'a']",
     "A as X filter X[x != 'a']",
     "(A as X ; B as Y) filter (X[x == 1] and Y[x >= 0.5])",
     "pi {X} ((A as X ;[0,2] B) within [0,3])",

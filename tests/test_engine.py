@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tcer.cea import (
     Cmp,
@@ -148,6 +149,24 @@ def test_random_automata_agree_with_oracle_per_position(seed):
         expected = eval_cea_at(cea, stream, engine.position, cap=len(stream))
         assert frozenset(matches) == expected
         assert len(matches) == len(set(matches))
+
+
+@settings(deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    n_states=st.integers(2, 6),
+    length=st.integers(0, 14),
+)
+def test_feed_agrees_with_the_run_oracle_at_every_position(rng, n_states, length):
+    """Either guard direction (the generator draws it), with the engine's
+    structural checks on."""
+    cea = random_streamable_cea(rng, n_states)
+    stream = random_stream(rng, length)
+    engine = StreamingEngine(cea, debug=True)
+    for _, e, t in stream.pairs():
+        matches = engine.feed(e, t)
+        assert len(matches) == len(set(matches))
+        assert frozenset(matches) == eval_cea_at(cea, stream, engine.position, cap=len(stream))
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -44,8 +44,14 @@ def test_rat_bounds_the_digits_a_string_stands_for():
 
 
 def test_booleans_satisfy_no_comparison():
-    for pred in (Basic("x", "<", "a"), Basic("x", "!=", "a"), Basic("x", "==", 1), Basic("x", "!=", 0)):
+    for pred in (Basic("x", "<", 2), Basic("x", "!=", "a"), Basic("x", "==", 1), Basic("x", "!=", 0)):
         assert not sat(Event("A", {"x": True}), pred)
+
+
+@pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+def test_ordered_comparison_needs_a_number_constant(op):
+    with pytest.raises(ValueError, match="number constant"):
+        Basic("x", op, "a")
 
 
 def test_interval_membership_matches_bracket_notation():
