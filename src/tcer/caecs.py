@@ -7,6 +7,9 @@ adjacent ones are merged by a small gadget algebra (a gadget is at most one
 reset over at most one anchor limit), which keeps the distance from any node
 to the next output node bounded and therefore makes enumeration
 output-linear.  Enumeration is a loop, so no match length makes it recurse.
+A constructor whose result would denote no complex event returns None, the
+only empty node.  ``Caecs.check`` asserts the structural invariants of one
+root; the streaming engine calls it on every stored root when debugging.
 
 A clock check ``t0 - anchor <= bound`` (``le``) or ``>= bound`` (``ge``) is
 stored as the limit ``t0 - bound`` it puts on the anchor, so both directions
@@ -30,16 +33,19 @@ MAX_ODEPTH = 11
 
 
 class Node:
+    """``anchor`` is the last clock-reset time of the node's best run (a
+    ``Bottom``'s start time, a ``Reset``'s reset time); ``odepth`` is the
+    number of nodes above the first output node."""
+
     __slots__ = ("anchor", "odepth")
 
 
 class Bottom(Node):
-    __slots__ = ("index", "time")
+    __slots__ = ("index",)
 
-    def __init__(self, index: int, time: Rational):
+    def __init__(self, index: int, anchor: Rational):
         self.index = index
-        self.time = time
-        self.anchor = time
+        self.anchor = anchor
         self.odepth = 0
 
 
@@ -65,12 +71,11 @@ class Union(Node):
 
 
 class Reset(Node):
-    __slots__ = ("time", "left")
+    __slots__ = ("left",)
 
-    def __init__(self, time: Rational, left: Node):
-        self.time = time
+    def __init__(self, anchor: Rational, left: Node):
         self.left = left
-        self.anchor = time
+        self.anchor = anchor
         self.odepth = 1 + left.odepth
 
 
@@ -82,18 +87,6 @@ class ClockCheck(Node):
         self.left = left
         self.anchor = left.anchor
         self.odepth = 1 + left.odepth
-
-
-class Empty(Node):
-    __slots__ = ()
-
-    def __init__(self):
-        self.anchor = None
-        self.odepth = 0
-
-
-def is_empty(node: Optional[Node]) -> bool:
-    return node is None or isinstance(node, Empty)
 
 
 # ---------------------------------------------------------------------------
@@ -110,11 +103,10 @@ class Gadget(NamedTuple):
 class Caecs:
     """One evaluation session's node factory and gadget algebra."""
 
-    def __init__(self, direction: str = "le", debug: bool = False):
+    def __init__(self, direction: str = "le"):
         assert direction in ("le", "ge")
         self.direction = direction
         self.better = operator.ge if direction == "le" else operator.le
-        self.debug = debug
         self.created = 0
 
     def _intersect(self, limit: Optional[Rational], other: Rational) -> Rational:
@@ -125,23 +117,29 @@ class Caecs:
 
     def _made(self, node: Node) -> Node:
         self.created += 1
-        if self.debug:
-            assert node.odepth <= MAX_ODEPTH, f"odepth {node.odepth} exceeds bound"
-            if isinstance(node, Union):
-                assert self.better(node.left.anchor, node.right.anchor)
-            if isinstance(node, ClockCheck):
-                assert self.better(node.left.anchor, node.limit)
-            if isinstance(node, (Reset, ClockCheck)):
-                assert not isinstance(node.left, (Reset, ClockCheck)) or isinstance(
-                    node, Reset
-                ) and isinstance(node.left, ClockCheck)
         return node
+
+    def check(self, root: Node) -> None:
+        """Assert the invariants of the nodes above the root's first output
+        node: a bounded output depth, unions ordered by anchor, checks that
+        the anchor below passes, and at most a reset over a check."""
+        assert root.odepth <= MAX_ODEPTH, f"odepth {root.odepth} exceeds bound"
+        node = root
+        while not isinstance(node, (Bottom, Extended)):
+            left = node.left
+            if isinstance(node, Union):
+                assert self.better(left.anchor, node.right.anchor)
+            elif isinstance(node, ClockCheck):
+                assert self.better(left.anchor, node.limit)
+                assert not isinstance(left, (Reset, ClockCheck))
+            else:
+                assert not isinstance(left, Reset)
+            node = left
 
     def new_bottom(self, i: int, t: Rational) -> Node:
         return self._made(Bottom(i, t))
 
     def extend(self, n: Node, j: int, label: frozenset) -> Node:
-        assert not is_empty(n)
         return self._made(Extended(j, label, n))
 
     # -- gadget algebra ------------------------------------------------------
@@ -149,7 +147,7 @@ class Caecs:
     def get_gadget(self, n: Node) -> Gadget:
         reset = None
         if isinstance(n, Reset):
-            reset, n = n.time, n.left
+            reset, n = n.anchor, n.left
         if isinstance(n, ClockCheck):
             return Gadget(reset, n.limit, n.left)
         return Gadget(reset, None, n)
@@ -167,65 +165,57 @@ class Caecs:
         reset = g2.reset if g1.reset is None else g1.reset
         return Gadget(reset, check, g2.base)
 
-    def apply_gadget(self, g: Optional[Gadget], base: Node) -> Node:
+    def apply_gadget(self, g: Optional[Gadget], base: Node) -> Optional[Node]:
         if g is None:
-            return Empty()
+            return None
         node = base
         if g.check is not None:
             if not self.better(node.anchor, g.check):
-                return Empty()
+                return None
             node = self._made(ClockCheck(g.check, node))
         if g.reset is not None:
             node = self._made(Reset(g.reset, node))
         return node
 
-    def _regadget(self, g1: Gadget, n: Node) -> Node:
+    def _regadget(self, g1: Gadget, n: Node) -> Optional[Node]:
         """Compose gadget g1 over node n's own leading gadget."""
         g2 = self.get_gadget(n)
         return self.apply_gadget(self.merge_gadgets(g1, g2), g2.base)
 
     def add_reset(self, n: Node, t: Rational) -> Node:
-        assert not is_empty(n)
         return self._regadget(Gadget(t, None, n), n)
 
-    def add_clock_check(self, n: Node, t0: Rational, bound: Rational) -> Node:
-        assert not is_empty(n)
+    def add_clock_check(self, n: Node, t0: Rational, bound: Rational) -> Optional[Node]:
         limit = t0 - bound
         if not self.better(n.anchor, limit):
-            return Empty()
+            return None
         return self._regadget(Gadget(None, limit, n), n)
 
     # -- union ---------------------------------------------------------------
 
     def union(self, n1: Node, n2: Node) -> Node:
-        """Union of two safe roots with equal anchors."""
-        assert not is_empty(n1) and not is_empty(n2)
+        """Union of two safe roots with equal anchors.
+
+        An operand whose gadget sits on a union contributes that union's
+        children, each under the gadget; any other operand contributes
+        itself.  A left part keeps the shared anchor and a right part cannot
+        beat it, so the left parts lead and the at most two right parts
+        follow, the better anchor first.
+        """
         assert n1.anchor == n2.anchor
-        g1 = self.get_gadget(n1)
-        g2 = self.get_gadget(n2)
-        t1 = isinstance(g1.base, (Bottom, Extended))
-        t2 = isinstance(g2.base, (Bottom, Extended))
-        if t1 and t2:
-            return self._made(Union(n1, n2))
-        if t1 != t2:
-            if not t1:
-                n1, n2 = n2, n1
-                g1, g2 = g2, g1
-            # n1 is the plain gadget-over-output root, n2 carries a union
-            u = g2.base
-            parts = [n1, self._regadget(g2, u.left), self._regadget(g2, u.right)]
-        else:
-            u1, u2 = g1.base, g2.base
-            e13 = self._regadget(g1, u1.left)
-            e24 = self._regadget(g2, u2.left)
-            tail = [self._regadget(g1, u1.right), self._regadget(g2, u2.right)]
-            tail = [m for m in tail if not is_empty(m)]
-            if len(tail) == 2 and not self.better(tail[0].anchor, tail[1].anchor):
-                tail.reverse()
-            parts = [e13, e24] + tail
-        # a left child keeps its union's anchor and a right one cannot beat
-        # it, so the parts are already in union-list order
-        return self.ul_merge([p for p in parts if not is_empty(p)])
+        lefts: list[Node] = []
+        rights: list[Node] = []
+        for n in (n1, n2):
+            g = self.get_gadget(n)
+            if isinstance(g.base, Union):
+                lefts.append(self._regadget(g, g.base.left))
+                rights.append(self._regadget(g, g.base.right))
+            else:
+                lefts.append(n)
+        rights = [r for r in rights if r is not None]
+        if len(rights) == 2 and not self.better(rights[0].anchor, rights[1].anchor):
+            rights.reverse()
+        return self.ul_merge(lefts + rights)
 
     # -- union-lists ---------------------------------------------------------
 
@@ -253,7 +243,7 @@ class Caecs:
         out = []
         for u in ul:
             checked = self.add_clock_check(u, t0, bound)
-            if not is_empty(checked):
+            if checked is not None:
                 out.append(checked)
         return out or None
 
@@ -311,10 +301,10 @@ def enumerate_node(
 
 def node_semantics(caecs: Caecs, node: Node) -> frozenset:
     """Brute-force denotation {(start, entries, clock)} for testing."""
-    if isinstance(node, Empty) or node is None:
+    if node is None:
         return frozenset()
     if isinstance(node, Bottom):
-        return frozenset({(node.index, frozenset(), node.time)})
+        return frozenset({(node.index, frozenset(), node.anchor)})
     if isinstance(node, Extended):
         entry = (node.index, node.label)
         return frozenset(
@@ -325,7 +315,7 @@ def node_semantics(caecs: Caecs, node: Node) -> frozenset:
         return node_semantics(caecs, node.left) | node_semantics(caecs, node.right)
     if isinstance(node, Reset):
         return frozenset(
-            (i, entries, node.time)
+            (i, entries, node.anchor)
             for i, entries, _ in node_semantics(caecs, node.left)
         )
     if isinstance(node, ClockCheck):

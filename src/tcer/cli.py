@@ -244,7 +244,7 @@ def cmd_bench(args) -> int:
         update_times.append(t1 - t0)
         if matches:
             delay_ratios.append((t1 - t0) / max(1, sum(1 + len(m.binding) for m in matches)))
-    decile = max(1, len(update_times) // 10)
+    decile = len(update_times) // 10
     deciles = [
         sum(update_times[i : i + decile]) / decile
         for i in range(0, decile * 10, decile)
@@ -319,6 +319,18 @@ def _shrink(phi, stream):
     return stream
 
 
+def _count(low: int):
+    """An argparse type: an integer that is at least ``low``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tcer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -347,15 +359,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="measure per-event update latency")
     p.add_argument("--query", required=True)
-    p.add_argument("--events", type=int, default=100_000)
+    # one event per decile at least
+    p.add_argument("--events", type=_count(10), default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("diff-test", help="randomized differential testing")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=100)
-    p.add_argument("--max-depth", type=int, default=4)
-    p.add_argument("--max-stream", type=int, default=10)
+    p.add_argument("--cases", type=_count(0), default=100)
+    p.add_argument("--max-depth", type=_count(1), default=4)
+    p.add_argument("--max-stream", type=_count(0), default=10)
     p.set_defaults(func=cmd_diff_test)
 
     return parser

@@ -31,10 +31,9 @@ from .cea import (
     _guard_dnf,
     gand,
     guard_clocks,
-    guard_satisfiable,
     reachable,
 )
-from .model import Not, Predicate, pred_and, pred_satisfiable
+from .model import Not, pred_and, pred_satisfiable
 
 
 class SyncResetViolation(Exception):
@@ -322,7 +321,9 @@ def determinize(cea: TimedCea) -> TimedCea:
     start = (frozenset((cea.initial,)), frozenset())
     seen = {start}
     worklist = [start]
-    raw: list[tuple[tuple, Predicate, ClockCondition, frozenset, frozenset, tuple]] = []
+    # cells that differ only in their guard are merged: their boxes are
+    # collected per (source, predicate, label, resets, target)
+    grouped: dict[tuple, list[Box]] = {}
     while worklist:
         source_key = worklist.pop()
         subset, dom = source_key
@@ -355,8 +356,9 @@ def determinize(cea: TimedCea) -> TimedCea:
                 alpha = gand(
                     *(g if b else negate_guard(g) for g, b in zip(guards, g_bits))
                 )
-                if not guard_satisfiable(alpha):
-                    continue
+                boxes = _guard_boxes(alpha)
+                if not boxes:
+                    continue  # the cell's guard is unsatisfiable
                 for label in labels:
                     matching = [
                         tr
@@ -377,27 +379,16 @@ def determinize(cea: TimedCea) -> TimedCea:
                         frozenset(tr.target for tr in matching),
                         dom | resets,
                     )
-                    raw.append((source_key, p_s, alpha, label, resets, target_key))
+                    key = (source_key, p_s, label, resets, target_key)
+                    grouped.setdefault(key, []).extend(boxes)
                     if target_key not in seen:
                         seen.add(target_key)
                         worklist.append(target_key)
 
-    # merge cells that differ only in their guard, simplifying the union
-    grouped: dict[tuple, list[ClockCondition]] = {}
-    order: list[tuple] = []
-    for source_key, p_s, alpha, label, resets, target_key in raw:
-        key = (source_key, p_s, label, resets, target_key)
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(alpha)
     state_name = _name_states(seen)
     delta = []
-    for key in order:
+    for key, boxes in grouped.items():
         source_key, p_s, label, resets, target_key = key
-        boxes = []
-        for alpha in grouped[key]:
-            boxes.extend(_guard_boxes(alpha))
         boxes = [
             # every mentioned clock is initialized here, so trivial
             # intervals can be dropped without changing the meaning

@@ -3,10 +3,15 @@
 Per event: start a fresh run from the initial state, then advance each
 stored state's runs once, through that state's transitions, and store the
 surviving runs' result sets (as CAECS union-lists) keyed by their current
-state.  A union-list is kept sorted by anchor, because ``ul_insert`` places
-each node by its anchor, so the order in which states are visited does not
-matter.  Update work per event is constant in the stream length; outputs for
-the position are then enumerated from the union-lists of the final states.
+state.  Every transition that fires takes the same steps: if it marks, the
+list becomes the extension of its merged union; if it has a guard, the
+clock check drops the nodes whose anchor fails it; if it resets, the list
+folds into one node under the reset; the result is merged into the target's
+union-list.  A union-list is kept sorted by anchor, because ``ul_insert``
+places each node by its anchor, so the order in which states are visited
+does not matter.  Update work per event is constant in the stream length;
+outputs for the position are then enumerated from the union-lists of the
+final states.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .caecs import Caecs, Node, enumerate_node, is_empty
+from .caecs import Caecs, Node, enumerate_node
 from .cea import TimedCea, _conj_atoms, guard_clocks, is_deterministic, is_monotonic
 from .model import ComplexEvent, Event, Rational, sat
 
@@ -69,7 +74,7 @@ class StreamingEngine:
         trans, clock, direction = _prepare(cea)
         self.cea = cea
         self.clock = clock
-        self.caecs = Caecs(direction, debug=debug)
+        self.caecs = Caecs(direction)
         self.debug = debug
         self.out: dict[object, list[_Trans]] = {}
         for tr in trans:
@@ -92,7 +97,7 @@ class StreamingEngine:
         self.position += 1
         j = self.position
         self.next_table: dict[object, list[Node]] = {}
-        self._exec(self.cea.initial, [self.caecs.new_bottom(j, time)], event, j, time)
+        self._exec(self.cea.initial, None, event, j, time)
         for p, ul in self.table.items():
             self._exec(p, ul, event, j, time)
         self.table = self.next_table
@@ -100,32 +105,30 @@ class StreamingEngine:
             self._check_invariants()
         return list(self.enumerate_at(j))
 
-    def _exec(self, p, ul: list[Node], event: Event, j: int, time: Rational) -> None:
+    def _exec(
+        self, p, ul: Optional[list[Node]], event: Event, j: int, time: Rational
+    ) -> None:
+        """Advance state ``p``'s union-list; None is the fresh run, whose
+        bottom is built when one of its transitions first fires."""
         caecs = self.caecs
         merged: Optional[Node] = None
         for tr in self.out.get(p, ()):
             if not sat(event, tr.pred):
                 continue
+            if ul is None:
+                ul = [caecs.new_bottom(j, time)]
+            out: Optional[list[Node]] = ul
             if tr.label:
                 if merged is None:
                     merged = caecs.ul_merge(ul)
-                node = caecs.extend(merged, j, tr.label)
-                if tr.bound is not None:
-                    node = caecs.add_clock_check(node, time, tr.bound)
-                if is_empty(node):
+                out = [caecs.extend(merged, j, tr.label)]
+            if tr.bound is not None:
+                out = caecs.ul_clock_check(out, time, tr.bound)
+                if out is None:
                     continue
-                if tr.reset:
-                    node = caecs.add_reset(node, time)
-                self._add(tr.target, [node])
-            else:
-                ul2: Optional[list[Node]] = ul
-                if tr.bound is not None:
-                    ul2 = caecs.ul_clock_check(ul2, time, tr.bound)
-                if ul2 is None:
-                    continue
-                if tr.reset:
-                    ul2 = caecs.ul_reset(ul2, time)
-                self._add(tr.target, ul2)
+            if tr.reset:
+                out = caecs.ul_reset(out, time)
+            self._add(tr.target, out)
 
     def _add(self, q, ul: list[Node]) -> None:
         have = self.next_table.get(q)
@@ -153,6 +156,7 @@ class StreamingEngine:
             if len(ul) > 1:
                 assert self.caecs.better(ul[0].anchor, ul[1].anchor)
             for u in ul:
+                self.caecs.check(u)
                 self.max_odepth = max(self.max_odepth, u.odepth)
 
 

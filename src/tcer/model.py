@@ -231,7 +231,7 @@ class TypeIs:
     etype: str
 
     def __str__(self) -> str:
-        return f"type={self.etype}"
+        return f"type = {self.etype}"
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import cel
-from .model import And, Basic, Interval, Not, Predicate, TrueP, TypeIs, format_rat, rat
+from .model import And, Basic, Interval, Not, Predicate, TrueP, TypeIs, rat
 
 # At the default recursion limit of 1000 the parser overflows at about 165
 # nested parentheses (six frames each), determinize and the oracles at a
@@ -414,38 +414,13 @@ def _height(phi: cel.CelFormula) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_interval(interval: Interval) -> str:
-    return str(interval)
-
-
-def _fmt_pred(pred: Predicate) -> str:
-    if isinstance(pred, TrueP):
-        return "true"
-    if isinstance(pred, TypeIs):
-        return f"type = {pred.etype}"
-    if isinstance(pred, Basic):
-        value = pred.value
-        if isinstance(value, str):
-            rendered = f"'{value}'"
-        elif isinstance(value, Fraction):
-            rendered = format_rat(value)
-        else:
-            rendered = str(value)
-        return f"{pred.attr} {pred.op} {rendered}"
-    if isinstance(pred, And):
-        return f"({_fmt_pred(pred.left)} and {_fmt_pred(pred.right)})"
-    if isinstance(pred, Not):
-        return f"(not {_fmt_pred(pred.body)})"
-    raise TypeError(f"not a predicate: {pred!r}")
-
-
 def pretty(phi: cel.CelFormula) -> str:
     if isinstance(phi, cel.EventType):
         return phi.etype
     if isinstance(phi, cel.As):
         return f"({pretty(phi.body)} AS {phi.var})"
     if isinstance(phi, cel.Filter):
-        return f"({pretty(phi.body)} FILTER {phi.var}[{_fmt_pred(phi.pred)}])"
+        return f"({pretty(phi.body)} FILTER {phi.var}[{phi.pred}])"
     if isinstance(phi, cel.Or):
         return f"({pretty(phi.left)} OR {pretty(phi.right)})"
     if isinstance(phi, cel.And):
@@ -462,13 +437,13 @@ def pretty(phi: cel.CelFormula) -> str:
         names = ", ".join(sorted(phi.vars))
         return f"pi {{{names}}} ({pretty(phi.body)})"
     if isinstance(phi, cel.Within):
-        return f"({pretty(phi.body)} WITHIN {_fmt_interval(phi.interval)})"
+        return f"({pretty(phi.body)} WITHIN {phi.interval})"
     if isinstance(phi, cel.TimedSeq):
-        return f"({pretty(phi.left)} ;{_fmt_interval(phi.interval)} {pretty(phi.right)})"
+        return f"({pretty(phi.left)} ;{phi.interval} {pretty(phi.right)})"
     if isinstance(phi, cel.TimedContigSeq):
-        return f"({pretty(phi.left)} :{_fmt_interval(phi.interval)} {pretty(phi.right)})"
+        return f"({pretty(phi.left)} :{phi.interval} {pretty(phi.right)})"
     if isinstance(phi, cel.TimedIter):
-        return f"({pretty(phi.body)} +{_fmt_interval(phi.interval)})"
+        return f"({pretty(phi.body)} +{phi.interval})"
     if isinstance(phi, cel.TimedContigIter):
-        return f"({pretty(phi.body)} (+){_fmt_interval(phi.interval)})"
+        return f"({pretty(phi.body)} (+){phi.interval})"
     raise TypeError(f"not a formula: {phi!r}")

@@ -12,13 +12,11 @@ from tcer.caecs import (
     Bottom,
     Caecs,
     ClockCheck,
-    Empty,
     Extended,
     Gadget,
     Reset,
     Union,
     enumerate_node,
-    is_empty,
     node_semantics,
 )
 from tcer.model import ComplexEvent
@@ -30,7 +28,7 @@ def F(x) -> Fraction:
 
 @pytest.fixture
 def cs():
-    return Caecs("le", debug=True)
+    return Caecs("le")
 
 
 # -- basic node bookkeeping ---------------------------------------------------
@@ -41,12 +39,6 @@ def test_bottom_anchor_and_depth(cs):
     assert b.anchor == 5 and b.odepth == 0
     e = cs.extend(b, 4, frozenset({"X"}))
     assert e.anchor == 5 and e.odepth == 0
-
-
-def test_empty_is_recognized(cs):
-    assert is_empty(Empty())
-    assert is_empty(None)
-    assert not is_empty(cs.new_bottom(1, F(0)))
 
 
 # -- gadget merging -----------------------------------------------------------
@@ -91,7 +83,7 @@ def test_merge_disjoint_windows_is_void(cs):
     base = cs.new_bottom(1, F(1))
     g1 = _gadget([("c", F(10), F(1))], base)  # clock set at or after 9
     g2 = _gadget([("c", F(8), F(6))], base)  # clock set by 8
-    assert is_empty(cs.apply_gadget(cs.merge_gadgets(g1, g2), base))
+    assert cs.apply_gadget(cs.merge_gadgets(g1, g2), base) is None
 
 
 def test_merge_check_over_late_reset_is_void(cs):
@@ -134,7 +126,7 @@ def test_clock_check_inside_window(cs):
 
 def test_clock_check_outside_window_is_empty(cs):
     node = cs.add_clock_check(cs.new_bottom(1, F("1.2")), F("7.2"), F(5))
-    assert is_empty(node)
+    assert node is None
 
 
 def test_adjacent_resets_collapse(cs):
@@ -142,7 +134,7 @@ def test_adjacent_resets_collapse(cs):
     once = cs.add_reset(b, F(2))
     twice = cs.add_reset(once, F(5))
     assert isinstance(twice, Reset)
-    assert twice.time == F(5)
+    assert twice.anchor == F(5)
     assert twice.left is b  # no stacked reset nodes
 
 
@@ -254,7 +246,7 @@ def test_enumerate_yields_each_event_once(cs):
 @pytest.mark.parametrize("direction", ["le", "ge"])
 @pytest.mark.parametrize("seed", range(25))
 def test_enumeration_matches_semantics_on_random_lists(direction, seed):
-    cs = Caecs(direction, debug=True)
+    cs = Caecs(direction)
     rng = random.Random(seed)
     t = Fraction(0)
     ul = [cs.new_bottom(1, t)]
@@ -280,8 +272,26 @@ def test_enumeration_matches_semantics_on_random_lists(direction, seed):
         for a, b in zip(anchors, anchors[1:]):
             assert cs.better(a, b) and a != b
         for u in ul:
+            cs.check(u)
             assert _events_of(cs, u, i) == _expected(cs, u, i)
             assert u.odepth <= MAX_ODEPTH
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda b, late: Union(b, late),  # right child beats the left
+        lambda b, late: ClockCheck(F(4), b),  # the anchor below fails the check
+        lambda b, late: Reset(F(6), Reset(F(5), b)),  # stacked resets
+        lambda b, late: ClockCheck(F(0), Reset(F(5), b)),  # check over a reset
+    ],
+)
+def test_check_rejects_a_broken_root(cs, build):
+    b = cs.new_bottom(1, F(3))
+    late = cs.new_bottom(2, F(7))
+    cs.check(cs.ul_merge([late, b]))
+    with pytest.raises(AssertionError):
+        cs.check(build(b, late))
 
 
 def test_union_requires_equal_anchors(cs):

@@ -80,6 +80,7 @@ def test_classify_swg_form():
     label, flags = classify(cel.Within(chain, Interval.at_most(5)))
     assert label == "swg"
     assert "windowed" in flags
+    assert "simple" not in flags
 
 
 def test_classify_general():

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -288,6 +289,23 @@ def test_bench_rejects_a_query_the_streaming_engine_refuses(capsys, tmp_path):
     assert err.startswith("streaming engine rejected the query: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diff-test", "--max-depth", "0"],
+        ["diff-test", "--max-stream", "-1"],
+        ["diff-test", "--cases", "-1"],
+        ["bench", "--query", "q.tcel", "--events", "9"],
+        ["bench", "--query", "q.tcel", "--events", "ten"],
+    ],
+)
+def test_out_of_range_count_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 # -- output streams as it is produced -----------------------------------------
 
 
@@ -319,7 +337,7 @@ def test_engines_print_identical_bytes_on_a_longer_stream(capsys, tmp_path, quer
 @pytest.mark.parametrize("engine", ["oracle", "automaton", "streaming"])
 def test_bad_last_line_prints_earlier_matches_then_exits_3(capsys, tmp_path, query_file, stream_file, engine):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text(open(stream_file, encoding="utf-8").read() + "not json\n", encoding="utf-8")
+    bad.write_text(Path(stream_file).read_text(encoding="utf-8") + "not json\n", encoding="utf-8")
     code, out, err = _run(
         capsys, ["run", "--query", query_file, "--stream", str(bad), "--engine", engine]
     )

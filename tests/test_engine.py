@@ -17,12 +17,14 @@ from tcer.cea import (
     eval_cea_at,
     eval_cea_oracle,
 )
+from tcer.compiler import compile_windowed
 from tcer.determinize import determinize
 from tcer.engine import NotStreamable, StreamingEngine, run_stream
 from tcer.model import ComplexEvent, Event, TrueP, TypeIs
+from tcer.parser import parse_query
 from tcer.randgen import random_stream, random_streamable_cea
 
-from conftest import make_t1
+from conftest import PHI2_TEXT, make_t1
 
 
 @pytest.fixture
@@ -60,6 +62,12 @@ def test_timestamps_must_increase(det_t1):
     engine.feed(Event("T", {"temp": Fraction(50)}), Fraction(1))
     with pytest.raises(ValueError):
         engine.feed(Event("T", {"temp": Fraction(50)}), Fraction(1))
+
+
+def test_fresh_run_builds_no_node_when_no_initial_transition_fires():
+    engine = StreamingEngine(determinize(compile_windowed(parse_query(PHI2_TEXT))))
+    assert engine.feed(Event("T", {"temp": Fraction(45)}), Fraction(1)) == []
+    assert engine.caecs.created == 0
 
 
 @pytest.mark.parametrize("time", [Fraction(-5), Fraction(0)])
