@@ -120,15 +120,7 @@ def _guard_eval(nu: ClockValuation, gamma: ClockCondition) -> bool:
     if isinstance(gamma, GFalse):
         return False
     if isinstance(gamma, Cmp):
-        value = nu[gamma.clock]
-        c = gamma.constant
-        return {
-            "=": value == c,
-            "<": value < c,
-            "<=": value <= c,
-            ">=": value >= c,
-            ">": value > c,
-        }[gamma.op]
+        return model.COMPARISONS[gamma.op](nu[gamma.clock], gamma.constant)
     if isinstance(gamma, GAnd):
         return _guard_eval(nu, gamma.left) and _guard_eval(nu, gamma.right)
     return _guard_eval(nu, gamma.left) or _guard_eval(nu, gamma.right)
@@ -141,6 +133,22 @@ def gand(*gammas: ClockCondition) -> ClockCondition:
             continue
         acc = g if acc is None else GAnd(acc, g)
     return acc if acc is not None else GTrue()
+
+
+def interval_atoms(
+    clock: str, iv: tuple[Fraction, bool, Optional[Fraction], bool]
+) -> list[Cmp]:
+    """The atoms saying that ``clock`` lies in the interval ``(lo, lo_strict,
+    hi, hi_strict)`` (``hi`` None for unbounded); none for ``[0, inf)``."""
+    lo, lo_strict, hi, hi_strict = iv
+    if hi is not None and lo == hi:
+        return [Cmp(clock, "=", lo)]
+    atoms = []
+    if lo > 0 or lo_strict:
+        atoms.append(Cmp(clock, ">" if lo_strict else ">=", lo))
+    if hi is not None:
+        atoms.append(Cmp(clock, "<" if hi_strict else "<=", hi))
+    return atoms
 
 
 # --- guard satisfiability over some full-domain valuation ------------------

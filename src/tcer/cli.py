@@ -37,7 +37,7 @@ from .cea import (
     cea_to_json,
     eval_cea_oracle,
 )
-from .cel import OracleCapExceeded, classify, eval_cel_oracle
+from .cel import OracleCapExceeded, eval_cel_oracle
 from .compiler import NotWindowed, compile_cel, compile_windowed
 from .determinize import SyncResetViolation, determinize
 from .engine import NotStreamable, StreamingEngine
@@ -127,9 +127,6 @@ REFUSALS = (NotWindowed, SyncResetViolation, NotStreamable)
 def streaming_engine(phi, debug: bool = False) -> StreamingEngine:
     """The query's streaming engine; raises one of ``REFUSALS`` when the
     query is outside the class the engine evaluates."""
-    label, _ = classify(phi)
-    if label == "general":
-        raise NotWindowed("query is outside the windowed fragment")
     return StreamingEngine(determinize(compile_windowed(phi)), debug=debug)
 
 
@@ -354,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-sync", help="decide whether resets are synchronous")
     p.add_argument("--automaton", required=True)
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=_count(1), default=1_000_000)
     p.set_defaults(func=cmd_check_sync)
 
     p = sub.add_parser("bench", help="measure per-event update latency")

@@ -16,7 +16,6 @@ from typing import Optional
 
 from . import cel
 from .cea import (
-    Cmp,
     ClockCondition,
     GTrue,
     State,
@@ -25,10 +24,12 @@ from .cea import (
     exposed_clocks,
     gand,
     guard_clocks,
+    interval_atoms,
     reachable,
 )
 from .model import And as PAnd
 from .model import Interval, Predicate, TrueP, TypeIs
+from .parser import pretty
 
 
 class NotWindowed(Exception):
@@ -41,14 +42,8 @@ ZN = "zn"  # window clock of the windowed build
 
 def interval_guard(clock: str, interval: Interval) -> ClockCondition:
     """Clock condition for "value of `clock` lies in `interval`"."""
-    atoms: list[ClockCondition] = []
-    if interval.high is not None and interval.low == interval.high:
-        return Cmp(clock, "=", interval.low)
-    if interval.low > 0 or not interval.low_closed:
-        atoms.append(Cmp(clock, ">=" if interval.low_closed else ">", interval.low))
-    if interval.high is not None:
-        atoms.append(Cmp(clock, "<=" if interval.high_closed else "<", interval.high))
-    return gand(*atoms)
+    iv = (interval.low, not interval.low_closed, interval.high, not interval.high_closed)
+    return gand(*interval_atoms(clock, iv))
 
 
 @dataclass
@@ -305,12 +300,7 @@ def _within_wrap(b: _Build, interval: Interval, z_n: str, fresh: _Fresh) -> _Bui
 
 
 def compile_windowed(phi: cel.CelFormula) -> TimedCea:
-    label, flags = cel.classify(phi)
-    if label == "general":
-        raise NotWindowed(f"formula is outside the two-level fragment: {phi!r}")
-    fresh = _Fresh()
-    build = _windowed(phi, fresh)
-    build = _prune_unreachable(build)
+    build = _prune_unreachable(_windowed(phi, _Fresh()))
     out = _finish(build, phi)
     assert out.clocks <= {ZX, ZN}
     return out
@@ -357,7 +347,7 @@ def _windowed(phi: cel.CelFormula, fresh: _Fresh) -> _Build:
         return _within_wrap(_windowed(phi.body, fresh), phi.interval, ZN, fresh)
     if isinstance(phi, cel.Project):
         return _drop_dead_marking_resets(_project(_windowed(phi.body, fresh), phi.vars))
-    raise NotWindowed(f"operator outside the two-level fragment: {phi!r}")
+    raise NotWindowed(f"operator outside the windowed fragment: {pretty(phi)}")
 
 
 def _drop_dead_marking_resets(b: _Build) -> _Build:

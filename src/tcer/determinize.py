@@ -31,6 +31,7 @@ from .cea import (
     _guard_dnf,
     gand,
     guard_clocks,
+    interval_atoms,
     reachable,
 )
 from .model import Not, pred_and, pred_satisfiable
@@ -173,21 +174,6 @@ def simplify_boxes(boxes: list[Box]) -> list[Box]:
     return work
 
 
-def _iv_to_atoms(clock: str, iv) -> list[ClockCondition]:
-    lo, los, hi, his = iv
-    if hi is not None and lo == hi:
-        return [Cmp(clock, "=", lo)]
-    atoms: list[ClockCondition] = []
-    if lo > 0 or los:
-        atoms.append(Cmp(clock, ">" if los else ">=", lo))
-    if hi is not None:
-        atoms.append(Cmp(clock, "<" if his else "<=", hi))
-    if not atoms:
-        # trivial interval, but the clock must stay mentioned
-        atoms.append(Cmp(clock, ">=", Fraction(0)))
-    return atoms
-
-
 def boxes_to_guard(boxes: list[Box]) -> ClockCondition:
     if not boxes:
         return GFalse()
@@ -195,7 +181,8 @@ def boxes_to_guard(boxes: list[Box]) -> ClockCondition:
     for box in boxes:
         atoms = []
         for z in sorted(box):
-            atoms.extend(_iv_to_atoms(z, box[z]))
+            # a padded box keeps mentioning its clock
+            atoms.extend(interval_atoms(z, box[z]) or [Cmp(z, ">=", 0)])
         disjuncts.append(gand(*atoms))
     if any(isinstance(d, GTrue) for d in disjuncts):
         return GTrue()

@@ -7,6 +7,7 @@ pairs with strictly increasing timestamps, indexed from 1.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
@@ -286,23 +287,26 @@ class Not:
 Predicate = Union[TrueP, TypeIs, Basic, And, Not]
 
 
+# Each comparison operator's meaning, for attributes (``==``) and clocks
+# (``=``) alike.
+COMPARISONS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "=": operator.eq,
+    "!=": operator.ne,
+}
+
+
 def _compare(lhs: AttrValue, op: str, rhs: AttrValue) -> bool:
     if isinstance(lhs, bool) or isinstance(lhs, str) != isinstance(rhs, str):
         # A boolean, or mixed string/number, never satisfies any comparison,
         # including !=; a Basic predicate constrains values of its
         # constant's kind.
         return False
-    if op == "<":
-        return lhs < rhs
-    if op == "<=":
-        return lhs <= rhs
-    if op == ">":
-        return lhs > rhs
-    if op == ">=":
-        return lhs >= rhs
-    if op == "==":
-        return lhs == rhs
-    return lhs != rhs
+    return COMPARISONS[op](lhs, rhs)
 
 
 def sat(event: Event, pred: Predicate) -> bool:
@@ -335,9 +339,14 @@ def pred_and(*preds: Predicate) -> Predicate:
     return acc if acc is not None else TrueP()
 
 
-# --- satisfiability / disjointness (syntactic, exact for this language) ----
-
-_NEG = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
+# --- satisfiability / disjointness ----------------------------------------
+#
+# Exact by finitely many witnesses.  Over the constants of one attribute's
+# literals, each literal's truth is constant at each constant, on each open
+# gap between neighbouring numeric constants, below the least and above the
+# greatest, and on every string that is not a constant; an absent attribute,
+# like a boolean, satisfies no Basic.  So one value from each of these
+# classes decides whether the literals can all hold.
 
 Literal = tuple[bool, Union[TypeIs, Basic]]  # (positive?, atom)
 
@@ -380,77 +389,22 @@ def _conjunct_satisfiable(literals: list[Literal]) -> bool:
 
 
 def _attr_constraints_satisfiable(constraints: list[tuple[bool, Basic]]) -> bool:
-    """Is there a single attribute value (or absence) meeting all constraints?
-
-    Negated Basic literals admit an absent attribute, so a set with no
-    positive literal is always satisfiable.
-    """
-    if not any(positive for positive, _ in constraints):
-        return True
-    # With a positive literal present, the attribute must hold a value of the
-    # constant's kind; negative literals of the other kind are then free...
-    # except that a negated literal of kind K only excludes values of kind K.
-    pos_kinds = {isinstance(v, str) for (positive, a) in constraints if positive for v in [a.value]}
-    if len(pos_kinds) > 1:
-        return False  # e.g. attr == 'a' and attr < 3
-    string_kind = pos_kinds.pop()
-    if string_kind:
-        required: set[str] = set()
-        excluded: set[str] = set()
-        for positive, atom in constraints:
-            if not isinstance(atom.value, str):
-                if not positive:
-                    continue  # negated numeric literal: satisfied by a string value
-                return False
-            op = atom.op if positive else _NEG[atom.op]
-            (required if op == "==" else excluded).add(atom.value)
-        if len(required) > 1 or required & excluded:
-            return False
-        return True
-    # numeric: track an interval plus equalities/disequalities over rationals
-    lo: Optional[Fraction] = None
-    lo_strict = False
-    hi: Optional[Fraction] = None
-    hi_strict = False
-    equal: set[Fraction] = set()
-    unequal: set[Fraction] = set()
-    for positive, atom in constraints:
-        if isinstance(atom.value, str):
-            if not positive:
-                continue  # negated string literal holds for numeric values
-            return False
-        op = atom.op if positive else _NEG[atom.op]
-        v = rat(atom.value)
-        if op == "<" or op == "<=":
-            strict = op == "<"
-            if hi is None or v < hi or (v == hi and strict and not hi_strict):
-                hi, hi_strict = v, strict
-        elif op == ">" or op == ">=":
-            strict = op == ">"
-            if lo is None or v > lo or (v == lo and strict and not lo_strict):
-                lo, lo_strict = v, strict
-        elif op == "==":
-            equal.add(v)
-        else:
-            unequal.add(v)
-    if len(equal) > 1:
-        return False
-    if equal:
-        v = next(iter(equal))
-        if v in unequal:
-            return False
-        if lo is not None and (v < lo or (v == lo and lo_strict)):
-            return False
-        if hi is not None and (v > hi or (v == hi and hi_strict)):
-            return False
-        return True
-    if lo is not None and hi is not None:
-        if lo > hi or (lo == hi and (lo_strict or hi_strict)):
-            return False
-        if lo == hi and lo in unequal:
-            return False
-    # dense domain: finitely many disequalities cannot empty a non-point interval
-    return True
+    """Is there a single attribute value (or absence) meeting all constraints?"""
+    constants = {atom.value for _, atom in constraints}
+    numbers = sorted(v for v in constants if not isinstance(v, str))
+    # longer than every string constant, so equal to none of them
+    unlike = "".join(v for v in constants if isinstance(v, str)) + "_"
+    witnesses: list[Optional[AttrValue]] = [None, *constants, unlike]
+    if numbers:
+        witnesses += [numbers[0] - 1, numbers[-1] + 1]
+        witnesses += [Fraction(x + y, 2) for x, y in zip(numbers, numbers[1:])]
+    return any(
+        all(
+            positive == (value is not None and _compare(value, atom.op, atom.value))
+            for positive, atom in constraints
+        )
+        for value in witnesses
+    )
 
 
 def pred_satisfiable(pred: Predicate) -> bool:
@@ -496,9 +450,6 @@ class ComplexEvent:
 
     def mapping(self) -> dict[str, frozenset[int]]:
         return dict(self.binding)
-
-    def vars(self) -> frozenset[str]:
-        return frozenset(var for var, _ in self.binding)
 
     def get(self, var: str) -> frozenset[int]:
         for name, positions in self.binding:

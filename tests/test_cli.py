@@ -261,6 +261,21 @@ def test_general_query_rejected_by_streaming_engine(capsys, tmp_path, stream_fil
     assert "windowed" in err
 
 
+def test_query_outside_the_windowed_fragment_is_named_in_query_syntax(
+    capsys, tmp_path, stream_file
+):
+    query = tmp_path / "q.tcel"
+    query.write_text("(A within [0,1]) ; (B within [0,2])\n", encoding="utf-8")
+    for argv in (
+        ["compile", "--windowed", "--query", str(query), "-o", str(tmp_path / "a.json")],
+        ["run", "--query", str(query), "--stream", stream_file, "--engine", "streaming"],
+    ):
+        code, _, err = _run(capsys, argv)
+        assert code == 1
+        assert "outside the windowed fragment: ((A WITHIN [0,1]) ; (B WITHIN [0,2]))" in err
+        assert "Interval(" not in err
+
+
 # -- randomized differential smoke -------------------------------------------
 
 
@@ -297,6 +312,8 @@ def test_bench_rejects_a_query_the_streaming_engine_refuses(capsys, tmp_path):
         ["diff-test", "--cases", "-1"],
         ["bench", "--query", "q.tcel", "--events", "9"],
         ["bench", "--query", "q.tcel", "--events", "ten"],
+        ["check-sync", "--automaton", "a.json", "--cap", "0"],
+        ["check-sync", "--automaton", "a.json", "--cap", "-3"],
     ],
 )
 def test_out_of_range_count_is_a_usage_error(capsys, argv):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -150,6 +151,46 @@ def test_preds_intersect_is_syntactic_overlap():
     assert preds_intersect(Basic("x", "<=", 3), Basic("x", ">=", 3))
     assert not preds_intersect(Basic("x", "<", 3), Basic("x", ">", 3))
     assert preds_intersect(TrueP(), TypeIs("A"))
+
+
+def test_pred_satisfiable_finds_the_exact_midpoint_of_big_constants():
+    # a float midpoint of these two rounds onto the lower one
+    assert pred_satisfiable(And(Basic("x", ">", 10**20), Basic("x", "<", 10**20 + 1)))
+
+
+_ATOMS = st.one_of(
+    st.just(TrueP()),
+    st.sampled_from([TypeIs("A"), TypeIs("B")]),
+    st.builds(
+        Basic,
+        st.sampled_from("xy"),
+        st.sampled_from(["<", "<=", ">", ">=", "==", "!="]),
+        st.sampled_from([-1, 0, 1, 2]),
+    ),
+    st.builds(Basic, st.sampled_from("xy"), st.sampled_from(["==", "!="]), st.sampled_from("ab")),
+)
+
+
+def _predicates(depth: int):
+    if depth == 0:
+        return _ATOMS
+    sub = _predicates(depth - 1)
+    return st.one_of(_ATOMS, st.builds(Not, sub), st.builds(And, sub, sub))
+
+
+# Exact for the constants above: every value class of x and y appears, that
+# is absence, a boolean, each constant, a value in each gap between numeric
+# constants and beyond them, and a string that is no constant.
+_VALUES = [None, True, "a", "b", "c"] + [Fraction(k, 2) for k in range(-4, 7)]
+GRID = [
+    Event(etype, {name: v for name, v in (("x", x), ("y", y)) if v is not None})
+    for etype, x, y in itertools.product("ABC", _VALUES, _VALUES)
+]
+
+
+@given(_predicates(4))
+def test_pred_satisfiable_agrees_with_an_event_grid(pred):
+    assert pred_satisfiable(pred) == any(sat(e, pred) for e in GRID)
 
 
 # -- complex events ----------------------------------------------------------
