@@ -153,6 +153,10 @@ def interval_atoms(
 
 # --- guard satisfiability over some full-domain valuation ------------------
 
+FULL_INTERVAL = (Fraction(0), False, None, False)  # [0, inf) as (lo, lo_strict, hi, hi_strict)
+
+Box = dict  # clock -> (lo, lo_strict, hi, hi_strict)
+
 
 def _guard_dnf(gamma: ClockCondition) -> list[list[Cmp]]:
     if isinstance(gamma, GTrue):
@@ -166,12 +170,12 @@ def _guard_dnf(gamma: ClockCondition) -> list[list[Cmp]]:
     return _guard_dnf(gamma.left) + _guard_dnf(gamma.right)
 
 
-def _conj_box(conj: Iterable[Cmp]) -> Optional[dict[str, tuple[Fraction, bool, Optional[Fraction], bool]]]:
-    """Per-clock interval (lo, lo_strict, hi, hi_strict) of a conjunction,
-    intersected with value ≥ 0; None if empty."""
-    box: dict[str, tuple[Fraction, bool, Optional[Fraction], bool]] = {}
+def _conj_box(conj: Iterable[Cmp]) -> Optional[Box]:
+    """Per-clock interval of a conjunction, intersected with value ≥ 0;
+    None if empty."""
+    box: Box = {}
     for atom in conj:
-        lo, lo_s, hi, hi_s = box.get(atom.clock, (Fraction(0), False, None, False))
+        lo, lo_s, hi, hi_s = box.get(atom.clock, FULL_INTERVAL)
         c = atom.constant
         if atom.op in ("<", "<="):
             strict = atom.op == "<"
@@ -194,13 +198,20 @@ def _conj_box(conj: Iterable[Cmp]) -> Optional[dict[str, tuple[Fraction, bool, O
     return box
 
 
+def guard_boxes(gamma: ClockCondition) -> list[Box]:
+    """DNF of a condition as interval boxes (empty conjuncts dropped).
+
+    A box keeps an entry for every clock it mentions, even when the interval
+    is the trivial [0, ∞): a guard mentioning a clock fails while the clock
+    is uninitialized, so mention is part of the meaning.
+    """
+    boxes = (_conj_box(conj) for conj in _guard_dnf(gamma))
+    return [box for box in boxes if box is not None]
+
+
 def guard_satisfiable(gamma: ClockCondition) -> bool:
     """Is there a valuation (initializing all mentioned clocks) satisfying γ?"""
-    return any(_conj_box(conj) is not None for conj in _guard_dnf(gamma))
-
-
-def guards_jointly_satisfiable(g1: ClockCondition, g2: ClockCondition) -> bool:
-    return guard_satisfiable(gand(g1, g2))
+    return bool(guard_boxes(gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +431,7 @@ def deterministic_violations(cea: TimedCea) -> list[tuple[Transition, Transition
                     continue
                 if not preds_intersect(t1.pred, t2.pred):
                     continue
-                if not guards_jointly_satisfiable(t1.guard, t2.guard):
+                if not guard_satisfiable(gand(t1.guard, t2.guard)):
                     continue
                 violations.append((t1, t2))
     return violations

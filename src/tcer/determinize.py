@@ -15,21 +15,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import Optional
 
 from .cea import (
+    Box,
     Cmp,
     ClockCondition,
+    FULL_INTERVAL,
     GAnd,
     GFalse,
     GOr,
     GTrue,
     TimedCea,
     Transition,
-    _conj_box,
-    _guard_dnf,
     gand,
+    guard_boxes,
     guard_clocks,
     interval_atoms,
     reachable,
@@ -72,27 +72,9 @@ def negate_guard(gamma: ClockCondition) -> ClockCondition:
 
 
 # ---------------------------------------------------------------------------
-# Guard boxes: per-clock intervals, used to simplify unions of cell guards
+# Guard boxes (``cea.guard_boxes``): per-clock intervals, used to simplify
+# unions of cell guards
 # ---------------------------------------------------------------------------
-
-_FULL = (Fraction(0), False, None, False)  # lo, lo_strict, hi, hi_strict
-
-Box = dict  # clock -> (lo, lo_strict, hi, hi_strict)
-
-
-def _guard_boxes(gamma: ClockCondition) -> list[Box]:
-    """DNF of a condition as interval boxes (empty conjuncts dropped).
-
-    A box keeps an entry for every clock it mentions, even when the interval
-    is the trivial [0, ∞): a guard mentioning a clock fails while the clock
-    is uninitialized, so mention is part of the meaning.
-    """
-    boxes = []
-    for conj in _guard_dnf(gamma):
-        box = _conj_box(conj)
-        if box is not None:
-            boxes.append(dict(box))
-    return boxes
 
 
 def _iv_subsumes(outer, inner) -> bool:
@@ -193,7 +175,7 @@ def boxes_to_guard(boxes: list[Box]) -> ClockCondition:
 
 
 def simplify_guard(gamma: ClockCondition) -> ClockCondition:
-    return boxes_to_guard(simplify_boxes(_guard_boxes(gamma)))
+    return boxes_to_guard(simplify_boxes(guard_boxes(gamma)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +197,10 @@ def split_disjunctions(cea: TimedCea) -> TimedCea:
             continue
         mentioned = guard_clocks(tr.guard)
         boxes = []
-        for box in _guard_boxes(tr.guard):
+        for box in guard_boxes(tr.guard):
             padded = dict(box)
             for z in mentioned:
-                padded.setdefault(z, _FULL)
+                padded.setdefault(z, FULL_INTERVAL)
             boxes.append(padded)
         for box in simplify_boxes(boxes):
             guard = boxes_to_guard([box])
@@ -247,7 +229,7 @@ def _prune_dead_transitions(delta: list[Transition], finals: frozenset) -> list[
     out: dict[object, list[Transition]] = {}
     for tr in delta:
         out.setdefault(tr.source, []).append(tr)
-    boxes_of = {id(tr): _guard_boxes(tr.guard) for tr in delta}
+    boxes_of = {id(tr): guard_boxes(tr.guard) for tr in delta}
     bound = {
         (q, z): (math.inf if q in finals else -math.inf) for q in states for z in clocks
     }
@@ -262,7 +244,7 @@ def _prune_dead_transitions(delta: list[Transition], finals: frozenset) -> list[
                 for tr in out.get(q, ()):
                     ub = -math.inf
                     for box in boxes_of[id(tr)]:
-                        hi = box.get(z, _FULL)[2]
+                        hi = box.get(z, FULL_INTERVAL)[2]
                         ub = math.inf if hi is None else max(ub, hi)
                         if ub == math.inf:
                             break
@@ -278,7 +260,7 @@ def _prune_dead_transitions(delta: list[Transition], finals: frozenset) -> list[
         for box in boxes_of[id(tr)]:
             dead = False
             for z in clocks:
-                lo, lo_strict = box.get(z, _FULL)[:2]
+                lo, lo_strict = box.get(z, FULL_INTERVAL)[:2]
                 limit = math.inf if z in tr.resets else bound[(tr.target, z)]
                 if lo > limit or (lo == limit and lo_strict):
                     dead = True
@@ -330,6 +312,14 @@ def determinize(cea: TimedCea) -> TimedCea:
             for tr in out
         }
         labels = _dedup([tr.label for tr in out])
+        # the guard cells with a satisfiable guard, the same for every
+        # predicate cell
+        guard_cells = []
+        for g_bits in itertools.product((True, False), repeat=len(guards)):
+            alpha = gand(*(g if b else negate_guard(g) for g, b in zip(guards, g_bits)))
+            boxes = guard_boxes(alpha)
+            if boxes:
+                guard_cells.append((g_bits, alpha, boxes))
         for s_bits in itertools.product((True, False), repeat=len(preds)):
             chosen = [p for p, b in zip(preds, s_bits) if b]
             if not chosen:
@@ -339,13 +329,7 @@ def determinize(cea: TimedCea) -> TimedCea:
             )
             if not pred_satisfiable(p_s):
                 continue
-            for g_bits in itertools.product((True, False), repeat=len(guards)):
-                alpha = gand(
-                    *(g if b else negate_guard(g) for g, b in zip(guards, g_bits))
-                )
-                boxes = _guard_boxes(alpha)
-                if not boxes:
-                    continue  # the cell's guard is unsatisfiable
+            for g_bits, alpha, boxes in guard_cells:
                 for label in labels:
                     matching = [
                         tr
@@ -379,7 +363,7 @@ def determinize(cea: TimedCea) -> TimedCea:
         boxes = [
             # every mentioned clock is initialized here, so trivial
             # intervals can be dropped without changing the meaning
-            {z: iv for z, iv in box.items() if iv != _FULL}
+            {z: iv for z, iv in box.items() if iv != FULL_INTERVAL}
             for box in simplify_boxes(boxes)
         ]
         guard = boxes_to_guard(simplify_boxes(boxes))

@@ -6,8 +6,9 @@ that the same event can take but whose reset sets differ.  We therefore
 explore configurations (p, p', R) by breadth-first search, where R is the
 region both runs share: as long as no violation has occurred, the two runs
 have performed identical resets at identical times, so their valuations
-coincide.  Constants are rescaled to integers first so the standard
-region construction applies.
+coincide.  Regions count clock values in units of ``1/scale``, where
+``scale`` makes every guard constant an integer, so the standard region
+construction applies.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from fractions import Fraction
+from typing import Iterator, Optional
 
-from .cea import Cmp, ClockCondition, GAnd, GFalse, GTrue, TimedCea, Transition, guard_clocks, guard_constants
+from .cea import ClockCondition, TimedCea, Transition, guard_constants, guard_sat
 from .model import preds_intersect
 
 DEFAULT_SYNC_CAP = 1_000_000
@@ -38,12 +40,6 @@ class Region:
     ints: tuple[tuple[str, int], ...]
     zero: frozenset[str]
     groups: tuple[frozenset[str], ...]
-
-    def int_of(self, clock: str) -> Optional[int]:
-        for z, k in self.ints:
-            if z == clock:
-                return k
-        return None
 
 
 def _mk_region(ints: dict[str, int], zero: set[str], groups: list[frozenset[str]]) -> Region:
@@ -83,23 +79,17 @@ def region_successor(region: Region, ceilings: dict[str, int]) -> Region:
     return _mk_region(ints, set(last), list(region.groups[:-1]))
 
 
-def time_successors(region: Region, ceilings: dict[str, int]) -> list[Region]:
-    """All regions reachable by letting a strictly positive delay elapse."""
-    out: list[Region] = []
-    seen: set[Region] = set()
-    cur = region
+def time_successors(region: Region, ceilings: dict[str, int]) -> Iterator[Region]:
+    """The regions reachable by letting a strictly positive delay elapse, in
+    the order time reaches them; generated one at a time."""
     if not region.zero:
-        out.append(region)
-        seen.add(region)
+        yield region
     while True:
-        nxt = region_successor(cur, ceilings)
-        if nxt in seen or nxt == cur:
-            if nxt not in seen:
-                out.append(nxt)
-            return out
-        out.append(nxt)
-        seen.add(nxt)
-        cur = nxt
+        nxt = region_successor(region, ceilings)
+        if nxt == region:
+            return
+        yield nxt
+        region = nxt
 
 
 def reset_region(region: Region, clocks: frozenset[str]) -> Region:
@@ -113,49 +103,26 @@ def reset_region(region: Region, clocks: frozenset[str]) -> Region:
     return _mk_region(ints, zero, groups)
 
 
-def _atom_holds(region: Region, clock: str, op: str, c: int) -> bool:
-    k = region.int_of(clock)
-    if k is None:
-        return False  # uninitialized clock satisfies no comparison
-    if k == _TOP:
-        return op in (">", ">=")
-    frac_zero = clock in region.zero
-    if op == "=":
-        return k == c and frac_zero
-    if op == "<":
-        return k < c
-    if op == "<=":
-        return k < c or (k == c and frac_zero)
-    if op == ">":
-        return k > c or (k == c and not frac_zero)
-    if op == ">=":
-        return k >= c
-    raise ValueError(op)
+def _sample(region: Region, scale: int) -> dict[str, Fraction | float]:
+    """One valuation in the region, in the automaton's own units: each clock's
+    integer part plus ``i/(m+1)`` for the i-th of ``m`` fraction groups,
+    divided by ``scale``; infinity for a clock above its ceiling."""
+    frac = {z: Fraction(0) for z in region.zero}
+    for i, group in enumerate(region.groups, 1):
+        for z in group:
+            frac[z] = Fraction(i, len(region.groups) + 1)
+    return {z: math.inf if k == _TOP else (k + frac[z]) / scale for z, k in region.ints}
 
 
 def guard_holds(region: Region, gamma: ClockCondition, scale: int) -> bool:
-    """Whether every valuation in the region satisfies the (rescaled) guard.
+    """Whether every valuation in the region satisfies the guard.
 
-    Regions refine guard atoms, so this is also "some valuation satisfies".
-    All clocks the guard mentions must be initialized in the region.
+    Every constant of the guard, times ``scale``, must be an integer no
+    larger than the ceiling of its clock.  Then each atom is constant on the
+    region, so one valuation in it decides the guard.  A clock the region
+    does not initialize fails.
     """
-    if not all(region.int_of(z) is not None for z in guard_clocks(gamma)):
-        return False
-    return _holds(region, gamma, scale)
-
-
-def _holds(region: Region, gamma: ClockCondition, scale: int) -> bool:
-    if isinstance(gamma, GTrue):
-        return True
-    if isinstance(gamma, GFalse):
-        return False
-    if isinstance(gamma, Cmp):
-        c = gamma.constant * scale
-        assert c.denominator == 1
-        return _atom_holds(region, gamma.clock, gamma.op, int(c))
-    if isinstance(gamma, GAnd):
-        return _holds(region, gamma.left, scale) and _holds(region, gamma.right, scale)
-    return _holds(region, gamma.left, scale) or _holds(region, gamma.right, scale)
+    return guard_sat(_sample(region, scale), gamma)
 
 
 def _scale_and_ceilings(cea: TimedCea) -> tuple[int, dict[str, int]]:
@@ -187,44 +154,50 @@ def check_sync(cea: TimedCea, cap: int = DEFAULT_SYNC_CAP) -> SyncResult:
     """Decide synchronous resets by searching paired same-labeled runs.
 
     Returns ``yes``, ``no`` with a witness pair of transition sequences, or
-    ``unknown`` if more than ``cap`` configurations would be explored.
+    ``unknown`` once more than ``cap`` configurations would be explored or
+    more than ``cap`` region steps taken.
     """
     scale, ceilings = _scale_and_ceilings(cea)
     start = (cea.initial, cea.initial, EMPTY_REGION)
     seen = {start}
     parents: dict[tuple, tuple[tuple, Transition, Transition]] = {}
     queue = deque([start])
-    explored = 0
+    # per state pair, the same-labeled transition pairs one event can take
+    joint: dict[tuple, list[tuple[Transition, Transition]]] = {}
+    explored = steps = 0
     while queue:
         config = queue.popleft()
         explored += 1
         if explored > cap:
             return SyncResult("unknown", explored=explored)
         p1, p2, region = config
-        out1 = cea.out(p1)
-        out2 = cea.out(p2)
-        if not out1 or not out2:
+        pairs = joint.get((p1, p2))
+        if pairs is None:
+            pairs = joint[p1, p2] = [
+                (t1, t2)
+                for t1 in cea.out(p1)
+                for t2 in cea.out(p2)
+                if t1.label == t2.label and preds_intersect(t1.pred, t2.pred)
+            ]
+        if not pairs:
             continue
         for succ in time_successors(region, ceilings):
-            for t1 in out1:
-                if not guard_holds(succ, t1.guard, scale):
+            steps += 1
+            if steps > cap:
+                return SyncResult("unknown", explored=explored)
+            nu = _sample(succ, scale)
+            for t1, t2 in pairs:
+                if not (guard_sat(nu, t1.guard) and guard_sat(nu, t2.guard)):
                     continue
-                for t2 in out2:
-                    if t1.label != t2.label:
-                        continue
-                    if not preds_intersect(t1.pred, t2.pred):
-                        continue
-                    if not guard_holds(succ, t2.guard, scale):
-                        continue
-                    if t1.resets != t2.resets:
-                        return SyncResult(
-                            "no", witness=_witness(parents, config, t1, t2), explored=explored
-                        )
-                    nxt = (t1.target, t2.target, reset_region(succ, t1.resets))
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        parents[nxt] = (config, t1, t2)
-                        queue.append(nxt)
+                if t1.resets != t2.resets:
+                    return SyncResult(
+                        "no", witness=_witness(parents, config, t1, t2), explored=explored
+                    )
+                nxt = (t1.target, t2.target, reset_region(succ, t1.resets))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    parents[nxt] = (config, t1, t2)
+                    queue.append(nxt)
     return SyncResult("yes", explored=explored)
 
 

@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from tcer.cea import Cmp, GAnd, GTrue, TimedCea, Transition
+from tcer.cea import Cmp, GAnd, GTrue, TimedCea, Transition, advance, guard_sat, reset
+from tcer.compiler import compile_windowed
 from tcer.model import TrueP, TypeIs
+from tcer.parser import parse_query
 from tcer.randgen import random_sync_cea
 from tcer.regions import (
     EMPTY_REGION,
+    Region,
     SyncResult,
+    _TOP,
     check_sync,
     guard_holds,
     region_successor,
@@ -48,7 +55,7 @@ def test_successor_saturates_above_the_ceiling():
 def test_time_successors_cover_all_later_regions():
     ceil = {"z": 2}
     r0 = reset_region(EMPTY_REGION, frozenset({"z"}))
-    succ = time_successors(r0, ceil)
+    succ = list(time_successors(r0, ceil))
     # strictly positive delay: (0,1), 1, (1,2), 2, (2,inf)
     assert len(succ) == 5
     assert not any(guard_holds(s, Cmp("z", "=", 0), 1) for s in succ)
@@ -68,6 +75,54 @@ def test_uninitialized_clock_satisfies_no_guard():
     region = reset_region(EMPTY_REGION, frozenset({"x"}))
     assert not guard_holds(region, Cmp("y", ">=", 0), 1)
     assert guard_holds(region, GTrue(), 1)
+
+
+def region_of(nu, ceilings) -> Region:
+    """The region of a concrete valuation, straight from its definition."""
+    ints, zero, fracs = {}, set(), {}
+    for z, v in nu.items():
+        if v > ceilings[z]:
+            ints[z] = _TOP
+            continue
+        ints[z] = math.floor(v)
+        if v == ints[z]:
+            zero.add(z)
+        else:
+            fracs.setdefault(v - ints[z], set()).add(z)
+    return Region(
+        ints=tuple(sorted(ints.items())),
+        zero=frozenset(zero),
+        groups=tuple(frozenset(fracs[f]) for f in sorted(fracs)),
+    )
+
+
+_RUN_STEP = st.one_of(
+    st.tuples(st.just("reset"), st.sets(st.sampled_from(["x", "y"]), min_size=1)),
+    st.tuples(st.just("delay"), st.integers(1, 20).map(lambda k: Fraction(k, 4))),
+)
+
+
+@given(
+    ceilings=st.dictionaries(st.sampled_from(["x", "y"]), st.integers(0, 3), min_size=1),
+    run=st.lists(_RUN_STEP, max_size=12),
+)
+def test_regions_agree_with_concrete_valuations(ceilings, run):
+    nu = {}
+    for kind, arg in run:
+        region = region_of(nu, ceilings)
+        if kind == "reset":
+            clocks = frozenset(arg) & set(ceilings)
+            nu = reset(nu, clocks)
+            assert reset_region(region, clocks) == region_of(nu, ceilings)
+        else:
+            nu = advance(nu, arg)
+            assert region_of(nu, ceilings) in time_successors(region, ceilings)
+        region = region_of(nu, ceilings)
+        for z, ceiling in ceilings.items():
+            for op in ("=", "<", "<=", ">=", ">"):
+                for c in range(ceiling + 1):
+                    atom = Cmp(z, op, c)
+                    assert guard_holds(region, atom, 1) == guard_sat(nu, atom)
 
 
 # -- the decision procedure ---------------------------------------------------
@@ -176,3 +231,12 @@ def test_cap_yields_unknown():
     result = check_sync(make_t1(">="), cap=1)
     assert result.verdict == "unknown"
     assert not result.is_sync
+
+
+def test_cap_bounds_the_region_steps_of_a_large_constant():
+    cea = compile_windowed(parse_query("(A ;[0,100000] B)"))
+    start = time.perf_counter()
+    result = check_sync(cea, cap=10)
+    assert result.verdict == "unknown"
+    assert result.explored <= 10
+    assert time.perf_counter() - start < 1.0
