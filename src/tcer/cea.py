@@ -4,6 +4,7 @@ transitions, a brute-force run-enumeration oracle, and structural classifiers.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -14,7 +15,6 @@ from .model import (
     Predicate,
     TimedStream,
     format_rat,
-    preds_intersect,
 )
 from . import model
 from .parser import MAX_QUERY_DEPTH
@@ -109,12 +109,14 @@ def _guard_atoms(gamma: ClockCondition):
 def guard_sat(nu: ClockValuation, gamma: ClockCondition) -> bool:
     """A valuation satisfies a condition only if it initializes every clock
     the condition mentions (an uninitialized clock fails even under Or)."""
-    if not all(z in nu for z in guard_clocks(gamma)):
+    try:
+        return _guard_eval(nu, gamma)
+    except KeyError:
         return False
-    return _guard_eval(nu, gamma)
 
 
 def _guard_eval(nu: ClockValuation, gamma: ClockCondition) -> bool:
+    # no short circuit: every atom looks its clock up, so a missing one raises
     if isinstance(gamma, GTrue):
         return True
     if isinstance(gamma, GFalse):
@@ -122,8 +124,8 @@ def _guard_eval(nu: ClockValuation, gamma: ClockCondition) -> bool:
     if isinstance(gamma, Cmp):
         return model.COMPARISONS[gamma.op](nu[gamma.clock], gamma.constant)
     if isinstance(gamma, GAnd):
-        return _guard_eval(nu, gamma.left) and _guard_eval(nu, gamma.right)
-    return _guard_eval(nu, gamma.left) or _guard_eval(nu, gamma.right)
+        return _guard_eval(nu, gamma.left) & _guard_eval(nu, gamma.right)
+    return _guard_eval(nu, gamma.left) | _guard_eval(nu, gamma.right)
 
 
 def gand(*gammas: ClockCondition) -> ClockCondition:
@@ -420,20 +422,28 @@ def eval_cea_at(
 # ---------------------------------------------------------------------------
 
 
+def compatible_pairs(
+    trs: Sequence[Transition], pairs: Iterable[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The index pairs among ``pairs`` of same-labeled transitions whose
+    predicates one event satisfies together, decided on ``model.event_cells``."""
+    same = [(i, j) for i, j in pairs if trs[i].label == trs[j].label]
+    meet: set[tuple[int, int]] = set()
+    if same:
+        for cell in model.event_cells([tr.pred for tr in trs]):
+            held = [i for i, b in enumerate(cell) if b]
+            meet.update((i, j) for i in held for j in held)
+    return [pair for pair in same if pair in meet]
+
+
 def deterministic_violations(cea: TimedCea) -> list[tuple[Transition, Transition]]:
     """Pairs of simultaneously fireable same-label transitions."""
     violations = []
     for state in cea.states:
         out = cea.out(state)
-        for i, t1 in enumerate(out):
-            for t2 in out[i + 1 :]:
-                if t1.label != t2.label:
-                    continue
-                if not preds_intersect(t1.pred, t2.pred):
-                    continue
-                if not guard_satisfiable(gand(t1.guard, t2.guard)):
-                    continue
-                violations.append((t1, t2))
+        for i, j in compatible_pairs(out, itertools.combinations(range(len(out)), 2)):
+            if guard_satisfiable(gand(out[i].guard, out[j].guard)):
+                violations.append((out[i], out[j]))
     return violations
 
 

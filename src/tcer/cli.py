@@ -24,11 +24,10 @@ import json
 import os
 import random
 import sys
-import time as _time
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable
 
-from . import cel
 from .cea import (
     AutomatonFormatError,
     CeaCapExceeded,
@@ -41,7 +40,7 @@ from .cel import OracleCapExceeded, eval_cel_oracle
 from .compiler import NotWindowed, compile_cel, compile_windowed
 from .determinize import SyncResetViolation, determinize
 from .engine import NotStreamable, StreamingEngine
-from .model import Basic, ComplexEvent, Event, TimedStream, format_rat, rat
+from .model import ComplexEvent, Event, TimedStream, format_rat, rat
 from .parser import ParseError, parse_query, pretty
 from .regions import check_sync
 
@@ -208,63 +207,17 @@ def _trans_brief(tr) -> dict:
     }
 
 
-def _bench_stream(phi, n: int, rng: random.Random):
-    types = sorted(
-        {sub.etype for sub in cel.subformulas(phi) if isinstance(sub, cel.EventType)}
-    ) or ["A"]
-    attrs = sorted(
-        {
-            (sub.pred.attr, sub.pred.value)
-            for sub in cel.subformulas(phi)
-            if isinstance(sub, cel.Filter) and isinstance(sub.pred, Basic)
-        }
-    )
-    t = Fraction(0)
-    for _ in range(n):
-        t += Fraction(rng.randint(5, 40), 100)
-        values = {
-            attr: base + Fraction(rng.randint(-500, 500), 100) for attr, base in attrs
-        }
-        yield Event(rng.choice(types), values), t
-
-
-def cmd_bench(args) -> int:
-    phi = load_query(args.query)
-    engine = streaming_engine(phi)
-    rng = random.Random(args.seed)
-    update_times: list[float] = []
-    delay_ratios: list[float] = []
-    for event, ts in _bench_stream(phi, args.events, rng):
-        t0 = _time.perf_counter()
-        matches = engine.feed(event, ts)
-        t1 = _time.perf_counter()
-        update_times.append(t1 - t0)
-        if matches:
-            delay_ratios.append((t1 - t0) / max(1, sum(1 + len(m.binding) for m in matches)))
-    decile = len(update_times) // 10
-    deciles = [
-        sum(update_times[i : i + decile]) / decile
-        for i in range(0, decile * 10, decile)
-    ]
-    report = {
-        "events": args.events,
-        "decile_mean_update_s": deciles,
-        "last_over_first": deciles[-1] / deciles[0] if deciles[0] else None,
-        "max_delay_per_output": max(delay_ratios) if delay_ratios else None,
-        "nodes_created": engine.caecs.created,
-    }
-    print(json.dumps(report, sort_keys=True))
-    return 0
-
-
 def cmd_diff_test(args) -> int:
     from .randgen import random_formula, random_stream
 
     rng = random.Random(args.seed)
+    outcomes: Counter[str] = Counter()
+    code = 0
     for case in range(args.cases):
         phi = random_formula(rng, rng.randint(1, args.max_depth))
         stream = random_stream(rng, rng.randint(0, args.max_stream))
-        mismatch = _diff_one(phi, stream)
+        mismatch, outcome = _diff_one(phi, stream)
+        outcomes[outcome] += 1
         if mismatch is not None:
             stream = _shrink(phi, stream)
             repro = {
@@ -277,29 +230,39 @@ def cmd_diff_test(args) -> int:
                 ],
             }
             print(json.dumps(repro, sort_keys=True), file=sys.stderr)
-            return 1
-    return 0
+            code = 1
+            break
+    summary = {
+        "cases": sum(outcomes.values()),
+        "streamed": outcomes["streamed"],
+        "skipped_oracle_cap": outcomes["oracle cap"],
+        "skipped_refused": {kind.__name__: outcomes[kind.__name__] for kind in REFUSALS},
+    }
+    print(json.dumps(summary, sort_keys=True), file=sys.stderr)
+    return code
 
 
-def _diff_one(phi, stream) -> str | None:
-    """Return a description of the first disagreement, or None."""
+def _diff_one(phi, stream) -> tuple[str | None, str]:
+    """A description of the first disagreement, or None, and how far the
+    case got: ``oracle cap``, ``compiled``, the name of the streaming
+    engine's refusal, or ``streamed``."""
     try:
         expected = eval_cel_oracle(phi, stream, cap=len(stream) + 1)
         via_cea = eval_cea_oracle(compile_cel(phi), stream, cap=len(stream) + 1)
     except (OracleCapExceeded, CeaCapExceeded):
-        return None
+        return None, "oracle cap"
     if expected != via_cea:
-        return f"compiled automaton disagrees for: {pretty(phi)}"
+        return f"compiled automaton disagrees for: {pretty(phi)}", "compiled"
     try:
         engine = streaming_engine(phi, debug=True)
-    except REFUSALS:
-        return None
+    except REFUSALS as exc:
+        return None, type(exc).__name__
     got = set()
     for event, ts in stream.pairs_et():
         got.update(engine.feed(event, ts))
     if got != expected:
-        return f"streaming engine disagrees for: {pretty(phi)}"
-    return None
+        return f"streaming engine disagrees for: {pretty(phi)}", "streamed"
+    return None, "streamed"
 
 
 def _shrink(phi, stream):
@@ -309,7 +272,7 @@ def _shrink(phi, stream):
         for i in range(len(stream)):
             pairs = [p for k, p in enumerate(stream.pairs_et()) if k != i]
             candidate = TimedStream(pairs)
-            if _diff_one(phi, candidate) is not None:
+            if _diff_one(phi, candidate)[0] is not None:
                 stream = candidate
                 changed = True
                 break
@@ -353,13 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--automaton", required=True)
     p.add_argument("--cap", type=_count(1), default=1_000_000)
     p.set_defaults(func=cmd_check_sync)
-
-    p = sub.add_parser("bench", help="measure per-event update latency")
-    p.add_argument("--query", required=True)
-    # one event per decile at least
-    p.add_argument("--events", type=_count(10), default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("diff-test", help="randomized differential testing")
     p.add_argument("--seed", type=int, default=0)

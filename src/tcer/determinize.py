@@ -1,8 +1,9 @@
 """Subset-construction determinization for synchronous-reset automata.
 
-Each source-state subset is split along two partitions: predicate types
-(which subset of the outgoing predicates the event satisfies) and guard
-types (which subset of the outgoing guards the valuation satisfies).  The
+Each source-state subset is split along two partitions: predicate cells
+(which subset of the outgoing predicates the event satisfies, among those
+``model.event_cells`` finds some event to give) and guard types (which
+subset of the outgoing guards the valuation satisfies).  The
 cell then has a unique set of matching transitions, so a unique target
 subset and — thanks to synchronous resets — a unique reset set.
 
@@ -34,7 +35,7 @@ from .cea import (
     interval_atoms,
     reachable,
 )
-from .model import Not, pred_and, pred_satisfiable
+from .model import Not, event_cells, pred_and
 
 
 class SyncResetViolation(Exception):
@@ -320,15 +321,14 @@ def determinize(cea: TimedCea) -> TimedCea:
             boxes = guard_boxes(alpha)
             if boxes:
                 guard_cells.append((g_bits, alpha, boxes))
-        for s_bits in itertools.product((True, False), repeat=len(preds)):
+        # the events' cells, in the order of the product (True, False)^k
+        for s_bits in sorted(event_cells(preds), key=lambda b: [not x for x in b]):
             chosen = [p for p, b in zip(preds, s_bits) if b]
             if not chosen:
                 continue  # no transition can match the all-complements cell
             p_s = pred_and(
                 *chosen, *(Not(p) for p, b in zip(preds, s_bits) if not b)
             )
-            if not pred_satisfiable(p_s):
-                continue
             for g_bits, alpha, boxes in guard_cells:
                 for label in labels:
                     matching = [

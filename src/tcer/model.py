@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Rational = Fraction
 
@@ -339,82 +339,102 @@ def pred_and(*preds: Predicate) -> Predicate:
     return acc if acc is not None else TrueP()
 
 
-# --- satisfiability / disjointness ----------------------------------------
+# --- satisfiability: the cells of events ----------------------------------
 #
-# Exact by finitely many witnesses.  Over the constants of one attribute's
-# literals, each literal's truth is constant at each constant, on each open
-# gap between neighbouring numeric constants, below the least and above the
-# greatest, and on every string that is not a constant; an absent attribute,
-# like a boolean, satisfies no Basic.  So one value from each of these
-# classes decides whether the literals can all hold.
+# ``event_cells(preds)`` is the set of truth vectors that events give the
+# predicates: the nonempty cells of the partition they induce on events.
+# Each atom reads one field, the event type or one attribute, and is constant
+# on each class of that field's values over the constants the atoms compare
+# it with: each constant, each gap between neighbouring numbers, below and
+# above them all, every other string, and absence (a boolean, like absence,
+# satisfies no Basic).  So fixing the fields one at a time, each to one
+# witness per class, reaches every cell.  After each field its atoms fold to
+# truth values and equal remainders are kept once, so a conjunction over many
+# attributes costs time linear in them, not their witnesses' product.
 
-Literal = tuple[bool, Union[TypeIs, Basic]]  # (positive?, atom)
 
-
-def _pred_dnf(pred: Predicate, positive: bool) -> list[list[Literal]]:
-    """DNF of the predicate (or of its negation), as lists of literals.
-
-    An empty conjunct means "true"; an empty list of conjuncts means "false".
-    """
-    if isinstance(pred, TrueP):
-        return [[]] if positive else []
+def _atoms(pred: Predicate) -> Iterable[Union[TypeIs, Basic]]:
     if isinstance(pred, (TypeIs, Basic)):
-        return [[(positive, pred)]]
-    if isinstance(pred, Not):
-        return _pred_dnf(pred.body, not positive)
-    if isinstance(pred, And):
-        lhs = _pred_dnf(pred.left, positive)
-        rhs = _pred_dnf(pred.right, positive)
-        if positive:
-            return [a + b for a in lhs for b in rhs]
-        return lhs + rhs  # de Morgan: negation of a conjunction
-    raise TypeError(f"not a predicate: {pred!r}")
+        yield pred
+    elif isinstance(pred, Not):
+        yield from _atoms(pred.body)
+    elif isinstance(pred, And):
+        yield from _atoms(pred.left)
+        yield from _atoms(pred.right)
+    elif not isinstance(pred, TrueP):
+        raise TypeError(f"not a predicate: {pred!r}")
 
 
-def _conjunct_satisfiable(literals: list[Literal]) -> bool:
-    pos_types: set[str] = set()
-    neg_types: set[str] = set()
-    per_attr: dict[str, list[tuple[bool, Basic]]] = {}
-    for positive, atom in literals:
-        if isinstance(atom, TypeIs):
-            (pos_types if positive else neg_types).add(atom.etype)
-        else:
-            per_attr.setdefault(atom.attr, []).append((positive, atom))
-    if len(pos_types) > 1 or pos_types & neg_types:
-        return False
-    for constraints in per_attr.values():
-        if not _attr_constraints_satisfiable(constraints):
-            return False
-    return True
-
-
-def _attr_constraints_satisfiable(constraints: list[tuple[bool, Basic]]) -> bool:
-    """Is there a single attribute value (or absence) meeting all constraints?"""
-    constants = {atom.value for _, atom in constraints}
+def _witnesses(constants: set[AttrValue]) -> list[Optional[AttrValue]]:
+    """One value (or absence) from each class of a field with these constants."""
     numbers = sorted(v for v in constants if not isinstance(v, str))
     # longer than every string constant, so equal to none of them
-    unlike = "".join(v for v in constants if isinstance(v, str)) + "_"
+    unlike = "".join(sorted(v for v in constants if isinstance(v, str))) + "_"
     witnesses: list[Optional[AttrValue]] = [None, *constants, unlike]
     if numbers:
         witnesses += [numbers[0] - 1, numbers[-1] + 1]
         witnesses += [Fraction(x + y, 2) for x, y in zip(numbers, numbers[1:])]
-    return any(
-        all(
-            positive == (value is not None and _compare(value, atom.op, atom.value))
-            for positive, atom in constraints
-        )
-        for value in witnesses
-    )
+    return witnesses
+
+
+def _fold(pred: Union[Predicate, bool], field: Optional[str], value) -> Union[Predicate, bool]:
+    """The predicate with its atoms on ``field`` (``None``: the event type)
+    decided at ``value`` and simplified; a bool once it has no atom left."""
+    if isinstance(pred, bool):
+        return pred
+    if isinstance(pred, TrueP):
+        return True
+    if isinstance(pred, TypeIs):
+        return pred.etype == value if field is None else pred
+    if isinstance(pred, Basic):
+        if pred.attr != field:
+            return pred
+        return value is not None and _compare(value, pred.op, pred.value)
+    if isinstance(pred, Not):
+        body = _fold(pred.body, field, value)
+        if isinstance(body, bool):
+            return not body
+        return pred if body is pred.body else Not(body)
+    left = _fold(pred.left, field, value)
+    if left is False:
+        return False
+    right = _fold(pred.right, field, value)
+    if left is True or right is False:
+        return right
+    if right is True:
+        return left
+    return pred if left is pred.left and right is pred.right else And(left, right)
+
+
+def event_cells(preds: Sequence[Predicate]) -> set[tuple[bool, ...]]:
+    """The truth vectors ``tuple(sat(e, p) for p in preds)`` of all events ``e``."""
+    types: set[AttrValue] = set()
+    constants: dict[str, set[AttrValue]] = {}
+    for pred in preds:
+        for atom in _atoms(pred):
+            if isinstance(atom, TypeIs):
+                types.add(atom.etype)
+            else:
+                constants.setdefault(atom.attr, set()).add(atom.value)
+    fields = [(None, types), *sorted(constants.items())]
+    remainders: set[tuple] = {tuple(preds)}
+    for field, values in fields:
+        remainders = {
+            tuple(_fold(p, field, value) for p in rest)
+            for value in _witnesses(values)
+            for rest in remainders
+        }
+    return remainders
 
 
 def pred_satisfiable(pred: Predicate) -> bool:
     """Is some event satisfying the predicate possible at all?"""
-    return any(_conjunct_satisfiable(conj) for conj in _pred_dnf(pred, True))
+    return (True,) in event_cells([pred])
 
 
 def preds_intersect(p: Predicate, q: Predicate) -> bool:
     """Do the event sets of two predicates overlap?"""
-    return pred_satisfiable(And(p, q))
+    return (True, True) in event_cells([p, q])
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,14 @@ construction applies.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .cea import ClockCondition, TimedCea, Transition, guard_constants, guard_sat
-from .model import preds_intersect
+from .cea import ClockCondition, TimedCea, Transition, compatible_pairs, guard_constants, guard_sat
 
 DEFAULT_SYNC_CAP = 1_000_000
 
@@ -162,8 +162,10 @@ def check_sync(cea: TimedCea, cap: int = DEFAULT_SYNC_CAP) -> SyncResult:
     seen = {start}
     parents: dict[tuple, tuple[tuple, Transition, Transition]] = {}
     queue = deque([start])
-    # per state pair, the same-labeled transition pairs one event can take
-    joint: dict[tuple, list[tuple[Transition, Transition]]] = {}
+    # per state pair, the transitions out of both (each once) and the index
+    # pairs, first out of p1 and second out of p2, that one event can take
+    # together with the same label
+    joint: dict[tuple, tuple[tuple[Transition, ...], list[tuple[int, int]]]] = {}
     explored = steps = 0
     while queue:
         config = queue.popleft()
@@ -171,14 +173,13 @@ def check_sync(cea: TimedCea, cap: int = DEFAULT_SYNC_CAP) -> SyncResult:
         if explored > cap:
             return SyncResult("unknown", explored=explored)
         p1, p2, region = config
-        pairs = joint.get((p1, p2))
-        if pairs is None:
-            pairs = joint[p1, p2] = [
-                (t1, t2)
-                for t1 in cea.out(p1)
-                for t2 in cea.out(p2)
-                if t1.label == t2.label and preds_intersect(t1.pred, t2.pred)
-            ]
+        if (p1, p2) not in joint:
+            out1 = cea.out(p1)
+            trs = out1 if p1 == p2 else out1 + cea.out(p2)
+            first = 0 if p1 == p2 else len(out1)
+            candidates = itertools.product(range(len(out1)), range(first, len(trs)))
+            joint[p1, p2] = trs, compatible_pairs(trs, candidates)
+        trs, pairs = joint[p1, p2]
         if not pairs:
             continue
         for succ in time_successors(region, ceilings):
@@ -186,9 +187,11 @@ def check_sync(cea: TimedCea, cap: int = DEFAULT_SYNC_CAP) -> SyncResult:
             if steps > cap:
                 return SyncResult("unknown", explored=explored)
             nu = _sample(succ, scale)
-            for t1, t2 in pairs:
-                if not (guard_sat(nu, t1.guard) and guard_sat(nu, t2.guard)):
+            holds = [guard_sat(nu, tr.guard) for tr in trs]
+            for i, j in pairs:
+                if not (holds[i] and holds[j]):
                     continue
+                t1, t2 = trs[i], trs[j]
                 if t1.resets != t2.resets:
                     return SyncResult(
                         "no", witness=_witness(parents, config, t1, t2), explored=explored

@@ -7,12 +7,14 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from tcer import cel
 from tcer.cli import main, parse_stream_line, read_stream, StreamFormatError
-from tcer.model import Basic
+from tcer.model import Basic, Event
 from tcer.parser import MAX_QUERY_DEPTH, parse_query, pretty
 
 from conftest import PHI1P_TEXT, PHI2_TEXT, S0_ROWS, rewrite_ge40
@@ -253,11 +255,12 @@ def test_non_positive_timestamp_exits_3(capsys, tmp_path, query_file, engine, ts
 def test_general_query_rejected_by_streaming_engine(capsys, tmp_path, stream_file):
     query = tmp_path / "gen.tcel"
     query.write_text("(A within [0,1]) ;[0,2] B\n", encoding="utf-8")
-    code, _, err = _run(
+    code, out, err = _run(
         capsys,
         ["run", "--query", str(query), "--stream", stream_file, "--engine", "streaming"],
     )
-    assert code == 1
+    assert code == 1 and out == ""
+    assert err.startswith("streaming engine rejected the query: ")
     assert "windowed" in err
 
 
@@ -284,24 +287,22 @@ def test_diff_test_passes(capsys):
         capsys, ["diff-test", "--seed", "11", "--cases", "40", "--max-stream", "8"]
     )
     assert code == 0, err
-
-
-def test_bench_reports_deciles(capsys, tmp_path, query_file):
-    code, out, err = _run(
-        capsys, ["bench", "--query", query_file, "--events", "200", "--seed", "1"]
+    # the last stderr line says what ran and what was skipped
+    summary = json.loads(err.splitlines()[-1])
+    assert set(summary) == {"cases", "streamed", "skipped_oracle_cap", "skipped_refused"}
+    assert set(summary["skipped_refused"]) == {
+        "NotWindowed",
+        "SyncResetViolation",
+        "NotStreamable",
+    }
+    assert summary["cases"] == 40
+    assert summary["streamed"] > 0
+    assert (
+        summary["streamed"]
+        + summary["skipped_oracle_cap"]
+        + sum(summary["skipped_refused"].values())
+        == 40
     )
-    assert code == 0, err
-    report = json.loads(out)
-    assert len(report["decile_mean_update_s"]) == 10
-    assert report["nodes_created"] > 0
-
-
-def test_bench_rejects_a_query_the_streaming_engine_refuses(capsys, tmp_path):
-    query = tmp_path / "q1.tcel"
-    query.write_text(PHI1P_TEXT + "\n", encoding="utf-8")
-    code, out, err = _run(capsys, ["bench", "--query", str(query), "--events", "50"])
-    assert code == 1 and out == ""
-    assert err.startswith("streaming engine rejected the query: ")
 
 
 @pytest.mark.parametrize(
@@ -310,8 +311,6 @@ def test_bench_rejects_a_query_the_streaming_engine_refuses(capsys, tmp_path):
         ["diff-test", "--max-depth", "0"],
         ["diff-test", "--max-stream", "-1"],
         ["diff-test", "--cases", "-1"],
-        ["bench", "--query", "q.tcel", "--events", "9"],
-        ["bench", "--query", "q.tcel", "--events", "ten"],
         ["check-sync", "--automaton", "a.json", "--cap", "0"],
         ["check-sync", "--automaton", "a.json", "--cap", "-3"],
     ],
@@ -326,8 +325,29 @@ def test_out_of_range_count_is_a_usage_error(capsys, argv):
 # -- output streams as it is produced -----------------------------------------
 
 
+def _bench_stream(phi, n: int, rng: random.Random):
+    """``n`` seeded events of the query's types, each carrying every
+    attribute the query filters on, near the filter's constant."""
+    types = sorted(
+        {sub.etype for sub in cel.subformulas(phi) if isinstance(sub, cel.EventType)}
+    ) or ["A"]
+    attrs = sorted(
+        {
+            (sub.pred.attr, sub.pred.value)
+            for sub in cel.subformulas(phi)
+            if isinstance(sub, cel.Filter) and isinstance(sub.pred, Basic)
+        }
+    )
+    t = Fraction(0)
+    for _ in range(n):
+        t += Fraction(rng.randint(5, 40), 100)
+        values = {
+            attr: base + Fraction(rng.randint(-500, 500), 100) for attr, base in attrs
+        }
+        yield Event(rng.choice(types), values), t
+
+
 def _write_bench_stream(path, n: int) -> None:
-    from tcer.cli import _bench_stream
     from tcer.model import format_rat
 
     with open(path, "w", encoding="utf-8") as fh:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,6 +142,41 @@ def test_rejects_initial_transition_without_reset_of_checked_clock():
     )
     with pytest.raises(NotStreamable):
         StreamingEngine(cea)
+
+
+# -- setup cost as predicates multiply ---------------------------------------
+
+
+def _timed_engine(text: str) -> tuple[StreamingEngine, float]:
+    start = perf_counter()
+    engine = StreamingEngine(determinize(compile_windowed(parse_query(text))))
+    return engine, perf_counter() - start
+
+
+def test_twenty_filtered_alternatives_build_an_engine_quickly():
+    # one subset tests twenty predicates: only the cells that some event
+    # reaches may be visited, not all 2^20 truth vectors
+    k = 20
+    alternatives = " or ".join(f"(A as X{i} filter X{i}[v > {i}] ; B)" for i in range(k))
+    engine, seconds = _timed_engine(f"({alternatives}) within [0,10]")
+    assert seconds < 2
+    assert engine.feed(Event("A", {"v": 7}), 1) == []
+    matches = engine.feed(Event("B", {}), 2)
+    assert sorted(m.binding for m in matches) == [
+        (("A", frozenset({1})), ("B", frozenset({2})), (f"X{i}", frozenset({1})))
+        for i in range(7)
+    ]
+
+
+def test_a_filter_on_sixteen_attributes_builds_an_engine_quickly():
+    # a conjunction folds one attribute at a time, not over the product of
+    # every attribute's witness values
+    conjunction = " and ".join(f"a{i} > {i}" for i in range(16))
+    engine, seconds = _timed_engine(f"(A as X filter X[{conjunction}]) within [0,10]")
+    assert seconds < 0.5
+    values = {f"a{i}": i + 1 for i in range(16)}
+    assert len(engine.feed(Event("A", values), 1)) == 1
+    assert engine.feed(Event("A", {**values, "a15": 15}), 2) == []
 
 
 # -- randomized agreement with the run oracle ---------------------------------

@@ -19,6 +19,7 @@ from tcer.model import (
     TimedStream,
     TrueP,
     TypeIs,
+    event_cells,
     pred_satisfiable,
     preds_intersect,
     project_ce,
@@ -191,6 +192,11 @@ GRID = [
 @given(_predicates(4))
 def test_pred_satisfiable_agrees_with_an_event_grid(pred):
     assert pred_satisfiable(pred) == any(sat(e, pred) for e in GRID)
+
+
+@given(st.lists(_predicates(3), min_size=1, max_size=3))
+def test_event_cells_agree_with_an_event_grid(preds):
+    assert event_cells(preds) == {tuple(sat(e, p) for p in preds) for e in GRID}
 
 
 # -- complex events ----------------------------------------------------------
