@@ -311,6 +311,8 @@ def test_diff_test_passes(capsys):
         ["diff-test", "--max-depth", "0"],
         ["diff-test", "--max-stream", "-1"],
         ["diff-test", "--cases", "-1"],
+        ["diff-test", "--cases", "ten"],
+        ["diff-test", "--max-stream", "2.5"],
         ["check-sync", "--automaton", "a.json", "--cap", "0"],
         ["check-sync", "--automaton", "a.json", "--cap", "-3"],
     ],
