@@ -6,7 +6,10 @@ positions, last clock-reset time).  Reset and clock-check nodes never stack:
 adjacent ones are merged by a small gadget algebra (a gadget is at most one
 reset over at most one anchor limit), which keeps the distance from any node
 to the next output node bounded and therefore makes enumeration
-output-linear.  Enumeration is a loop, so no match length makes it recurse.
+output-linear.  A transition of the streaming engine that checks and resets
+composes both as one gadget over each node's own (``ul_reset`` with a
+bound), so it builds that node's gadget once rather than once per step.
+Enumeration is a loop, so no match length makes it recurse.
 A constructor whose result would denote no complex event returns None, the
 only empty node.  ``Caecs.check`` asserts the structural invariants of one
 root; the streaming engine calls it on every stored root when debugging.
@@ -247,10 +250,23 @@ class Caecs:
                 out.append(checked)
         return out or None
 
-    def ul_reset(self, ul: list[Node], t: Rational) -> list[Node]:
-        # after a reset every node is anchored at t, so the whole list
-        # folds into a single union
-        nodes = [self.add_reset(u, t) for u in ul]
+    def ul_reset(
+        self, ul: list[Node], t: Rational, bound: Optional[Rational] = None
+    ) -> Optional[list[Node]]:
+        """Reset every node at ``t``, after the clock check ``t - anchor
+        <= bound`` (``>=`` for ``ge``) when a bound is given: the check and
+        the reset are one gadget, composed over each node's own gadget in one
+        step.  After the reset every node is anchored at t, so the surviving
+        nodes fold into a single union; None when none survives."""
+        limit = None if bound is None else t - bound
+        nodes = []
+        for u in ul:
+            if limit is None or self.better(u.anchor, limit):
+                node = self._regadget(Gadget(t, limit, u), u)
+                if node is not None:
+                    nodes.append(node)
+        if not nodes:
+            return None
         node = nodes[0]
         for u in nodes[1:]:
             node = self.union(node, u)

@@ -4,14 +4,15 @@ Per event: start a fresh run from the initial state, then advance each
 stored state's runs once, through that state's transitions, and store the
 surviving runs' result sets (as CAECS union-lists) keyed by their current
 state.  Every transition that fires takes the same steps: if it marks, the
-list becomes the extension of its merged union; if it has a guard, the
-clock check drops the nodes whose anchor fails it; if it resets, the list
-folds into one node under the reset; the result is merged into the target's
-union-list.  A union-list is kept sorted by anchor, because ``ul_insert``
-places each node by its anchor, so the order in which states are visited
-does not matter.  Update work per event is constant in the stream length;
-outputs for the position are then enumerated from the union-lists of the
-final states.
+list becomes the extension of its merged union; then its clock check and its
+reset are applied to each node as one gadget (``ul_reset``, or
+``ul_clock_check`` for a guard without a reset), which drops the nodes whose
+anchor fails the check and, after a reset, folds the list into one node; the
+result is merged into the target's union-list.  A union-list is kept sorted
+by anchor, because ``ul_insert`` places each node by its anchor, so the
+order in which states are visited does not matter.  Update work per event
+is constant in the stream length; outputs for the position are then
+enumerated from the union-lists of the final states.
 """
 
 from __future__ import annotations
@@ -122,13 +123,12 @@ class StreamingEngine:
                 if merged is None:
                     merged = caecs.ul_merge(ul)
                 out = [caecs.extend(merged, j, tr.label)]
-            if tr.bound is not None:
-                out = caecs.ul_clock_check(out, time, tr.bound)
-                if out is None:
-                    continue
             if tr.reset:
-                out = caecs.ul_reset(out, time)
-            self._add(tr.target, out)
+                out = caecs.ul_reset(out, time, tr.bound)
+            elif tr.bound is not None:
+                out = caecs.ul_clock_check(out, time, tr.bound)
+            if out is not None:
+                self._add(tr.target, out)
 
     def _add(self, q, ul: list[Node]) -> None:
         have = self.next_table.get(q)

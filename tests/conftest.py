@@ -1,9 +1,11 @@
 """Shared fixtures: the nine-event reference stream, two reference queries,
-the hand-built single-clock automaton used across the suite, and the
-``temp > 40`` to ``temp >= 40`` rewrite that makes PHI1P match on s0."""
+the hand-built single-clock automaton used across the suite, the
+``temp > 40`` to ``temp >= 40`` rewrite that makes PHI1P match on s0, and a
+seeded stream generator for longer runs of a query."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -93,6 +95,28 @@ def make_t1(temp_op: str = ">=") -> TimedCea:
         initial=0,
         finals=frozenset({3}),
     )
+
+
+def bench_stream(phi, n: int, rng: random.Random):
+    """``n`` seeded events of the query's types, each carrying every
+    attribute the query filters on, near the filter's constant."""
+    types = sorted(
+        {sub.etype for sub in cel.subformulas(phi) if isinstance(sub, cel.EventType)}
+    ) or ["A"]
+    attrs = sorted(
+        {
+            (sub.pred.attr, sub.pred.value)
+            for sub in cel.subformulas(phi)
+            if isinstance(sub, cel.Filter) and isinstance(sub.pred, Basic)
+        }
+    )
+    t = Fraction(0)
+    for _ in range(n):
+        t += Fraction(rng.randint(5, 40), 100)
+        values = {
+            attr: base + Fraction(rng.randint(-500, 500), 100) for attr, base in attrs
+        }
+        yield Event(rng.choice(types), values), t
 
 
 @pytest.fixture

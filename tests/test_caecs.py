@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from tcer.caecs import (
     MAX_ODEPTH,
@@ -14,6 +15,7 @@ from tcer.caecs import (
     ClockCheck,
     Extended,
     Gadget,
+    Node,
     Reset,
     Union,
     enumerate_node,
@@ -198,6 +200,60 @@ def test_ul_reset_folds_to_a_singleton(cs):
     assert node_semantics(cs, out[0]) == frozenset(
         {(1, frozenset(), F(11)), (2, frozenset(), F(11)), (3, frozenset(), F(11))}
     )
+
+
+_HALVES = st.integers(0, 24).map(lambda k: Fraction(k, 2))
+
+
+@st.composite
+def _gadget_nodes(draw, cs: Caecs) -> Node:
+    """A union of bottoms, perhaps extended, under a random leading gadget."""
+    anchors = sorted(
+        set(draw(st.lists(_HALVES, min_size=1, max_size=3))), reverse=cs.direction == "le"
+    )
+    base = cs.ul_merge([cs.new_bottom(i, a) for i, a in enumerate(anchors, 1)])
+    if draw(st.booleans()):
+        base = cs.extend(base, 9, frozenset({"X"}))
+    latest = max(anchors)
+    items = []
+    if draw(st.booleans()):
+        items.append(("r", latest + draw(_HALVES)))
+    if draw(st.booleans()):
+        items.append(("c", latest + draw(_HALVES), draw(_HALVES)))
+    node = cs.apply_gadget(_gadget(items, base), base)
+    assume(node is not None)
+    return node
+
+
+def _denotation(cs, ul):
+    return node_semantics(cs, None if ul is None else cs.ul_merge(ul))
+
+
+@pytest.mark.parametrize("direction", ["le", "ge"])
+@given(data=st.data())
+def test_one_gadget_check_and_reset_denotes_the_two_steps(direction, data):
+    """``ul_reset`` with a bound denotes ``add_clock_check`` then
+    ``add_reset`` on every node, and builds no more nodes."""
+    cs = Caecs(direction)
+    ul: list[Node] = []
+    for node in data.draw(st.lists(_gadget_nodes(cs), min_size=1, max_size=4)):
+        ul = cs.ul_insert(ul, node)
+    t = max(u.anchor for u in ul) + data.draw(_HALVES)
+    bound = data.draw(_HALVES)
+    for u in ul:
+        checked = cs.add_clock_check(u, t, bound)
+        two = None if checked is None else [cs.add_reset(checked, t)]
+        assert _denotation(cs, cs.ul_reset([u], t, bound)) == _denotation(cs, two)
+    before = cs.created
+    one = cs.ul_reset(ul, t, bound)
+    one_nodes = cs.created - before
+    checked = cs.ul_clock_check(ul, t, bound)
+    two = None if checked is None else cs.ul_reset(checked, t)
+    assert _denotation(cs, one) == _denotation(cs, two)
+    assert one_nodes <= cs.created - before - one_nodes
+    if one is not None:
+        assert len(one) == 1 and one[0].anchor == t
+        cs.check(one[0])
 
 
 def test_ul_merge_preserves_contents(cs):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -25,7 +29,7 @@ from tcer.model import ComplexEvent, Event, TrueP, TypeIs
 from tcer.parser import parse_query
 from tcer.randgen import random_stream, random_streamable_cea
 
-from conftest import PHI2_TEXT, make_t1
+from conftest import PHI2_TEXT, bench_stream, make_t1
 
 
 @pytest.fixture
@@ -228,3 +232,64 @@ def test_invariant_bounds_hold(seed):
 def test_run_stream_yields_only_matching_positions(det_t1, s0):
     positions = [j for j, _ in run_stream(det_t1, s0.pairs_et())]
     assert positions == [9]
+
+
+# -- node count ----------------------------------------------------------------
+
+
+def test_phi2_builds_a_pinned_number_of_nodes():
+    """A transition that checks and resets applies both as one gadget per
+    node.  Applied as two gadgets, the check and then the reset, the same
+    30k events would build 60,199 nodes.  ``debug=True`` runs
+    ``Caecs.check`` on every stored root."""
+    phi = parse_query(PHI2_TEXT)
+    engine = StreamingEngine(determinize(compile_windowed(phi)), debug=True)
+    for event, ts in bench_stream(phi, 30_000, random.Random(0)):
+        engine.feed(event, ts)
+    assert engine.caecs.created == 50_760
+
+
+# -- the interface the benchmark calls through ---------------------------------
+
+BENCH_SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+# Functions the benchmark's tracer looks for that the product never had.
+NEVER_DEFINED = {"caecs.new_union_list"}
+
+
+def test_every_function_the_benchmark_traces_resolves():
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module_name, owner_name, attr, name, _ in spans.TARGETS:
+        if name in NEVER_DEFINED:
+            continue
+        owner = importlib.import_module(module_name)
+        if owner_name is not None:
+            owner = getattr(owner, owner_name)
+        assert callable(getattr(owner, attr, None)), name
+
+
+def test_feed_calls_sat_and_enumerate_node_through_the_engine_module(monkeypatch, s0):
+    import tcer.engine
+
+    calls: Counter[str] = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("sat", "enumerate_node"):
+        monkeypatch.setattr(tcer.engine, name, counting(name, getattr(tcer.engine, name)))
+    engine = StreamingEngine(determinize(compile_windowed(parse_query(PHI2_TEXT))), debug=False)
+    for event, ts in s0.pairs_et():
+        engine.feed(event, ts)
+    assert calls["sat"] > 0 and calls["enumerate_node"] > 0
+    assert engine.position == len(s0) and engine.caecs.created > 0
+    assert engine.table
+    for ul in engine.table.values():
+        assert isinstance(ul, list)
+        assert all(type(node.odepth) is int for node in ul)

@@ -45,6 +45,64 @@ def test_rat_bounds_the_digits_a_string_stands_for():
             rat(text)
 
 
+def test_a_plain_decimal_of_max_digits_is_accepted_and_one_more_is_refused():
+    assert rat("7" * MAX_DIGITS) == int("7" * MAX_DIGITS)
+    fraction = "0." + "5" * (MAX_DIGITS - 2)
+    assert rat(fraction) == Fraction(int(fraction[2:]), 10 ** (MAX_DIGITS - 2))
+    for text in ("7" * (MAX_DIGITS + 1), "-" + "7" * MAX_DIGITS, fraction + "5"):
+        with pytest.raises(ValueError, match="digits"):
+            rat(text)
+
+
+_DIGIT_RUNS = st.text("0123456789", max_size=6)
+
+
+@st.composite
+def _number_strings(draw) -> str:
+    """Decimal numerals with a sign, leading zeros, a fraction and an
+    exponent, each part optional; none stands for MAX_DIGITS digits."""
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    whole = draw(_DIGIT_RUNS)
+    frac = draw(st.none() | _DIGIT_RUNS)
+    exponent = draw(
+        st.none()
+        | st.tuples(
+            st.sampled_from("eE"),
+            st.sampled_from(["", "-", "+"]),
+            st.text("0123456789", min_size=1, max_size=2),
+        )
+    )
+    text = sign + whole + ("" if frac is None else "." + frac)
+    return text + ("" if exponent is None else "".join(exponent))
+
+
+_ODD_NUMBERS = [
+    "+1", " 1.5", "1.5 ", "1.", ".5", "1/3", "-2/4", "1_0", "1_0.5", "1__0",
+    "\u0661\u0662", "\u0663.\u0665", "1\u0665", "", "-", ".", "1e", "--1",
+    "1.2.3", "0x10", "inf", "nan", "1,5", "1/0", "-0/0",
+]
+
+
+@given(
+    st.one_of(
+        _number_strings(),
+        st.sampled_from(_ODD_NUMBERS),
+        st.text("0123456789-+._/ \u0661", max_size=8),
+    )
+)
+def test_rat_agrees_with_fraction_on_every_string(text):
+    """The same value as ``Fraction``, or ``ValueError`` where it refuses the
+    string (a zero denominator included)."""
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            rat(text)
+    else:
+        got = rat(text)
+        assert type(got) is Fraction and got == expected
+
+
 def test_booleans_satisfy_no_comparison():
     for pred in (Basic("x", "<", 2), Basic("x", "!=", "a"), Basic("x", "==", 1), Basic("x", "!=", 0)):
         assert not sat(Event("A", {"x": True}), pred)
