@@ -25,10 +25,9 @@ AttrValue = Union[int, Fraction, str]
 MAX_DIGITS = 1000
 
 
-# A plain decimal, ``-?digits(.digits)?`` in ASCII: the form every stream
-# number and timestamp takes.  It is built from two ints, which costs half
-# of what ``Fraction``'s own string parser does; every other form goes to
-# that parser.
+# A plain decimal, ``-?digits(.digits)?`` in ASCII: the form stream numbers
+# and timestamps take.  It is built from two ints, skipping ``Fraction``'s
+# more general string parser, which every other form still goes to.
 _PLAIN_DECIMAL = re.compile(r"(-?[0-9]+)(?:\.([0-9]+))?")
 
 
