@@ -283,35 +283,37 @@ def enumerate_node(
 ) -> Iterator[ComplexEvent]:
     """Yield each complex event of the node once, closed at position ``end``.
 
-    A loop over (node, limit, depth) frames that share one path of (position,
-    label) entries.  Only a union's right child can fail the limit, so it is
-    pushed only when it passes, and every frame yields.  Left comes first.
+    A loop over (node, limit, depth) frames that share one path of
+    ``Extended`` nodes.  Only a union's right child can fail the limit, so it
+    is pushed only when it passes, and every frame yields.  Left comes first.
     """
     better = caecs.better
-    path: list[tuple[int, frozenset]] = []
+    intersect = caecs._intersect
+    path: list[Extended] = []
     stack = [(node, None, 0)]
     while stack:
         node, limit, depth = stack.pop()
         del path[depth:]
         while True:
-            if isinstance(node, Extended):
-                path.append((node.index, node.label))
-            elif isinstance(node, Union):
+            kind = type(node)
+            if kind is Extended:
+                path.append(node)
+            elif kind is Union:
                 right = node.right
                 if limit is None or better(right.anchor, limit):
                     stack.append((right, limit, len(path)))
-            elif isinstance(node, Reset):
+            elif kind is Reset:
                 limit = None
-            elif isinstance(node, ClockCheck):
-                limit = caecs._intersect(limit, node.limit)
+            elif kind is ClockCheck:
+                limit = intersect(limit, node.limit)
             else:
                 break
             node = node.left
-        if isinstance(node, Bottom):
-            mapping: dict[str, set[int]] = {}
-            for pos, label in path:
-                for var in label:
-                    mapping.setdefault(var, set()).add(pos)
+        if kind is Bottom:
+            mapping: dict[str, list[int]] = {}
+            for ext in path:
+                for var in ext.label:
+                    mapping.setdefault(var, []).append(ext.index)
             yield ComplexEvent.make(node.index, end, mapping)
 
 

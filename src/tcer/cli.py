@@ -6,7 +6,9 @@ Timestamps and numeric attributes are parsed as exact decimal rationals.
 
 ``run`` prints each match as a JSON line as soon as it is produced, in
 ``(end, start, bindings)`` order, with ``pos`` the match's end, so the three
-engines print the same bytes.  The streaming engine reads one line at a time,
+engines print the same bytes.  ``match_json`` writes the line directly, as
+``json.dumps`` with sorted keys would: ``{"bindings": {"X": [4]}, "end": 8,
+"pos": 8, "start": 4}``.  The streaming engine reads one line at a time,
 so its memory does not grow with the stream; the oracle and automaton
 engines load the whole stream first.  A bad line after some matches ends the
 run with those matches printed.
@@ -26,10 +28,11 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable
 
 from .cea import AutomatonFormatError, TimedCea, cea_from_json, cea_to_json, eval_cea_oracle
-from .cel import eval_cel_oracle
+from .cel import classify, eval_cel_oracle
 from .compiler import NotWindowed, compile_cel, compile_windowed
 from .determinize import SyncResetViolation, determinize
 from .engine import NotStreamable, StreamingEngine
@@ -68,6 +71,24 @@ def parse_stream_line(line: str, lineno: int) -> tuple[Event, Fraction]:
     return Event(etype, attrs), ts
 
 
+def stream_line(event: Event, ts: Fraction) -> str:
+    """The stream line that ``parse_stream_line`` reads back as the same
+    event and timestamp.  Numbers are written as JSON numbers through
+    ``format_rat``, so they must be decimal, as every stream's are."""
+    attrs = ", ".join(
+        f"{_json_str(name)}: {_json_value(value)}" for name, value in sorted(event.attrs.items())
+    )
+    return f'{{"attrs": {{{attrs}}}, "ts": {format_rat(ts)}, "type": {_json_str(event.etype)}}}'
+
+
+def _json_value(value) -> str:
+    if isinstance(value, str):
+        return _json_str(value)
+    if isinstance(value, Fraction):
+        return format_rat(value)
+    return json.dumps(value)  # an int, a bool or None
+
+
 def read_stream(fh):
     """Yield (event, timestamp) pairs, enforcing positive, strictly
     increasing time."""
@@ -91,11 +112,11 @@ def ce_sort_key(ce: ComplexEvent):
 
 
 def match_json(ce: ComplexEvent, pos: int) -> str:
-    bindings = {var: sorted(ps) for var, ps in sorted(ce.binding)}
-    return json.dumps(
-        {"start": ce.start, "end": ce.end, "bindings": bindings, "pos": pos},
-        sort_keys=True,
-    )
+    """The match's output line: the bytes ``json.dumps`` gives with
+    ``sort_keys=True``, written directly, since the ``repr`` of a list of
+    ints is its JSON."""
+    bindings = ", ".join([f"{_json_str(var)}: {sorted(ps)!r}" for var, ps in sorted(ce.binding)])
+    return f'{{"bindings": {{{bindings}}}, "end": {ce.end}, "pos": {pos}, "start": {ce.start}}}'
 
 
 def load_query(path: str):
@@ -204,34 +225,38 @@ def cmd_diff_test(args) -> int:
     from .randgen import random_formula, random_stream
 
     rng = random.Random(args.seed)
-    outcomes: Counter[str] = Counter()
+    by_fragment: dict[str, Counter[str]] = {}
     code = 0
     for case in range(args.cases):
         phi = random_formula(rng, rng.randint(1, args.max_depth))
         stream = random_stream(rng, rng.randint(0, args.max_stream))
         mismatch, outcome = _diff_one(phi, stream)
-        outcomes[outcome] += 1
+        by_fragment.setdefault(classify(phi)[0], Counter())[outcome] += 1
         if mismatch is not None:
             stream = _shrink(phi, stream)
-            repro = {
-                "case": case,
-                "seed": args.seed,
-                "query": mismatch,
-                "stream": [
-                    {"type": e.etype, "attrs": {k: str(v) for k, v in e.attrs.items()}, "ts": str(t)}
-                    for e, t in stream.pairs_et()
-                ],
-            }
-            print(json.dumps(repro, sort_keys=True), file=sys.stderr)
+            lines = ", ".join(stream_line(e, t) for e, t in stream.pairs_et())
+            print(
+                f'{{"case": {case}, "query": {_json_str(mismatch)}, '
+                f'"seed": {args.seed}, "stream": [{lines}]}}',
+                file=sys.stderr,
+            )
             code = 1
             break
-    summary = {
+    summary = _outcome_counts(sum(by_fragment.values(), Counter()))
+    summary["by_fragment"] = {
+        label: _outcome_counts(outcomes) for label, outcomes in sorted(by_fragment.items())
+    }
+    print(json.dumps(summary, sort_keys=True), file=sys.stderr)
+    return code
+
+
+def _outcome_counts(outcomes: Counter[str]) -> dict:
+    """The cases run, the cases streamed and the refusals per kind."""
+    return {
         "cases": sum(outcomes.values()),
         "streamed": outcomes["streamed"],
         "skipped_refused": {kind.__name__: outcomes[kind.__name__] for kind in REFUSALS},
     }
-    print(json.dumps(summary, sort_keys=True), file=sys.stderr)
-    return code
 
 
 def _diff_one(phi, stream) -> tuple[str | None, str]:

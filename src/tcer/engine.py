@@ -12,7 +12,8 @@ result is merged into the target's union-list.  A union-list is kept sorted
 by anchor, because ``ul_insert`` places each node by its anchor, so the
 order in which states are visited does not matter.  Update work per event
 is constant in the stream length; outputs for the position are then
-enumerated from the union-lists of the final states.
+enumerated by walking the nodes of each final state's union-list in order,
+which creates no node.
 """
 
 from __future__ import annotations
@@ -140,9 +141,13 @@ class StreamingEngine:
     # -- output --------------------------------------------------------------
 
     def enumerate_at(self, j: int) -> Iterator[ComplexEvent]:
+        """Walk each final state's union-list node by node: the nodes its
+        merged union would push, in the same order, with no node built."""
+        finals = self.cea.finals
         for p, ul in self.table.items():
-            if p in self.cea.finals:
-                yield from enumerate_node(self.caecs, self.caecs.ul_merge(ul), j)
+            if p in finals:
+                for node in ul:
+                    yield from enumerate_node(self.caecs, node, j)
 
     # -- invariants ----------------------------------------------------------
 

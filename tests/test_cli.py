@@ -11,10 +11,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from tcer.cli import main, parse_stream_line, read_stream, StreamFormatError
-from tcer.model import Basic
+from tcer import cli
+from tcer.cli import (
+    main,
+    match_json,
+    parse_stream_line,
+    read_stream,
+    stream_line,
+    StreamFormatError,
+)
+from tcer.model import Basic, ComplexEvent, Event, rat
 from tcer.parser import MAX_QUERY_DEPTH, parse_query, pretty
+from tcer.randgen import random_stream
 
 from conftest import PHI1P_TEXT, PHI2_TEXT, S0_ROWS, bench_stream, rewrite_ge40
 
@@ -288,7 +298,7 @@ def test_diff_test_passes(capsys):
     assert code == 0, err
     # the last stderr line says what ran and what was skipped
     summary = json.loads(err.splitlines()[-1])
-    assert set(summary) == {"cases", "streamed", "skipped_refused"}
+    assert set(summary) == {"cases", "streamed", "skipped_refused", "by_fragment"}
     assert set(summary["skipped_refused"]) == {
         "NotWindowed",
         "SyncResetViolation",
@@ -297,6 +307,66 @@ def test_diff_test_passes(capsys):
     assert summary["cases"] == 40
     assert summary["streamed"] > 0
     assert summary["streamed"] + sum(summary["skipped_refused"].values()) == 40
+    # the same counts per fragment of the drawn queries
+    fragments = summary["by_fragment"]
+    assert set(fragments) <= {"swg", "simple", "windowed", "general"}
+    for counts in fragments.values():
+        assert set(counts) == {"cases", "streamed", "skipped_refused"}
+        assert set(counts["skipped_refused"]) == set(summary["skipped_refused"])
+        assert counts["streamed"] + sum(counts["skipped_refused"].values()) == counts["cases"]
+    assert sum(counts["cases"] for counts in fragments.values()) == 40
+    assert sum(counts["streamed"] for counts in fragments.values()) == summary["streamed"]
+
+
+def test_diff_test_repro_replays_as_a_stream(capsys, monkeypatch):
+    """A mismatch prints the shrunk stream, whose entries are stream lines:
+    numbers stay numbers."""
+    monkeypatch.setattr(cli, "_diff_one", lambda phi, stream: ("forced", "streamed"))
+    code, _, err = _run(capsys, ["diff-test", "--seed", "2", "--cases", "1", "--max-stream", "8"])
+    assert code == 1
+    repro = json.loads(err.splitlines()[-2], parse_float=rat)
+    assert repro["query"] == "forced"
+    [entry] = repro["stream"]
+    assert entry["attrs"] and all(type(v) is int for v in entry["attrs"].values())
+    assert isinstance(entry["ts"], (int, Fraction))
+
+
+def test_stream_line_is_read_back_as_the_same_event():
+    pairs = list(random_stream(random.Random(3), 60).pairs_et()) + [
+        (Event("A", {"v": 3}), Fraction(1)),
+        (
+            Event('q"\\\n\u00e9', {"d": Fraction("2.75"), "s": 'x"\\y\u2603', "b": True, "n": None}),
+            Fraction("0.5"),
+        ),
+    ]
+    for event, ts in pairs:
+        assert parse_stream_line(stream_line(event, ts), 1) == (event, ts)
+
+
+# -- match lines ----------------------------------------------------------------
+
+_NAMES = st.text(alphabet=st.characters(codec="utf-8"), max_size=6)
+
+
+@settings(deadline=None)
+@given(
+    start=st.integers(1, 50),
+    binding=st.dictionaries(
+        _NAMES, st.frozensets(st.integers(0, 3000), min_size=1, max_size=2000), max_size=3
+    ),
+    pos=st.integers(1, 10**6),
+)
+@example(start=1, binding={'"\\\x00\x1f\u00e9\U0001f600': frozenset(range(0, 4000, 2))}, pos=4001)
+def test_match_json_is_json_dumps_with_sorted_keys(start, binding, pos):
+    end = start + max((max(ps) for ps in binding.values()), default=0)
+    ce = ComplexEvent.make(
+        start, end, {var: {start + p for p in ps} for var, ps in binding.items()}
+    )
+    bindings = {var: sorted(ps) for var, ps in sorted(ce.binding)}
+    reference = json.dumps(
+        {"start": ce.start, "end": ce.end, "bindings": bindings, "pos": pos}, sort_keys=True
+    )
+    assert match_json(ce, pos) == reference
 
 
 @pytest.mark.parametrize(

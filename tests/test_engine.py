@@ -22,6 +22,7 @@ from tcer.cea import (
     eval_cea_at,
     eval_cea_oracle,
 )
+from tcer.caecs import enumerate_node
 from tcer.compiler import compile_windowed
 from tcer.determinize import determinize
 from tcer.engine import NotStreamable, StreamingEngine, run_stream
@@ -247,6 +248,29 @@ def test_phi2_builds_a_pinned_number_of_nodes():
     for event, ts in bench_stream(phi, 30_000, random.Random(0)):
         engine.feed(event, ts)
     assert engine.caecs.created == 50_760
+
+
+def test_enumeration_builds_no_node_and_walks_the_merged_union_in_order():
+    """On the fan-out query, a final union-list walked node by node gives
+    what ``enumerate_node`` gives on its merged union, match for match."""
+    phi = parse_query("pi {X, Y} ((A as X ; B as Y) within [0, 30])")
+    engine = StreamingEngine(determinize(compile_windowed(phi)), debug=False)
+    caecs, finals = engine.caecs, engine.cea.finals
+    rng = random.Random(5)
+    t, longest = 0, 0
+    for _ in range(400):
+        t += rng.randint(50, 150)
+        engine.feed(Event("B" if rng.random() < 0.7 else "A", {}), Fraction(t, 100))
+        created = caecs.created
+        got = list(engine.enumerate_at(engine.position))
+        assert caecs.created == created
+        lists = [ul for p, ul in engine.table.items() if p in finals]
+        longest = max([longest] + [len(ul) for ul in lists])
+        merged = [
+            m for ul in lists for m in enumerate_node(caecs, caecs.ul_merge(ul), engine.position)
+        ]
+        assert got == merged
+    assert longest > 1  # some walk crosses the union that merging would build
 
 
 # -- the interface the benchmark calls through ---------------------------------
