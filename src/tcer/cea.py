@@ -281,13 +281,9 @@ class TimedCea:
     def no_transition_into_initial(self) -> bool:
         return all(tr.target != self.initial for tr in self.delta)
 
-    def exposed_clocks(self, state: State) -> frozenset[str]:
-        """Clocks that some path from the state checks before resetting."""
-        return frozenset(exposed_clocks(self.delta).get(state, ()))
-
     def resets_before_checks(self) -> bool:
         """Every clock is reset before it is first checked, on every path."""
-        return not self.exposed_clocks(self.initial)
+        return not exposed_clocks(self.delta).get(self.initial)
 
 
 def exposed_clocks(delta: Sequence[Transition]) -> dict[State, set[str]]:

@@ -337,16 +337,15 @@ def _sem_uncached(phi, s, memo):
     if isinstance(phi, As):
         out = set()
         for c in _sem(phi.body, s, memo):
-            bound = set().union(*(ps for _, ps in c.binding)) if c.binding else set()
-            mapping = c.mapping()
-            mapping[phi.var] = bound
+            mapping = dict(c.binding)
+            mapping[phi.var] = {p for _, ps in c.binding for p in ps}
             out.add(ComplexEvent.make(c.start, c.end, mapping))
         return out
     if isinstance(phi, Filter):
         return {
             c
             for c in _sem(phi.body, s, memo)
-            if all(sat(s.event(i), phi.pred) for i in c.get(phi.var))
+            if all(sat(s.event(i), phi.pred) for i in dict(c.binding).get(phi.var, ()))
         }
     if isinstance(phi, Or):
         return _sem(phi.left, s, memo) | _sem(phi.right, s, memo)

@@ -6,12 +6,15 @@ Timestamps and numeric attributes are parsed as exact decimal rationals.
 
 ``run`` prints each match as a JSON line as soon as it is produced, in
 ``(end, start, bindings)`` order, with ``pos`` the match's end, so the three
-engines print the same bytes.  ``match_json`` writes the line directly, as
-``json.dumps`` with sorted keys would: ``{"bindings": {"X": [4]}, "end": 8,
-"pos": 8, "start": 4}``.  The streaming engine reads one line at a time,
-so its memory does not grow with the stream; the oracle and automaton
-engines load the whole stream first.  A bad line after some matches ends the
-run with those matches printed.
+engines print the same bytes.  A match stores its variables in name order
+and each variable's positions sorted (``ComplexEvent.make``), and
+``match_json`` prints them as stored, the bytes ``json.dumps`` with sorted
+keys would give:
+``{"bindings": {"X": [4]}, "end": 8, "pos": 8, "start": 4}``.
+The streaming engine reads one line at a time, so its memory does not grow
+with the stream; the oracle and automaton engines load the whole stream
+first.  A bad line after some matches ends the run with those matches
+printed.
 
 Exit codes: 0 ok, or stdout closed by its reader; 1 mismatch, violation, or
 a query the streaming engine refuses; 2 usage error or a path that cannot be
@@ -108,14 +111,14 @@ def read_stream(fh):
 
 
 def ce_sort_key(ce: ComplexEvent):
-    return (ce.end, ce.start, [(var, sorted(ps)) for var, ps in ce.binding])
+    return (ce.end, ce.start, ce.binding)
 
 
 def match_json(ce: ComplexEvent, pos: int) -> str:
     """The match's output line: the bytes ``json.dumps`` gives with
-    ``sort_keys=True``, written directly, since the ``repr`` of a list of
-    ints is its JSON."""
-    bindings = ", ".join([f"{_json_str(var)}: {sorted(ps)!r}" for var, ps in sorted(ce.binding)])
+    ``sort_keys=True``, written directly from the binding as stored, since
+    the ``repr`` of a list of ints is its JSON."""
+    bindings = ", ".join([f"{_json_str(var)}: {list(ps)!r}" for var, ps in ce.binding])
     return f'{{"bindings": {{{bindings}}}, "end": {ce.end}, "pos": {pos}, "start": {ce.start}}}'
 
 

@@ -465,13 +465,15 @@ def preds_intersect(p: Predicate, q: Predicate) -> bool:
 class ComplexEvent:
     """An output: an interval of stream positions plus variable bindings.
 
-    ``binding`` maps variables to non-empty frozensets of positions within
-    ``[start, end]``.  Variables bound to the empty set are dropped.
+    ``binding`` pairs each variable, in name order, with the strictly
+    increasing tuple of its positions within ``[start, end]``.  Variables
+    bound to no position are dropped.  ``make`` puts a match in this one
+    canonical order, so readers use it as stored.
     """
 
     start: int
     end: int
-    binding: tuple[tuple[str, frozenset[int]], ...]
+    binding: tuple[tuple[str, tuple[int, ...]], ...]
 
     @staticmethod
     def make(start: int, end: int, binding: Mapping[str, Iterable[int]]) -> "ComplexEvent":
@@ -479,26 +481,17 @@ class ComplexEvent:
             raise ValueError("start > end")
         items = []
         for var in sorted(binding):
-            positions = frozenset(binding[var])
+            positions = tuple(sorted(set(binding[var])))
             if not positions:
                 continue
-            if min(positions) < start or max(positions) > end:
+            if positions[0] < start or positions[-1] > end:
                 raise ValueError(f"binding for {var} outside [{start}, {end}]")
             items.append((var, positions))
         return ComplexEvent(start, end, tuple(items))
 
-    def mapping(self) -> dict[str, frozenset[int]]:
-        return dict(self.binding)
-
-    def get(self, var: str) -> frozenset[int]:
-        for name, positions in self.binding:
-            if name == var:
-                return positions
-        return frozenset()
-
     def __str__(self) -> str:
         inner = ", ".join(
-            f"{var} -> {{{', '.join(map(str, sorted(ps)))}}}" for var, ps in self.binding
+            f"{var} -> {{{', '.join(map(str, ps))}}}" for var, ps in self.binding
         )
         return f"({self.start}, {self.end}, [{inner}])"
 

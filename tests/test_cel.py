@@ -127,7 +127,7 @@ def test_outputs_are_well_formed(seed):
 def test_iteration_is_a_fixpoint(s0):
     # H+ must contain every non-empty combination of H positions in order
     out = eval_cel_oracle(cel.Plus(cel.EventType("H")), s0)
-    singles = {c for c in out if len(c.get("H")) == 1}
+    singles = {c for c in out if len(dict(c.binding)["H"]) == 1}
     assert len(singles) == 5
     assert ComplexEvent.make(1, 9, {"H": {1, 3, 4, 8, 9}}) in out
 

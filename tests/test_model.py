@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from tcer.cli import ce_sort_key
 from tcer.model import (
     And,
     Basic,
@@ -316,3 +317,45 @@ def test_union_is_acui(c1, c2, c3):
 )
 def test_project_composes_by_intersection(c, l1, l2):
     assert project_ce(project_ce(c, l1), l2) == project_ce(c, l1 & l2)
+
+
+# positions as the oracles and the engine hand them to ``make``: a list with
+# duplicates in any order, a set, or a range (ascending, descending or empty);
+# past 8 a set of ints need not iterate in sorted order
+raw_positions = st.one_of(
+    st.lists(st.integers(1, 40), max_size=6),
+    st.sets(st.integers(1, 40), max_size=6),
+    st.builds(range, st.integers(1, 40), st.integers(0, 41), st.sampled_from([1, 3, -1, -5])),
+)
+raw_bindings = st.dictionaries(st.sampled_from(["Y", "X", "X0", "T"]), raw_positions)
+
+
+@given(raw_bindings, st.randoms())
+def test_make_stores_one_canonical_binding(binding, rnd):
+    ce = ComplexEvent.make(1, 40, binding)
+    assert [var for var, _ in ce.binding] == sorted(var for var, ps in binding.items() if ps)
+    for var, ps in ce.binding:
+        assert type(ps) is tuple
+        assert all(a < b for a, b in zip(ps, ps[1:]))
+        assert set(ps) == set(binding[var])
+    items = list(binding.items())
+    rnd.shuffle(items)
+    shuffled = {var: rnd.sample(list(ps), len(ps)) for var, ps in items}
+    other = ComplexEvent.make(1, 40, shuffled)
+    assert other == ce
+    assert hash(other) == hash(ce)
+
+
+def _sorted_positions_key(ce: ComplexEvent):
+    # the reference order: each binding's positions sorted into a list
+    return (ce.end, ce.start, [(var, sorted(ps)) for var, ps in ce.binding])
+
+
+# two starts and two ends, so that many matches tie on both and are ordered
+# by their bindings
+tied_ces = st.builds(ComplexEvent.make, st.integers(0, 1), st.integers(40, 41), raw_bindings)
+
+
+@given(st.lists(tied_ces, max_size=12))
+def test_ce_sort_key_orders_as_the_sorted_positions_key(matches):
+    assert sorted(matches, key=ce_sort_key) == sorted(matches, key=_sorted_positions_key)
