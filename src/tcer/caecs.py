@@ -2,14 +2,12 @@
 
 The per-state results of the streaming evaluator are stored as an immutable
 DAG whose nodes denote sets of *open* complex events (start index, bound
-positions, last clock-reset time).  Reset and clock-check nodes never stack:
-adjacent ones are merged by a small gadget algebra (a gadget is at most one
-reset over at most one anchor limit), which keeps the distance from any node
-to the next output node bounded and therefore makes enumeration
-output-linear.  A transition of the streaming engine that checks and resets
-composes both as one gadget over each node's own (``ul_reset`` with a
-bound), so it builds that node's gadget once rather than once per step.
-Enumeration is a loop, so no match length makes it recurse.
+positions, last clock-reset time).  A ``Bottom`` starts a run, an
+``Extended`` is an output node, a ``Union`` joins two nodes, and a ``Gate``
+holds one gadget: at most one reset over at most one anchor limit.  A gadget
+applied to a gate is merged into it, so no gate sits on a gate, and a
+transition that checks and resets applies both as one gadget (``ul_reset``
+with a bound).  Enumeration is a loop, so no match length makes it recurse.
 A constructor whose result would denote no complex event returns None, the
 only empty node.  ``Caecs.check`` asserts the structural invariants of one
 root; the streaming engine calls it on every stored root when debugging.
@@ -18,6 +16,31 @@ A clock check ``t0 - anchor <= bound`` (``le``) or ``>= bound`` (``ge``) is
 stored as the limit ``t0 - bound`` it puts on the anchor, so both directions
 run one algorithm: an anchor passes iff ``better(anchor, limit)``, which is
 ``>=`` for ``le`` and ``<=`` for ``ge``, the order that sorts union-lists.
+
+Nodes per event.  With ``L = |Q| + 2``, the union-list length the engine
+asserts, ``union`` builds at most 7 nodes (a gate over each child of each
+operand's union, and 3 unions), and one transition fired by
+``engine._exec`` at most ``8L``: with a reset, ``L`` gates, ``L - 1``
+``union`` calls to fold them and one in ``_add``; with a check alone, ``L``
+gates, then ``L - 1`` unions in ``_add``'s ``ul_merge`` and one ``union``
+call in its ``ul_insert``; with a label, ``L - 1`` unions to merge, one
+``Extended``, one gate and one ``union`` call.  With at most one ``Bottom``,
+one ``feed`` builds at most ``1 + 8L·|Δ| <= c·|Δ|`` nodes, ``c = 8|Q| +
+17``, whatever the length of the stream.
+
+Output depth.  ``odepth`` counts the unions and gates above a node's first
+output node.  A gate adds one, but not twice in a row, and ``union``, which
+splits each operand's top union, is no deeper than its first operand, or 2.
+So the depth can keep growing only where ``_add`` merges a list of two or
+more nodes that reaches a state second: the new union sits over a gate over
+the list's head, which may be such a merge itself.  Under ``le``
+the fresh run, advanced first, and every reset hold the newest anchor and
+head their lists, so an old merge seldom heads one again (the depth stayed
+at most 3 over about 3,000 ``randgen.random_streamable_cea`` automata, 60
+events each).  Under ``ge`` the oldest run stays the head and the depth
+grows by one per event: ``A as X ;[1,inf) (A (+))`` reaches 12 at the 14th
+``A``.  So ``MAX_ODEPTH`` is a ceiling that ``check`` asserts, not a bound
+that the algebra guarantees.
 """
 
 from __future__ import annotations
@@ -37,7 +60,7 @@ MAX_ODEPTH = 11
 
 class Node:
     """``anchor`` is the last clock-reset time of the node's best run (a
-    ``Bottom``'s start time, a ``Reset``'s reset time); ``odepth`` is the
+    ``Bottom``'s start time, a ``Gate``'s reset time); ``odepth`` is the
     number of nodes above the first output node."""
 
     __slots__ = ("anchor", "odepth")
@@ -73,22 +96,17 @@ class Union(Node):
         self.odepth = 1 + left.odepth
 
 
-class Reset(Node):
-    __slots__ = ("left",)
+class Gate(Node):
+    """One gadget: at most one reset over at most one anchor limit (either
+    may be None), over a ``left`` that is never a ``Gate``."""
 
-    def __init__(self, anchor: Rational, left: Node):
-        self.left = left
-        self.anchor = anchor
-        self.odepth = 1 + left.odepth
+    __slots__ = ("reset", "limit", "left")
 
-
-class ClockCheck(Node):
-    __slots__ = ("limit", "left")
-
-    def __init__(self, limit: Rational, left: Node):
+    def __init__(self, reset: Optional[Rational], limit: Optional[Rational], left: Node):
+        self.reset = reset
         self.limit = limit
         self.left = left
-        self.anchor = left.anchor
+        self.anchor = left.anchor if reset is None else reset
         self.odepth = 1 + left.odepth
 
 
@@ -112,9 +130,11 @@ class Caecs:
         self.better = operator.ge if direction == "le" else operator.le
         self.created = 0
 
-    def _intersect(self, limit: Optional[Rational], other: Rational) -> Rational:
+    def _intersect(self, limit: Optional[Rational], other: Optional[Rational]):
         """The stricter of two anchor limits; None admits every anchor."""
-        return other if limit is None or self.better(other, limit) else limit
+        if other is None or (limit is not None and not self.better(other, limit)):
+            return limit
+        return other
 
     # -- node constructors ---------------------------------------------------
 
@@ -125,18 +145,16 @@ class Caecs:
     def check(self, root: Node) -> None:
         """Assert the invariants of the nodes above the root's first output
         node: a bounded output depth, unions ordered by anchor, checks that
-        the anchor below passes, and at most a reset over a check."""
+        the anchor below passes, and no gate on a gate."""
         assert root.odepth <= MAX_ODEPTH, f"odepth {root.odepth} exceeds bound"
         node = root
         while not isinstance(node, (Bottom, Extended)):
             left = node.left
             if isinstance(node, Union):
                 assert self.better(left.anchor, node.right.anchor)
-            elif isinstance(node, ClockCheck):
-                assert self.better(left.anchor, node.limit)
-                assert not isinstance(left, (Reset, ClockCheck))
             else:
-                assert not isinstance(left, Reset)
+                assert not isinstance(left, Gate)
+                assert node.limit is None or self.better(left.anchor, node.limit)
             node = left
 
     def new_bottom(self, i: int, t: Rational) -> Node:
@@ -148,12 +166,9 @@ class Caecs:
     # -- gadget algebra ------------------------------------------------------
 
     def get_gadget(self, n: Node) -> Gadget:
-        reset = None
-        if isinstance(n, Reset):
-            reset, n = n.anchor, n.left
-        if isinstance(n, ClockCheck):
-            return Gadget(reset, n.limit, n.left)
-        return Gadget(reset, None, n)
+        if type(n) is Gate:
+            return Gadget(n.reset, n.limit, n.left)
+        return Gadget(None, None, n)
 
     def merge_gadgets(self, g1: Gadget, g2: Gadget) -> Optional[Gadget]:
         """g1 composed over g2; None when g1's check fails g2's reset (a limit
@@ -163,7 +178,7 @@ class Caecs:
             # g1's check sees the constant clock set by g2's reset
             if g1.check is not None and not self.better(g2.reset, g1.check):
                 return None
-        elif g1.check is not None:
+        else:
             check = self._intersect(check, g1.check)
         reset = g2.reset if g1.reset is None else g1.reset
         return Gadget(reset, check, g2.base)
@@ -171,14 +186,11 @@ class Caecs:
     def apply_gadget(self, g: Optional[Gadget], base: Node) -> Optional[Node]:
         if g is None:
             return None
-        node = base
-        if g.check is not None:
-            if not self.better(node.anchor, g.check):
-                return None
-            node = self._made(ClockCheck(g.check, node))
-        if g.reset is not None:
-            node = self._made(Reset(g.reset, node))
-        return node
+        if g.check is not None and not self.better(base.anchor, g.check):
+            return None
+        if g.reset is None and g.check is None:
+            return base
+        return self._made(Gate(g.reset, g.check, base))
 
     def _regadget(self, g1: Gadget, n: Node) -> Optional[Node]:
         """Compose gadget g1 over node n's own leading gadget."""
@@ -189,10 +201,7 @@ class Caecs:
         return self._regadget(Gadget(t, None, n), n)
 
     def add_clock_check(self, n: Node, t0: Rational, bound: Rational) -> Optional[Node]:
-        limit = t0 - bound
-        if not self.better(n.anchor, limit):
-            return None
-        return self._regadget(Gadget(None, limit, n), n)
+        return self._regadget(Gadget(None, t0 - bound, n), n)
 
     # -- union ---------------------------------------------------------------
 
@@ -243,12 +252,8 @@ class Caecs:
     def ul_clock_check(
         self, ul: list[Node], t0: Rational, bound: Rational
     ) -> Optional[list[Node]]:
-        out = []
-        for u in ul:
-            checked = self.add_clock_check(u, t0, bound)
-            if checked is not None:
-                out.append(checked)
-        return out or None
+        out = [self.add_clock_check(u, t0, bound) for u in ul]
+        return [u for u in out if u is not None] or None
 
     def ul_reset(
         self, ul: list[Node], t: Rational, bound: Optional[Rational] = None
@@ -259,12 +264,8 @@ class Caecs:
         step.  After the reset every node is anchored at t, so the surviving
         nodes fold into a single union; None when none survives."""
         limit = None if bound is None else t - bound
-        nodes = []
-        for u in ul:
-            if limit is None or self.better(u.anchor, limit):
-                node = self._regadget(Gadget(t, limit, u), u)
-                if node is not None:
-                    nodes.append(node)
+        nodes = [self._regadget(Gadget(t, limit, u), u) for u in ul]
+        nodes = [u for u in nodes if u is not None]
         if not nodes:
             return None
         node = nodes[0]
@@ -302,10 +303,8 @@ def enumerate_node(
                 right = node.right
                 if limit is None or better(right.anchor, limit):
                     stack.append((right, limit, len(path)))
-            elif kind is Reset:
-                limit = None
-            elif kind is ClockCheck:
-                limit = intersect(limit, node.limit)
+            elif kind is Gate:
+                limit = node.limit if node.reset is not None else intersect(limit, node.limit)
             else:
                 break
             node = node.left
@@ -331,15 +330,10 @@ def node_semantics(caecs: Caecs, node: Node) -> frozenset:
         )
     if isinstance(node, Union):
         return node_semantics(caecs, node.left) | node_semantics(caecs, node.right)
-    if isinstance(node, Reset):
+    if isinstance(node, Gate):
         return frozenset(
-            (i, entries, node.anchor)
-            for i, entries, _ in node_semantics(caecs, node.left)
-        )
-    if isinstance(node, ClockCheck):
-        return frozenset(
-            (i, entries, t)
+            (i, entries, t if node.reset is None else node.reset)
             for i, entries, t in node_semantics(caecs, node.left)
-            if caecs.better(t, node.limit)
+            if node.limit is None or caecs.better(t, node.limit)
         )
     raise TypeError(node)

@@ -11,9 +11,9 @@ and each variable's positions sorted (``ComplexEvent.make``), and
 ``match_json`` prints them as stored, the bytes ``json.dumps`` with sorted
 keys would give:
 ``{"bindings": {"X": [4]}, "end": 8, "pos": 8, "start": 4}``.
-The streaming engine reads one line at a time, so its memory does not grow
-with the stream; the oracle and automaton engines load the whole stream
-first.  A bad line after some matches ends the run with those matches
+The streaming engine reads one line at a time, but its store of open runs
+can grow with the stream (a windowed query's runs past the window are not
+cut); the oracle and automaton engines load the whole stream first.  A bad line after some matches ends the run with those matches
 printed.
 
 Exit codes: 0 ok, or stdout closed by its reader; 1 mismatch, violation, or

@@ -193,7 +193,7 @@ def split_disjunctions(cea: TimedCea) -> TimedCea:
     """
     delta = []
     for tr in cea.delta:
-        if isinstance(tr.guard, GTrue) or tr.guard == GTrue():
+        if isinstance(tr.guard, GTrue):
             delta.append(tr)
             continue
         mentioned = guard_clocks(tr.guard)
@@ -360,13 +360,11 @@ def determinize(cea: TimedCea) -> TimedCea:
     delta = []
     for key, boxes in grouped.items():
         source_key, p_s, label, resets, target_key = key
-        boxes = [
-            # every mentioned clock is initialized here, so trivial
-            # intervals can be dropped without changing the meaning
-            {z: iv for z, iv in box.items() if iv != FULL_INTERVAL}
-            for box in simplify_boxes(boxes)
-        ]
-        guard = boxes_to_guard(simplify_boxes(boxes))
+        # every mentioned clock is initialized here, so trivial intervals
+        # can be dropped without changing the meaning; drop them again after
+        # the last simplify, whose joins can rebuild [0, inf)
+        boxes = simplify_boxes(_drop_trivial(simplify_boxes(boxes)))
+        guard = boxes_to_guard(_drop_trivial(boxes))
         if isinstance(guard, GFalse):
             continue
         delta.append(
@@ -390,6 +388,10 @@ def determinize(cea: TimedCea) -> TimedCea:
         initial=initial,
         finals=finals & live,
     )
+
+
+def _drop_trivial(boxes: list[Box]) -> list[Box]:
+    return [{z: iv for z, iv in box.items() if iv != FULL_INTERVAL} for box in boxes]
 
 
 def _name_states(keys) -> dict[tuple, tuple]:

@@ -12,11 +12,10 @@ from tcer.caecs import (
     MAX_ODEPTH,
     Bottom,
     Caecs,
-    ClockCheck,
     Extended,
     Gadget,
+    Gate,
     Node,
-    Reset,
     Union,
     enumerate_node,
     node_semantics,
@@ -122,8 +121,8 @@ def test_merged_gadgets_have_at_most_two_items(cs):
 
 def test_clock_check_inside_window(cs):
     node = cs.add_clock_check(cs.new_bottom(5, F("4.5")), F("7.2"), F(5))
-    assert isinstance(node, ClockCheck)
-    assert node.anchor == F("4.5")
+    assert isinstance(node, Gate) and node.reset is None
+    assert node.limit == F("2.2") and node.anchor == F("4.5")
 
 
 def test_clock_check_outside_window_is_empty(cs):
@@ -135,24 +134,24 @@ def test_adjacent_resets_collapse(cs):
     b = cs.new_bottom(1, F(0))
     once = cs.add_reset(b, F(2))
     twice = cs.add_reset(once, F(5))
-    assert isinstance(twice, Reset)
+    assert isinstance(twice, Gate) and twice.limit is None
     assert twice.anchor == F(5)
-    assert twice.left is b  # no stacked reset nodes
+    assert twice.left is b  # no stacked gates
 
 
 def test_adjacent_checks_collapse(cs):
     b = cs.new_bottom(1, F(0))
     once = cs.add_clock_check(b, F(10), F(12))
     twice = cs.add_clock_check(once, F(12), F(13))
-    assert isinstance(twice, ClockCheck)
+    assert isinstance(twice, Gate) and twice.reset is None
     assert twice.left is b
 
 
 def test_reset_over_check_is_the_composed_form(cs):
     b = cs.new_bottom(1, F(0))
     node = cs.add_reset(cs.add_clock_check(b, F(3), F(4)), F(6))
-    assert isinstance(node, Reset) and isinstance(node.left, ClockCheck)
-    assert node.left.left is b
+    assert isinstance(node, Gate) and (node.reset, node.limit) == (F(6), F(-1))
+    assert node.left is b
 
 
 def test_check_semantics_filters_by_reset_time(cs):
@@ -337,9 +336,9 @@ def test_enumeration_matches_semantics_on_random_lists(direction, seed):
     "build",
     [
         lambda b, late: Union(b, late),  # right child beats the left
-        lambda b, late: ClockCheck(F(4), b),  # the anchor below fails the check
-        lambda b, late: Reset(F(6), Reset(F(5), b)),  # stacked resets
-        lambda b, late: ClockCheck(F(0), Reset(F(5), b)),  # check over a reset
+        lambda b, late: Gate(None, F(4), b),  # the anchor below fails the check
+        lambda b, late: Gate(F(6), None, Gate(F(5), None, b)),  # stacked resets
+        lambda b, late: Gate(None, F(0), Gate(F(5), None, b)),  # check over a reset
     ],
 )
 def test_check_rejects_a_broken_root(cs, build):

@@ -19,6 +19,7 @@ from tcer.cea import (
     GTrue,
     TimedCea,
     Transition,
+    _guard_atoms,
     eval_cea_at,
     eval_cea_oracle,
 )
@@ -125,6 +126,18 @@ def test_rejects_two_checked_clocks():
     )
     with pytest.raises(NotStreamable):
         StreamingEngine(cea)
+
+
+def test_a_gap_in_a_window_is_refused_for_its_second_checked_clock():
+    """``determinize`` drops a ``zx >= 0`` that a join of the gap's guard
+    cells rebuilds, so the refusal names the real obstacle, not the trivial
+    atom that made the guards look non-monotonic."""
+    query = "(A as X0 ;[0,2] B as X1) within [0,10]"
+    det = determinize(compile_windowed(parse_query(query)))
+    atoms = {atom for tr in det.delta for atom in _guard_atoms(tr.guard)}
+    assert Cmp("zx", ">=", 0) not in atoms
+    with pytest.raises(NotStreamable, match=r"^more than one checked clock: \['zn', 'zx'\]$"):
+        StreamingEngine(det)
 
 
 def test_rejects_transitions_into_the_initial_state():
@@ -240,27 +253,61 @@ def test_run_stream_yields_only_matching_positions(det_t1, s0):
 
 def test_phi2_builds_a_pinned_number_of_nodes():
     """A transition that checks and resets applies both as one gadget per
-    node.  Applied as two gadgets, the check and then the reset, the same
-    30k events would build 60,199 nodes.  ``debug=True`` runs
-    ``Caecs.check`` on every stored root."""
+    node, stored as one ``Gate``.  Applied as two gadgets, the check and then
+    the reset, the same 30k events would build 60,199 nodes.  ``debug=True``
+    runs ``Caecs.check`` on every stored root."""
     phi = parse_query(PHI2_TEXT)
     engine = StreamingEngine(determinize(compile_windowed(phi)), debug=True)
     for event, ts in bench_stream(phi, 30_000, random.Random(0)):
         engine.feed(event, ts)
-    assert engine.caecs.created == 50_760
+    assert engine.caecs.created == 41_321
+
+
+FANOUT_TEXT = "pi {X, Y} ((A as X ; B as Y) within [0, 30])"
+
+
+def fanout_events(rng: random.Random, n: int):
+    """A/B events, 70% B, 0.5-1.5 s apart: about 9 A's per 30 s window."""
+    t = 0
+    for _ in range(n):
+        t += rng.randint(50, 150)
+        yield Event("B" if rng.random() < 0.7 else "A", {}), Fraction(t, 100)
+
+
+@pytest.mark.parametrize(
+    "text, events",
+    [
+        (PHI2_TEXT, lambda phi, n: bench_stream(phi, n, random.Random(0))),
+        (FANOUT_TEXT, lambda phi, n: fanout_events(random.Random(5), n)),
+    ],
+    ids=["phi2", "fanout"],
+)
+def test_nodes_built_per_event_do_not_grow_with_the_stream(text, events):
+    """The most nodes one ``feed`` builds is the same over the first 1k
+    events as over 20k, and within the ``c·|Δ|``, ``c = 8|Q| + 17``, that
+    the ``caecs`` module docstring derives from ``engine._exec``."""
+    phi = parse_query(text)
+    engine = StreamingEngine(determinize(compile_windowed(phi)), debug=False)
+    caecs = engine.caecs
+    most, peak = {}, 0
+    for k, (event, ts) in enumerate(events(phi, 20_000), 1):
+        before = caecs.created
+        engine.feed(event, ts)
+        peak = max(peak, caecs.created - before)
+        if k in (1_000, 20_000):
+            most[k] = peak
+    c = 8 * len(engine.cea.states) + 17
+    assert most[1_000] == most[20_000] <= c * len(engine.cea.delta)
 
 
 def test_enumeration_builds_no_node_and_walks_the_merged_union_in_order():
     """On the fan-out query, a final union-list walked node by node gives
     what ``enumerate_node`` gives on its merged union, match for match."""
-    phi = parse_query("pi {X, Y} ((A as X ; B as Y) within [0, 30])")
-    engine = StreamingEngine(determinize(compile_windowed(phi)), debug=False)
+    engine = StreamingEngine(determinize(compile_windowed(parse_query(FANOUT_TEXT))), debug=False)
     caecs, finals = engine.caecs, engine.cea.finals
-    rng = random.Random(5)
-    t, longest = 0, 0
-    for _ in range(400):
-        t += rng.randint(50, 150)
-        engine.feed(Event("B" if rng.random() < 0.7 else "A", {}), Fraction(t, 100))
+    longest = 0
+    for event, ts in fanout_events(random.Random(5), 400):
+        engine.feed(event, ts)
         created = caecs.created
         got = list(engine.enumerate_at(engine.position))
         assert caecs.created == created
