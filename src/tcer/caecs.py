@@ -16,6 +16,10 @@ A clock check ``t0 - anchor <= bound`` (``le``) or ``>= bound`` (``ge``) is
 stored as the limit ``t0 - bound`` it puts on the anchor, so both directions
 run one algorithm: an anchor passes iff ``better(anchor, limit)``, which is
 ``>=`` for ``le`` and ``<=`` for ``ge``, the order that sorts union-lists.
+The algebra needs only ordered, subtractable times: the streaming engine
+hands it int ticks (``engine.DECIMAL_SCALE``), which stay exact
+``Fraction``s only for a timestamp with more than nine decimal places or
+one that is not a decimal, and the matches do not depend on which.
 
 Nodes per event.  With ``L = |Q| + 2``, the union-list length the engine
 asserts, ``union`` builds at most 7 nodes (a gate over each child of each
@@ -193,7 +197,10 @@ class Caecs:
         return self._made(Gate(g.reset, g.check, base))
 
     def _regadget(self, g1: Gadget, n: Node) -> Optional[Node]:
-        """Compose gadget g1 over node n's own leading gadget."""
+        """Compose gadget g1 over node n's own leading gadget; an empty g1
+        leaves the safe node n as it is."""
+        if g1.reset is None and g1.check is None:
+            return n
         g2 = self.get_gadget(n)
         return self.apply_gadget(self.merge_gadgets(g1, g2), g2.base)
 
@@ -287,6 +294,9 @@ def enumerate_node(
     A loop over (node, limit, depth) frames that share one path of
     ``Extended`` nodes.  Only a union's right child can fail the limit, so it
     is pushed only when it passes, and every frame yields.  Left comes first.
+    The path holds the newest output first, at strictly decreasing positions,
+    so read backwards it gives each variable's positions in increasing order:
+    the match is built in ``ComplexEvent``'s canonical form, with no sort.
     """
     better = caecs.better
     intersect = caecs._intersect
@@ -310,10 +320,12 @@ def enumerate_node(
             node = node.left
         if kind is Bottom:
             mapping: dict[str, list[int]] = {}
-            for ext in path:
+            for ext in reversed(path):
                 for var in ext.label:
                     mapping.setdefault(var, []).append(ext.index)
-            yield ComplexEvent.make(node.index, end, mapping)
+            yield ComplexEvent(
+                node.index, end, tuple([(var, tuple(mapping[var])) for var in sorted(mapping)])
+            )
 
 
 def node_semantics(caecs: Caecs, node: Node) -> frozenset:

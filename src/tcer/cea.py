@@ -5,6 +5,7 @@ transitions, a brute-force run-enumeration oracle, and structural classifiers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -96,6 +97,14 @@ def guard_constants(gamma: ClockCondition) -> dict[str, set[Fraction]]:
     for sub in _guard_atoms(gamma):
         out.setdefault(sub.clock, set()).add(sub.constant)
     return out
+
+
+def constant_scale(cea: TimedCea) -> int:
+    """The lcm of the clock constants' denominators: the least positive
+    int that turns every clock constant into an int when multiplied by it."""
+    return math.lcm(
+        1, *(atom.constant.denominator for tr in cea.delta for atom in _guard_atoms(tr.guard))
+    )
 
 
 def _guard_atoms(gamma: ClockCondition):

@@ -14,16 +14,39 @@ order in which states are visited does not matter.  Update work per event
 is constant in the stream length; outputs for the position are then
 enumerated by walking the nodes of each final state's union-list in order,
 which creates no node.
+
+Times are held in ticks, as ``regions`` scales clock constants (Alur and
+Dill): one tick is ``1/S`` s, ``S = DECIMAL_SCALE · lcm`` of the clock
+constants' denominators.  Every bound is then an int, and so is every
+timestamp with at most nine decimal places, so the store's anchors, resets
+and limits are ints, compared and subtracted without ``Fraction``
+arithmetic.  A timestamp with more places, or one that is not a decimal (a
+third), stays an exact ``Fraction`` of ticks.  Python compares ints and
+``Fraction``s exactly, so such a time takes the same path and gives the
+same matches.  ``feed`` takes seconds and matches carry positions, so no
+tick leaves the engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Optional
 
 from .caecs import Caecs, Node, enumerate_node
-from .cea import TimedCea, _conj_atoms, guard_clocks, is_deterministic, is_monotonic
+from .cea import (
+    TimedCea,
+    _conj_atoms,
+    constant_scale,
+    guard_clocks,
+    is_deterministic,
+    is_monotonic,
+)
 from .model import ComplexEvent, Event, Rational, sat
+
+# Ticks per second for integer clock constants: a timestamp with at most nine
+# decimal places is a whole number of ticks.
+DECIMAL_SCALE = 10**9
 
 
 class NotStreamable(Exception):
@@ -34,14 +57,15 @@ class NotStreamable(Exception):
 class _Trans:
     source: object
     pred: object
-    bound: Optional[Rational]  # None = true guard; else z ≤ bound (or ≥)
+    bound: Optional[int]  # None = true guard; else z ≤ bound (or ≥), in ticks
     label: frozenset
     reset: bool
     target: object
 
 
-def _prepare(cea: TimedCea) -> tuple[list[_Trans], Optional[str], str]:
-    """Validate the automaton and collapse guards to single bounds."""
+def _prepare(cea: TimedCea, scale: int) -> tuple[list[_Trans], Optional[str], str]:
+    """Validate the automaton and collapse guards to single bounds, in ticks
+    of ``1/scale`` s."""
     if not is_deterministic(cea):
         raise NotStreamable("automaton is not deterministic")
     direction = is_monotonic(cea)
@@ -59,7 +83,7 @@ def _prepare(cea: TimedCea) -> tuple[list[_Trans], Optional[str], str]:
         atoms = _conj_atoms(tr.guard)
         assert all(atom.clock == clock for atom in atoms)
         strictest = min if direction == "le" else max
-        bound = strictest(atom.constant for atom in atoms) if atoms else None
+        bound = int(strictest(atom.constant for atom in atoms) * scale) if atoms else None
         reset = clock is not None and clock in tr.resets
         if tr.source == cea.initial and clock is not None and not reset and bound is None:
             raise NotStreamable(
@@ -73,7 +97,8 @@ class StreamingEngine:
     """One evaluation session over a single stream."""
 
     def __init__(self, cea: TimedCea, debug: bool = True):
-        trans, clock, direction = _prepare(cea)
+        self.scale = DECIMAL_SCALE * constant_scale(cea)
+        trans, clock, direction = _prepare(cea, self.scale)
         self.cea = cea
         self.clock = clock
         self.caecs = Caecs(direction)
@@ -85,33 +110,40 @@ class StreamingEngine:
             self.out.setdefault(tr.source, []).append(tr)
         self.table: dict[object, list[Node]] = {}
         self.position = 0
-        self.last_time: Rational = 0
+        self.last_time: Rational = 0  # in ticks
         self.max_list_len = 0
         self.max_odepth = 0
 
     # -- update --------------------------------------------------------------
 
     def feed(self, event: Event, time: Rational) -> list[ComplexEvent]:
-        """Consume one stream element; return this position's matches."""
-        if time <= self.last_time:
+        """Consume one stream element, timed in seconds; return this
+        position's matches."""
+        n, d = time.as_integer_ratio()
+        q, r = divmod(self.scale, d)
+        ticks = n * q if r == 0 else Fraction(n * self.scale, d)
+        if ticks <= self.last_time:
             raise ValueError("timestamps must be positive and increase strictly")
-        self.last_time = time
+        self.last_time = ticks
         self.position += 1
         j = self.position
         self.next_table: dict[object, list[Node]] = {}
-        self._exec(self.cea.initial, None, event, j, time)
+        self._exec(self.cea.initial, None, event, j, ticks)
         for p, ul in self.table.items():
-            self._exec(p, ul, event, j, time)
+            self._exec(p, ul, event, j, ticks)
         self.table = self.next_table
         if self.debug:
             self._check_invariants()
+        if self.cea.finals.isdisjoint(self.table):
+            return []
         return list(self.enumerate_at(j))
 
     def _exec(
         self, p, ul: Optional[list[Node]], event: Event, j: int, time: Rational
     ) -> None:
-        """Advance state ``p``'s union-list; None is the fresh run, whose
-        bottom is built when one of its transitions first fires."""
+        """Advance state ``p``'s union-list at ``time`` ticks; None is the
+        fresh run, whose bottom is built when one of its transitions first
+        fires."""
         caecs = self.caecs
         merged: Optional[Node] = None
         for tr in self.out.get(p, ()):

@@ -20,7 +20,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .cea import ClockCondition, TimedCea, Transition, compatible_pairs, guard_constants, guard_sat
+from .cea import (
+    ClockCondition,
+    TimedCea,
+    Transition,
+    compatible_pairs,
+    constant_scale,
+    guard_constants,
+    guard_sat,
+)
 
 DEFAULT_SYNC_CAP = 1_000_000
 
@@ -132,7 +140,7 @@ def _scale_and_ceilings(cea: TimedCea) -> tuple[int, dict[str, int]]:
         for z, cs in guard_constants(tr.guard).items()
         for c in cs
     ]
-    scale = math.lcm(1, *(c.denominator for _, c in constants))
+    scale = constant_scale(cea)
     ceilings = {z: 0 for z in cea.clocks}
     for z, c in constants:
         ceilings[z] = max(ceilings.get(z, 0), int(c * scale))

@@ -349,6 +349,19 @@ def test_check_rejects_a_broken_root(cs, build):
         cs.check(build(b, late))
 
 
+def test_union_keeps_a_child_gate_that_no_gadget_changes(cs):
+    """A bare union operand puts no gadget over its children, so its gate
+    child is reused, not copied: only the two unions are new."""
+    gate = cs.add_reset(cs.new_bottom(1, F(1)), F(5))
+    operand = cs.ul_merge([gate, cs.new_bottom(2, F(3))])
+    other = cs.new_bottom(3, F(5))
+    before = cs.created
+    node = cs.union(operand, other)
+    assert cs.created - before == 2
+    assert node.left is gate
+    assert node_semantics(cs, node) == node_semantics(cs, operand) | node_semantics(cs, other)
+
+
 def test_union_requires_equal_anchors(cs):
     with pytest.raises(AssertionError):
         cs.union(cs.new_bottom(1, F(1)), cs.new_bottom(2, F(2)))

@@ -20,6 +20,8 @@ from tcer.cea import (
     TimedCea,
     Transition,
     _guard_atoms,
+    cea_from_json,
+    cea_to_json,
     eval_cea_at,
     eval_cea_oracle,
 )
@@ -27,9 +29,9 @@ from tcer.caecs import enumerate_node
 from tcer.compiler import compile_windowed
 from tcer.determinize import determinize
 from tcer.engine import NotStreamable, StreamingEngine, run_stream
-from tcer.model import ComplexEvent, Event, TrueP, TypeIs
+from tcer.model import ComplexEvent, Event, TimedStream, TrueP, TypeIs
 from tcer.parser import parse_query
-from tcer.randgen import random_stream, random_streamable_cea
+from tcer.randgen import ATTR, TYPES, random_stream, random_streamable_cea
 
 from conftest import PHI2_TEXT, bench_stream, make_t1
 
@@ -231,6 +233,85 @@ def test_feed_agrees_with_the_run_oracle_at_every_position(rng, n_states, length
         assert frozenset(matches) == eval_cea_at(cea, stream, engine.position, cap=len(stream))
 
 
+# -- clock ticks -----------------------------------------------------------------
+
+# Gaps whose sums are whole ticks (quarters) and ones that are not: thirds,
+# sevenths and decimals with ten to twelve places.
+GAPS = st.one_of(
+    st.integers(1, 8).map(lambda k: Fraction(k, 4)),
+    st.integers(1, 6).map(lambda k: Fraction(k, 3)),
+    st.integers(1, 14).map(lambda k: Fraction(k, 7)),
+    st.integers(10, 12).flatmap(
+        lambda places: st.integers(1, 2 * 10**places).map(lambda k: Fraction(k, 10**places))
+    ),
+)
+
+
+@settings(deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    n_states=st.integers(2, 6),
+    gaps=st.lists(GAPS, max_size=14),
+)
+def test_feed_agrees_with_the_run_oracle_on_times_that_are_not_whole_ticks(rng, n_states, gaps):
+    """A time with more than nine decimal places, or that is not a decimal,
+    stays a ``Fraction`` of ticks and gives the oracle's matches."""
+    cea = random_streamable_cea(rng, n_states)
+    times = [sum(gaps[: k + 1]) for k in range(len(gaps))]
+    stream = TimedStream(
+        (Event(rng.choice(TYPES), {ATTR: rng.randint(0, 4)}), t) for t in times
+    )
+    engine = StreamingEngine(cea, debug=True)
+    for _, e, t in stream.pairs():
+        matches = engine.feed(e, t)
+        assert (type(engine.last_time) is int) == ((t * engine.scale).denominator == 1)
+        assert len(matches) == len(set(matches))
+        assert frozenset(matches) == eval_cea_at(cea, stream, engine.position, cap=len(stream))
+
+
+def test_a_guard_constant_in_thirds_scales_to_a_whole_bound():
+    """``z <= 1/3`` after an A that resets z: the scale takes the 3, so the
+    bound is an int, and a B exactly 1/3 s later is a whole tick."""
+    cea = TimedCea(
+        frozenset({0, 1, 2}),
+        frozenset({"X", "Y"}),
+        frozenset({"z"}),
+        (
+            Transition(0, TypeIs("A"), GTrue(), frozenset({"X"}), frozenset({"z"}), 1),
+            Transition(1, TypeIs("C"), GTrue(), frozenset(), frozenset(), 1),
+            Transition(
+                1, TypeIs("B"), Cmp("z", "<=", Fraction(1, 3)), frozenset({"Y"}), frozenset(), 2
+            ),
+        ),
+        0,
+        frozenset({2}),
+    )
+    assert cea_to_json(cea)["transitions"][2]["guard"]["constant"] == "1/3"
+    assert cea_from_json(cea_to_json(cea)) == cea
+    engine = StreamingEngine(cea)
+    assert engine.scale == 3 * 10**9
+    assert [tr.bound for tr in engine.out[1]] == [None, 10**9]
+    assert type(engine.out[1][1].bound) is int
+    stream = TimedStream(
+        (Event(etype, {}), Fraction(ts))
+        for etype, ts in [
+            ("A", "1"), ("C", "1.1"), ("B", "4/3"),
+            ("A", "2"), ("B", "2.3333333334"),
+            ("A", "3"), ("B", "3.333333333"),
+        ]
+    )
+    found = {}
+    for _, e, t in stream.pairs():
+        matches = engine.feed(e, t)
+        assert frozenset(matches) == eval_cea_at(cea, stream, engine.position)
+        if matches:
+            found[engine.position] = matches
+    assert found == {
+        3: [ComplexEvent.make(1, 3, {"X": [1], "Y": [3]})],
+        7: [ComplexEvent.make(6, 7, {"X": [6], "Y": [7]})],
+    }
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_invariant_bounds_hold(seed):
     rng = random.Random(60_000 + seed)
@@ -318,6 +399,39 @@ def test_enumeration_builds_no_node_and_walks_the_merged_union_in_order():
         ]
         assert got == merged
     assert longest > 1  # some walk crosses the union that merging would build
+
+
+@pytest.mark.parametrize(
+    "text, events",
+    [
+        (PHI2_TEXT, lambda s0: s0.pairs_et()),
+        (FANOUT_TEXT, lambda s0: fanout_events(random.Random(5), 400)),
+    ],
+    ids=["phi2", "fanout"],
+)
+def test_enumeration_builds_each_match_in_canonical_form(text, events, s0):
+    """``enumerate_node`` builds a ``ComplexEvent`` directly; it must be the
+    one ``ComplexEvent.make`` gives for the same binding."""
+    engine = StreamingEngine(determinize(compile_windowed(parse_query(text))), debug=False)
+    seen = 0
+    for event, ts in events(s0):
+        for m in engine.feed(event, ts):
+            assert m == ComplexEvent.make(m.start, m.end, dict(m.binding))
+            seen += 1
+    assert seen > 0
+
+
+def test_feed_enumerates_only_when_a_final_state_holds_a_list(monkeypatch, s0):
+    engine = StreamingEngine(determinize(compile_windowed(parse_query(PHI2_TEXT))), debug=False)
+    walked = []
+    enumerate_at = engine.enumerate_at
+    monkeypatch.setattr(engine, "enumerate_at", lambda j: walked.append(j) or enumerate_at(j))
+    holding = []
+    for event, ts in s0.pairs_et():
+        engine.feed(event, ts)
+        if not engine.cea.finals.isdisjoint(engine.table):
+            holding.append(engine.position)
+    assert walked == holding == [8]  # the one match, (4, 8)
 
 
 # -- the interface the benchmark calls through ---------------------------------
