@@ -4,13 +4,14 @@ The per-state results of the streaming evaluator are stored as an immutable
 DAG whose nodes denote sets of *open* complex events (start index, bound
 positions, last clock-reset time).  A ``Bottom`` starts a run, an
 ``Extended`` is an output node, a ``Union`` joins two nodes, and a ``Gate``
-holds one gadget: at most one reset over at most one anchor limit.  A gadget
-applied to a gate is merged into it, so no gate sits on a gate, and a
-transition that checks and resets applies both as one gadget (``ul_reset``
-with a bound).  Enumeration is a loop, so no match length makes it recurse.
-A constructor whose result would denote no complex event returns None, the
-only empty node.  ``Caecs.check`` asserts the structural invariants of one
-root; the streaming engine calls it on every stored root when debugging.
+is a gadget: at most one reset over at most one anchor limit.  ``Caecs.gate``
+is the one way to compose a gadget: put over a gate, it merges with it, so no
+gate sits on a gate, and a transition that checks and resets applies both as
+one gate (``ul_reset`` with a bound).  Enumeration is a loop, so no match
+length makes it recurse.  A constructor whose result would denote no complex
+event returns None, the only empty node.  ``Caecs.check`` asserts the
+structural invariants of one root; the streaming engine calls it on every
+stored root when debugging.
 
 A clock check ``t0 - anchor <= bound`` (``le``) or ``>= bound`` (``ge``) is
 stored as the limit ``t0 - bound`` it puts on the anchor, so both directions
@@ -50,7 +51,7 @@ that the algebra guarantees.
 from __future__ import annotations
 
 import operator
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .model import ComplexEvent, Rational
 
@@ -114,21 +115,10 @@ class Gate(Node):
         self.odepth = 1 + left.odepth
 
 
-# ---------------------------------------------------------------------------
-# Gadgets: at most one reset over at most one anchor limit, over a base node
-# ---------------------------------------------------------------------------
-
-
-class Gadget(NamedTuple):
-    reset: Optional[Rational]
-    check: Optional[Rational]  # the anchor limit t0 - bound
-    base: Node
-
-
 class Caecs:
     """One evaluation session's node factory and gadget algebra."""
 
-    def __init__(self, direction: str = "le"):
+    def __init__(self, direction: str):
         assert direction in ("le", "ge")
         self.direction = direction
         self.better = operator.ge if direction == "le" else operator.le
@@ -169,54 +159,41 @@ class Caecs:
 
     # -- gadget algebra ------------------------------------------------------
 
-    def get_gadget(self, n: Node) -> Gadget:
-        if type(n) is Gate:
-            return Gadget(n.reset, n.limit, n.left)
-        return Gadget(None, None, n)
+    def gate(
+        self, node: Node, reset: Optional[Rational], limit: Optional[Rational]
+    ) -> Optional[Node]:
+        """``node`` under a reset at ``reset`` over the anchor limit ``limit``
+        (either may be None), composed with node's own gate into one ``Gate``.
 
-    def merge_gadgets(self, g1: Gadget, g2: Gadget) -> Optional[Gadget]:
-        """g1 composed over g2; None when g1's check fails g2's reset (a limit
-        that the base's anchor fails is caught by ``apply_gadget``)."""
-        check = g2.check
-        if g2.reset is not None:
-            # g1's check sees the constant clock set by g2's reset
-            if g1.check is not None and not self.better(g2.reset, g1.check):
-                return None
-        else:
-            check = self._intersect(check, g1.check)
-        reset = g2.reset if g1.reset is None else g1.reset
-        return Gadget(reset, check, g2.base)
-
-    def apply_gadget(self, g: Optional[Gadget], base: Node) -> Optional[Node]:
-        if g is None:
+        Over an inner reset the outer limit sees that reset's constant clock,
+        else the two limits intersect; the outer reset replaces the inner.
+        Returns ``node`` itself when both are None, and None when no run
+        passes.
+        """
+        if reset is None and limit is None:
+            return node
+        left = node
+        if type(node) is Gate:
+            left = node.left
+            if node.reset is not None:
+                if limit is not None and not self.better(node.reset, limit):
+                    return None
+                limit = node.limit
+            else:
+                limit = self._intersect(node.limit, limit)
+            if reset is None:
+                reset = node.reset
+        if limit is not None and not self.better(left.anchor, limit):
             return None
-        if g.check is not None and not self.better(base.anchor, g.check):
-            return None
-        if g.reset is None and g.check is None:
-            return base
-        return self._made(Gate(g.reset, g.check, base))
-
-    def _regadget(self, g1: Gadget, n: Node) -> Optional[Node]:
-        """Compose gadget g1 over node n's own leading gadget; an empty g1
-        leaves the safe node n as it is."""
-        if g1.reset is None and g1.check is None:
-            return n
-        g2 = self.get_gadget(n)
-        return self.apply_gadget(self.merge_gadgets(g1, g2), g2.base)
-
-    def add_reset(self, n: Node, t: Rational) -> Node:
-        return self._regadget(Gadget(t, None, n), n)
-
-    def add_clock_check(self, n: Node, t0: Rational, bound: Rational) -> Optional[Node]:
-        return self._regadget(Gadget(None, t0 - bound, n), n)
+        return self._made(Gate(reset, limit, left))
 
     # -- union ---------------------------------------------------------------
 
     def union(self, n1: Node, n2: Node) -> Node:
         """Union of two safe roots with equal anchors.
 
-        An operand whose gadget sits on a union contributes that union's
-        children, each under the gadget; any other operand contributes
+        An operand that is a union, or a gate on a union, contributes that
+        union's children, each under the gate; any other operand contributes
         itself.  A left part keeps the shared anchor and a right part cannot
         beat it, so the left parts lead and the at most two right parts
         follow, the better anchor first.
@@ -225,10 +202,12 @@ class Caecs:
         lefts: list[Node] = []
         rights: list[Node] = []
         for n in (n1, n2):
-            g = self.get_gadget(n)
-            if isinstance(g.base, Union):
-                lefts.append(self._regadget(g, g.base.left))
-                rights.append(self._regadget(g, g.base.right))
+            if type(n) is Union:
+                lefts.append(n.left)
+                rights.append(n.right)
+            elif type(n) is Gate and type(n.left) is Union:
+                lefts.append(self.gate(n.left.left, n.reset, n.limit))
+                rights.append(self.gate(n.left.right, n.reset, n.limit))
             else:
                 lefts.append(n)
         rights = [r for r in rights if r is not None]
@@ -259,7 +238,7 @@ class Caecs:
     def ul_clock_check(
         self, ul: list[Node], t0: Rational, bound: Rational
     ) -> Optional[list[Node]]:
-        out = [self.add_clock_check(u, t0, bound) for u in ul]
+        out = [self.gate(u, None, t0 - bound) for u in ul]
         return [u for u in out if u is not None] or None
 
     def ul_reset(
@@ -267,11 +246,11 @@ class Caecs:
     ) -> Optional[list[Node]]:
         """Reset every node at ``t``, after the clock check ``t - anchor
         <= bound`` (``>=`` for ``ge``) when a bound is given: the check and
-        the reset are one gadget, composed over each node's own gadget in one
-        step.  After the reset every node is anchored at t, so the surviving
-        nodes fold into a single union; None when none survives."""
+        the reset are one ``gate`` over each node.  After the reset every node
+        is anchored at t, so the surviving nodes fold into a single union;
+        None when none survives."""
         limit = None if bound is None else t - bound
-        nodes = [self._regadget(Gadget(t, limit, u), u) for u in ul]
+        nodes = [self.gate(u, t, limit) for u in ul]
         nodes = [u for u in nodes if u is not None]
         if not nodes:
             return None

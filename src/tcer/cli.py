@@ -11,10 +11,10 @@ and each variable's positions sorted (``ComplexEvent.make``), and
 ``match_json`` prints them as stored, the bytes ``json.dumps`` with sorted
 keys would give:
 ``{"bindings": {"X": [4]}, "end": 8, "pos": 8, "start": 4}``.
-The streaming engine reads one line at a time, but its store of open runs
-can grow with the stream (a windowed query's runs past the window are not
-cut); the oracle and automaton engines load the whole stream first.  A bad line after some matches ends the run with those matches
-printed.
+The streaming engine reads one line at a time.  Its store of open runs can
+still grow with the stream, because a windowed query's runs past the window
+are not cut.  The oracle and automaton engines load the whole stream first.
+A bad line after some matches ends the run with those matches printed.
 
 Exit codes: 0 ok, or stdout closed by its reader; 1 mismatch, violation, or
 a query the streaming engine refuses; 2 usage error or a path that cannot be
@@ -32,7 +32,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .cea import AutomatonFormatError, TimedCea, cea_from_json, cea_to_json, eval_cea_oracle
 from .cel import classify, eval_cel_oracle
@@ -297,13 +297,16 @@ def _shrink(phi, stream):
     return stream
 
 
-def _count(low: int):
-    """An argparse type: an integer that is at least ``low``."""
+def _count(low: int, high: Optional[int] = None):
+    """An argparse type: an integer that is at least ``low`` and, when
+    ``high`` is given, at most ``high``."""
 
     def count(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return count
@@ -338,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diff-test", help="randomized differential testing")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=_count(0), default=100)
-    p.add_argument("--max-depth", type=_count(1), default=4)
+    # a random formula deeper than 12 can take minutes to compile, and one
+    # thousands deep overflows the recursion of random_formula itself
+    p.add_argument("--max-depth", type=_count(1, 12), default=4)
     p.add_argument("--max-stream", type=_count(0), default=10)
     p.set_defaults(func=cmd_diff_test)
 

@@ -42,7 +42,7 @@ from .cea import (
     is_deterministic,
     is_monotonic,
 )
-from .model import ComplexEvent, Event, Rational, sat
+from .model import ComplexEvent, Event, Rational, rat, sat
 
 # Ticks per second for integer clock constants: a timestamp with at most nine
 # decimal places is a whole number of ticks.
@@ -118,8 +118,9 @@ class StreamingEngine:
 
     def feed(self, event: Event, time: Rational) -> list[ComplexEvent]:
         """Consume one stream element, timed in seconds; return this
-        position's matches."""
-        n, d = time.as_integer_ratio()
+        position's matches.  A time is read by ``model.rat``, so a float is
+        the decimal it prints as, and a bool raises ``TypeError``."""
+        n, d = rat(time).as_integer_ratio()
         q, r = divmod(self.scale, d)
         ticks = n * q if r == 0 else Fraction(n * self.scale, d)
         if ticks <= self.last_time:

@@ -11,7 +11,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 Rational = Fraction
 
@@ -461,8 +461,7 @@ def preds_intersect(p: Predicate, q: Predicate) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComplexEvent:
+class ComplexEvent(NamedTuple):
     """An output: an interval of stream positions plus variable bindings.
 
     ``binding`` pairs each variable, in name order, with the strictly

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from tcer import cel
-from tcer.caecs import Caecs, Gadget
+from tcer.caecs import Caecs
 from tcer.cea import (
     GTrue,
     TimedCea,
@@ -318,23 +318,16 @@ def _apply_items(cs: Caecs, items, anchor):
     return anchor
 
 
-def _gadget(items, base):
-    """The closed-form gadget of an item list (a reset over a check)."""
-    reset = check = None
+def _gate_args(items):
+    """The (reset, limit) of an item list (a reset over a check)."""
+    reset = limit = None
     for item in items:
         if item[0] == "r":
             reset = item[1]
         else:
             _, t0, bound = item
-            check = t0 - bound
-    return Gadget(reset, check, base)
-
-
-def _items(g: Gadget):
-    """The item list of a gadget, outermost first, as ``_apply_items`` reads it;
-    a limit is the check ``limit - anchor`` against a bound of 0."""
-    items = [] if g.reset is None else [("r", g.reset)]
-    return items if g.check is None else items + [("c", g.check, 0)]
+            limit = t0 - bound
+    return reset, limit
 
 
 def _merge_cases(grid, bounds):
@@ -356,24 +349,18 @@ def test_gadget_merge_grid_matches_brute_force():
     combos = 0
     for direction in ("le", "ge"):
         cs = Caecs(direction)
-        base = cs.new_bottom(1, Fraction(0))
+        bottoms = {a: cs.new_bottom(1, a) for a in grid}
         for outer, inner in _merge_cases(grid, bounds):
             combos += 1
             # clock components below the pair predate the inner gadget
             inner_time = inner[0][1]
-            anchors = [a for a in grid if a <= inner_time]
-            merged = cs.merge_gadgets(_gadget(outer, base), _gadget(inner, base))
-            items = [] if merged is None else _items(merged)
-            assert len(items) <= 2
-            for a in anchors:
-                expected = _apply_items(cs, outer + inner, a)
-                if merged is None:
-                    assert expected is None, (direction, outer, inner, a)
-                else:
-                    assert _apply_items(cs, items, a) == expected, (
-                        direction,
-                        outer,
-                        inner,
-                        a,
-                    )
+            inner_args, outer_args = _gate_args(inner), _gate_args(outer)
+            for a in (a for a in grid if a <= inner_time):
+                node = cs.gate(bottoms[a], *inner_args)
+                if node is not None:
+                    node = cs.gate(node, *outer_args)
+                if node is not None:
+                    cs.check(node)  # one gate, whose limit the bottom passes
+                got = None if node is None else node.anchor
+                assert got == _apply_items(cs, outer + inner, a), (direction, outer, inner, a)
     assert combos >= 10_000

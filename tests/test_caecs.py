@@ -1,4 +1,4 @@
-"""The compact result store: gadget algebra, unions, and enumeration."""
+"""The compact result store: gates, unions, and enumeration."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from tcer.caecs import (
     Bottom,
     Caecs,
     Extended,
-    Gadget,
     Gate,
     Node,
     Union,
@@ -42,98 +41,72 @@ def test_bottom_anchor_and_depth(cs):
     assert e.anchor == 5 and e.odepth == 0
 
 
-# -- gadget merging -----------------------------------------------------------
+# -- gadget merging: a gate over a gate ---------------------------------------
 
 
-def _gadget(items, base):
-    """The closed-form gadget of an item list (a reset over a check)."""
-    reset = check = None
-    for item in items:
-        if item[0] == "r":
-            reset = item[1]
-        else:
-            _, t0, bound = item
-            check = t0 - bound
-    return Gadget(reset, check, base)
+def _fields(node):
+    return None if node is None else (node.reset, node.limit, node.left)
 
 
-def _items(g):
-    """The item list of a merged gadget, outermost first; None stays None."""
-    if g is None:
-        return None
-    items = [] if g.reset is None else [("r", g.reset)]
-    return items if g.check is None else items + [("c", g.check)]
+def test_gate_without_reset_or_limit_is_the_node(cs):
+    b = cs.new_bottom(1, F(1))
+    assert cs.gate(b, None, None) is b
 
 
 def test_merge_two_checks_intersects_windows(cs):
-    base = cs.new_bottom(1, F(1))
-    g1 = _gadget([("c", F(10), F(5))], base)
-    g2 = _gadget([("c", F(8), F(6))], base)
-    merged = cs.merge_gadgets(g1, g2)
-    assert merged == _gadget([("c", F(8), F(3))], base)
+    b = cs.new_bottom(1, F(6))
+    inner = cs.gate(b, None, F(8) - F(6))
+    assert _fields(cs.gate(inner, None, F(10) - F(5))) == (None, F(5), b)
 
 
 def test_merge_check_subsumed_by_outer(cs):
-    base = cs.new_bottom(1, F(1))
-    g1 = _gadget([("c", F(10), F(9))], base)
-    g2 = _gadget([("c", F(8), F(6))], base)
-    assert cs.merge_gadgets(g1, g2) == _gadget([("c", F(8), F(6))], base)
+    b = cs.new_bottom(1, F(6))
+    inner = cs.gate(b, None, F(8) - F(6))
+    assert _fields(cs.gate(inner, None, F(10) - F(9))) == (None, F(2), b)
 
 
 def test_merge_disjoint_windows_is_void(cs):
-    base = cs.new_bottom(1, F(1))
-    g1 = _gadget([("c", F(10), F(1))], base)  # clock set at or after 9
-    g2 = _gadget([("c", F(8), F(6))], base)  # clock set by 8
-    assert cs.apply_gadget(cs.merge_gadgets(g1, g2), base) is None
+    b = cs.new_bottom(1, F(3))
+    inner = cs.gate(b, None, F(8) - F(6))  # clock set by 8
+    assert cs.gate(inner, None, F(10) - F(1)) is None  # clock set at or after 9
 
 
 def test_merge_check_over_late_reset_is_void(cs):
-    base = cs.new_bottom(1, F(1))
-    g1 = _gadget([("c", F(10), F(1))], base)
-    g2 = _gadget([("r", F(8))], base)
-    assert cs.merge_gadgets(g1, g2) is None
+    inner = cs.gate(cs.new_bottom(1, F(1)), F(8), None)
+    assert cs.gate(inner, None, F(10) - F(1)) is None
 
 
 def test_merge_check_over_recent_reset_keeps_the_reset(cs):
-    base = cs.new_bottom(1, F(1))
-    g1 = _gadget([("c", F(10), F(3))], base)
-    g2 = _gadget([("r", F(8))], base)
-    assert _items(cs.merge_gadgets(g1, g2)) == [("r", F(8))]
+    b = cs.new_bottom(1, F(1))
+    inner = cs.gate(b, F(8), None)
+    assert _fields(cs.gate(inner, None, F(10) - F(3))) == (F(8), None, b)
 
 
 def test_merge_reset_over_reset_keeps_the_outer(cs):
-    base = cs.new_bottom(1, F(1))
-    g1 = _gadget([("r", F(9))], base)
-    g2 = _gadget([("r", F(4))], base)
-    assert _items(cs.merge_gadgets(g1, g2)) == [("r", F(9))]
+    b = cs.new_bottom(1, F(1))
+    inner = cs.gate(b, F(4), None)
+    assert _fields(cs.gate(inner, F(9), None)) == (F(9), None, b)
 
 
 def test_merged_gadgets_have_at_most_two_items(cs):
-    base = cs.new_bottom(1, F(0))
-    g1 = _gadget([("r", F(9)), ("c", F(8), F(5))], base)
-    g2 = _gadget([("r", F(4)), ("c", F(3), F(2))], base)
-    merged = cs.merge_gadgets(g1, g2)
-    assert merged is None or len(_items(merged)) <= 2
-
-
-# -- reset and clock-check constructors ---------------------------------------
+    b = cs.new_bottom(1, F(1))
+    inner = cs.gate(b, F(4), F(3) - F(2))
+    assert _fields(cs.gate(inner, F(9), F(8) - F(5))) == (F(9), F(1), b)
 
 
 def test_clock_check_inside_window(cs):
-    node = cs.add_clock_check(cs.new_bottom(5, F("4.5")), F("7.2"), F(5))
+    node = cs.gate(cs.new_bottom(5, F("4.5")), None, F("7.2") - F(5))
     assert isinstance(node, Gate) and node.reset is None
     assert node.limit == F("2.2") and node.anchor == F("4.5")
 
 
 def test_clock_check_outside_window_is_empty(cs):
-    node = cs.add_clock_check(cs.new_bottom(1, F("1.2")), F("7.2"), F(5))
-    assert node is None
+    assert cs.gate(cs.new_bottom(1, F("1.2")), None, F("7.2") - F(5)) is None
 
 
 def test_adjacent_resets_collapse(cs):
     b = cs.new_bottom(1, F(0))
-    once = cs.add_reset(b, F(2))
-    twice = cs.add_reset(once, F(5))
+    twice = cs.gate(cs.gate(b, F(2), None), F(5), None)
     assert isinstance(twice, Gate) and twice.limit is None
     assert twice.anchor == F(5)
     assert twice.left is b  # no stacked gates
@@ -141,23 +114,21 @@ def test_adjacent_resets_collapse(cs):
 
 def test_adjacent_checks_collapse(cs):
     b = cs.new_bottom(1, F(0))
-    once = cs.add_clock_check(b, F(10), F(12))
-    twice = cs.add_clock_check(once, F(12), F(13))
+    twice = cs.gate(cs.gate(b, None, F(10) - F(12)), None, F(12) - F(13))
     assert isinstance(twice, Gate) and twice.reset is None
     assert twice.left is b
 
 
 def test_reset_over_check_is_the_composed_form(cs):
     b = cs.new_bottom(1, F(0))
-    node = cs.add_reset(cs.add_clock_check(b, F(3), F(4)), F(6))
-    assert isinstance(node, Gate) and (node.reset, node.limit) == (F(6), F(-1))
-    assert node.left is b
+    node = cs.gate(cs.gate(b, None, F(3) - F(4)), F(6), None)
+    assert _fields(node) == (F(6), F(-1), b)
 
 
 def test_check_semantics_filters_by_reset_time(cs):
     b1 = cs.new_bottom(1, F(9))
     b2 = cs.new_bottom(2, F(2))
-    u = cs.union(cs.add_reset(b1, F(9)), cs.add_reset(b2, F(9)))
+    u = cs.union(cs.gate(b1, F(9), None), cs.gate(b2, F(9), None))
     # both anchored at 9; drop the reset and the starts diverge again
     assert node_semantics(cs, u) == frozenset(
         {(1, frozenset(), F(9)), (2, frozenset(), F(9))}
@@ -206,7 +177,7 @@ _HALVES = st.integers(0, 24).map(lambda k: Fraction(k, 2))
 
 @st.composite
 def _gadget_nodes(draw, cs: Caecs) -> Node:
-    """A union of bottoms, perhaps extended, under a random leading gadget."""
+    """A union of bottoms, perhaps extended, under a random gate."""
     anchors = sorted(
         set(draw(st.lists(_HALVES, min_size=1, max_size=3))), reverse=cs.direction == "le"
     )
@@ -214,12 +185,9 @@ def _gadget_nodes(draw, cs: Caecs) -> Node:
     if draw(st.booleans()):
         base = cs.extend(base, 9, frozenset({"X"}))
     latest = max(anchors)
-    items = []
-    if draw(st.booleans()):
-        items.append(("r", latest + draw(_HALVES)))
-    if draw(st.booleans()):
-        items.append(("c", latest + draw(_HALVES), draw(_HALVES)))
-    node = cs.apply_gadget(_gadget(items, base), base)
+    reset = latest + draw(_HALVES) if draw(st.booleans()) else None
+    limit = latest + draw(_HALVES) - draw(_HALVES) if draw(st.booleans()) else None
+    node = cs.gate(base, reset, limit)
     assume(node is not None)
     return node
 
@@ -231,8 +199,8 @@ def _denotation(cs, ul):
 @pytest.mark.parametrize("direction", ["le", "ge"])
 @given(data=st.data())
 def test_one_gadget_check_and_reset_denotes_the_two_steps(direction, data):
-    """``ul_reset`` with a bound denotes ``add_clock_check`` then
-    ``add_reset`` on every node, and builds no more nodes."""
+    """``ul_reset`` with a bound denotes a clock-check gate then a reset gate
+    on every node, and builds no more nodes."""
     cs = Caecs(direction)
     ul: list[Node] = []
     for node in data.draw(st.lists(_gadget_nodes(cs), min_size=1, max_size=4)):
@@ -240,8 +208,8 @@ def test_one_gadget_check_and_reset_denotes_the_two_steps(direction, data):
     t = max(u.anchor for u in ul) + data.draw(_HALVES)
     bound = data.draw(_HALVES)
     for u in ul:
-        checked = cs.add_clock_check(u, t, bound)
-        two = None if checked is None else [cs.add_reset(checked, t)]
+        checked = cs.gate(u, None, t - bound)
+        two = None if checked is None else [cs.gate(checked, t, None)]
         assert _denotation(cs, cs.ul_reset([u], t, bound)) == _denotation(cs, two)
     before = cs.created
     one = cs.ul_reset(ul, t, bound)
@@ -350,9 +318,9 @@ def test_check_rejects_a_broken_root(cs, build):
 
 
 def test_union_keeps_a_child_gate_that_no_gadget_changes(cs):
-    """A bare union operand puts no gadget over its children, so its gate
+    """A bare union operand puts no gate over its children, so its gate
     child is reused, not copied: only the two unions are new."""
-    gate = cs.add_reset(cs.new_bottom(1, F(1)), F(5))
+    gate = cs.gate(cs.new_bottom(1, F(1)), F(5), None)
     operand = cs.ul_merge([gate, cs.new_bottom(2, F(3))])
     other = cs.new_bottom(3, F(5))
     before = cs.created

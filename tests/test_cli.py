@@ -379,6 +379,8 @@ def test_match_json_is_json_dumps_with_sorted_keys(start, binding, pos):
         ["diff-test", "--max-stream", "2.5"],
         ["check-sync", "--automaton", "a.json", "--cap", "0"],
         ["check-sync", "--automaton", "a.json", "--cap", "-3"],
+        ["diff-test", "--max-depth", "13"],
+        ["diff-test", "--max-depth", "3000"],
     ],
 )
 def test_out_of_range_count_is_a_usage_error(capsys, argv):
