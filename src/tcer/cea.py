@@ -13,6 +13,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from .model import (
     ComplexEvent,
     Event,
+    Interval,
     Predicate,
     TimedStream,
     format_rat,
@@ -78,11 +79,7 @@ ClockValuation = Mapping[str, Fraction]
 
 
 def guard_clocks(gamma: ClockCondition) -> frozenset[str]:
-    if isinstance(gamma, (GTrue, GFalse)):
-        return frozenset()
-    if isinstance(gamma, Cmp):
-        return frozenset((gamma.clock,))
-    return guard_clocks(gamma.left) | guard_clocks(gamma.right)
+    return frozenset([atom.clock for atom in _guard_atoms(gamma)])
 
 
 def guard_size(gamma: ClockCondition) -> int:
@@ -107,12 +104,12 @@ def constant_scale(cea: TimedCea) -> int:
     )
 
 
-def _guard_atoms(gamma: ClockCondition):
+def _guard_atoms(gamma: ClockCondition) -> list[Cmp]:
     if isinstance(gamma, Cmp):
-        yield gamma
-    elif isinstance(gamma, (GAnd, GOr)):
-        yield from _guard_atoms(gamma.left)
-        yield from _guard_atoms(gamma.right)
+        return [gamma]
+    if isinstance(gamma, (GAnd, GOr)):
+        return _guard_atoms(gamma.left) + _guard_atoms(gamma.right)
+    return []
 
 
 def guard_sat(nu: ClockValuation, gamma: ClockCondition) -> bool:
@@ -146,27 +143,24 @@ def gand(*gammas: ClockCondition) -> ClockCondition:
     return acc if acc is not None else GTrue()
 
 
-def interval_atoms(
-    clock: str, iv: tuple[Fraction, bool, Optional[Fraction], bool]
-) -> list[Cmp]:
-    """The atoms saying that ``clock`` lies in the interval ``(lo, lo_strict,
-    hi, hi_strict)`` (``hi`` None for unbounded); none for ``[0, inf)``."""
-    lo, lo_strict, hi, hi_strict = iv
-    if hi is not None and lo == hi:
-        return [Cmp(clock, "=", lo)]
+def interval_atoms(clock: str, iv: Interval) -> list[Cmp]:
+    """The atoms saying that ``clock`` lies in ``iv``; none for ``[0, inf)``."""
+    low, high, low_closed, high_closed = iv
+    if high is not None and low == high:
+        return [Cmp(clock, "=", low)]
     atoms = []
-    if lo > 0 or lo_strict:
-        atoms.append(Cmp(clock, ">" if lo_strict else ">=", lo))
-    if hi is not None:
-        atoms.append(Cmp(clock, "<" if hi_strict else "<=", hi))
+    if low > 0 or not low_closed:
+        atoms.append(Cmp(clock, ">=" if low_closed else ">", low))
+    if high is not None:
+        atoms.append(Cmp(clock, "<=" if high_closed else "<", high))
     return atoms
 
 
 # --- guard satisfiability over some full-domain valuation ------------------
 
-FULL_INTERVAL = (Fraction(0), False, None, False)  # [0, inf) as (lo, lo_strict, hi, hi_strict)
+FULL_INTERVAL = Interval(Fraction(0), None)
 
-Box = dict  # clock -> (lo, lo_strict, hi, hi_strict)
+Box = dict  # clock -> model.Interval of its values
 
 
 def _guard_dnf(gamma: ClockCondition) -> list[list[Cmp]]:
@@ -182,30 +176,15 @@ def _guard_dnf(gamma: ClockCondition) -> list[list[Cmp]]:
 
 
 def _conj_box(conj: Iterable[Cmp]) -> Optional[Box]:
-    """Per-clock interval of a conjunction, intersected with value ≥ 0;
-    None if empty."""
+    """Per-clock interval of a conjunction; None if it is empty."""
     box: Box = {}
     for atom in conj:
-        lo, lo_s, hi, hi_s = box.get(atom.clock, FULL_INTERVAL)
-        c = atom.constant
-        if atom.op in ("<", "<="):
-            strict = atom.op == "<"
-            if hi is None or c < hi or (c == hi and strict):
-                hi, hi_s = c, strict
-        elif atom.op in (">", ">="):
-            strict = atom.op == ">"
-            if c > lo or (c == lo and strict):
-                lo, lo_s = c, strict
-        else:  # equality
-            if c < lo or (c == lo and lo_s):
-                return None
-            if hi is not None and (c > hi or (c == hi and hi_s)):
-                return None
-            lo, lo_s, hi, hi_s = c, False, c, False
-        box[atom.clock] = (lo, lo_s, hi, hi_s)
-    for lo, lo_s, hi, hi_s in box.values():
-        if hi is not None and (lo > hi or (lo == hi and (lo_s or hi_s))):
+        iv = Interval.of(atom.op, atom.constant)
+        if iv is not None and atom.clock in box:
+            iv = iv.meet(box[atom.clock])
+        if iv is None:
             return None
+        box[atom.clock] = iv
     return box
 
 

@@ -137,7 +137,6 @@ CelFormula = Union[
 ]
 
 _BINARY = (Or, And, Seq, ContigSeq, TimedSeq, TimedContigSeq)
-_UNARY = (As, Filter, Plus, ContigPlus, Project, Within, TimedIter, TimedContigIter)
 
 
 def children(phi: CelFormula) -> tuple[CelFormula, ...]:

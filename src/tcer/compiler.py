@@ -16,7 +16,6 @@ from typing import Optional
 
 from . import cel
 from .cea import (
-    ClockCondition,
     GTrue,
     State,
     TimedCea,
@@ -38,12 +37,6 @@ class NotWindowed(Exception):
 
 ZX = "zx"  # marking clock of the windowed build
 ZN = "zn"  # window clock of the windowed build
-
-
-def interval_guard(clock: str, interval: Interval) -> ClockCondition:
-    """Clock condition for "value of `clock` lies in `interval`"."""
-    iv = (interval.low, not interval.low_closed, interval.high, not interval.high_closed)
-    return gand(*interval_atoms(clock, iv))
 
 
 @dataclass
@@ -218,7 +211,7 @@ def _compile(phi: cel.CelFormula, fresh: _Fresh, shared_clock: Optional[str] = N
         b2 = _compile(phi.right, fresh, shared_clock)
         z_x = shared_clock if shared_clock else fresh.clock()
         q_new = fresh.state()
-        gamma_i = interval_guard(z_x, phi.interval)
+        gamma_i = gand(*interval_atoms(z_x, phi.interval))
         delta = list(b1.delta) + list(b2.delta)
         for tr in b1.delta:
             if tr.target in b1.finals:
@@ -246,7 +239,7 @@ def _compile(phi: cel.CelFormula, fresh: _Fresh, shared_clock: Optional[str] = N
         timed = isinstance(phi, (cel.TimedIter, cel.TimedContigIter))
         z_x = (shared_clock or fresh.clock()) if timed else None
         marks = frozenset((z_x,)) if timed else frozenset()
-        gamma_i = interval_guard(z_x, phi.interval) if timed else GTrue()
+        gamma_i = gand(*interval_atoms(z_x, phi.interval)) if timed else GTrue()
         q_new = fresh.state()
         delta = list(b.delta)
         for tr in b.delta:
@@ -275,7 +268,7 @@ def _within_wrap(b: _Build, interval: Interval, z_n: str, fresh: _Fresh) -> _Bui
     """Wrap a build with a window clock: reset on the initial out-transitions,
     checked on the transitions entering a fresh final state."""
     q_f = fresh.state()
-    gamma_i = interval_guard(z_n, interval)
+    gamma_i = gand(*interval_atoms(z_n, interval))
     delta: list[Transition] = []
     for tr in b.delta:
         if tr.source == b.initial:

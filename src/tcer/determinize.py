@@ -9,7 +9,11 @@ subset and — thanks to synchronous resets — a unique reset set.
 
 Cell guards are re-merged afterwards: cells equal in everything but the
 guard are combined and their guard union simplified back to interval form,
-so determinizing a monotonic automaton yields a monotonic automaton.
+so determinizing a monotonic automaton yields a monotonic automaton.  The
+simplifier works on boxes (``cea.guard_boxes``), the disjuncts of a guard,
+each mapping a clock to the ``model.Interval`` of its values: a box that
+another covers is dropped, and two boxes that differ on one clock whose
+intervals join into one are merged.
 """
 
 from __future__ import annotations
@@ -73,45 +77,15 @@ def negate_guard(gamma: ClockCondition) -> ClockCondition:
 
 
 # ---------------------------------------------------------------------------
-# Guard boxes (``cea.guard_boxes``): per-clock intervals, used to simplify
-# unions of cell guards
+# Guard boxes (``cea.guard_boxes``): clock -> ``model.Interval``, used to
+# simplify unions of cell guards
 # ---------------------------------------------------------------------------
-
-
-def _iv_subsumes(outer, inner) -> bool:
-    lo1, los1, hi1, his1 = outer
-    lo2, los2, hi2, his2 = inner
-    if lo2 < lo1 or (lo2 == lo1 and los1 and not los2):
-        return False
-    if hi1 is not None:
-        if hi2 is None:
-            return False
-        if hi2 > hi1 or (hi2 == hi1 and his1 and not his2):
-            return False
-    return True
 
 
 def _box_subsumes(outer: Box, inner: Box) -> bool:
     if not set(outer) <= set(inner):
         return False  # the outer box mentions a clock the inner does not
-    return all(_iv_subsumes(outer[z], inner[z]) for z in outer)
-
-
-def _iv_join(a, b):
-    """Union of two intervals when it is an interval again, else None."""
-    if a[0] > b[0] or (a[0] == b[0] and a[1] and not b[1]):
-        a, b = b, a
-    lo1, los1, hi1, his1 = a
-    lo2, los2, hi2, his2 = b
-    if hi1 is not None and (hi1 < lo2 or (hi1 == lo2 and his1 and los2)):
-        return None  # gap between the intervals
-    if hi1 is None or hi2 is None:
-        hi, his = None, False
-    elif hi2 > hi1 or (hi2 == hi1 and not his2):
-        hi, his = hi2, his2
-    else:
-        hi, his = hi1, his1
-    return (lo1, los1, hi, his)
+    return all(outer[z].covers(inner[z]) for z in outer)
 
 
 def _try_merge_boxes(b1: Box, b2: Box) -> Optional[Box]:
@@ -123,7 +97,7 @@ def _try_merge_boxes(b1: Box, b2: Box) -> Optional[Box]:
     if len(differing) > 1:
         return None
     z = differing[0]
-    joined = _iv_join(b1[z], b2[z])
+    joined = b1[z].join(b2[z])
     if joined is None:
         return None
     merged = dict(b1)
@@ -173,10 +147,6 @@ def boxes_to_guard(boxes: list[Box]) -> ClockCondition:
     for d in disjuncts[1:]:
         out = GOr(out, d)
     return out
-
-
-def simplify_guard(gamma: ClockCondition) -> ClockCondition:
-    return boxes_to_guard(simplify_boxes(guard_boxes(gamma)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +215,7 @@ def _prune_dead_transitions(delta: list[Transition], finals: frozenset) -> list[
                 for tr in out.get(q, ()):
                     ub = -math.inf
                     for box in boxes_of[id(tr)]:
-                        hi = box.get(z, FULL_INTERVAL)[2]
+                        hi = box.get(z, FULL_INTERVAL).high
                         ub = math.inf if hi is None else max(ub, hi)
                         if ub == math.inf:
                             break
@@ -261,9 +231,9 @@ def _prune_dead_transitions(delta: list[Transition], finals: frozenset) -> list[
         for box in boxes_of[id(tr)]:
             dead = False
             for z in clocks:
-                lo, lo_strict = box.get(z, FULL_INTERVAL)[:2]
+                iv = box.get(z, FULL_INTERVAL)
                 limit = math.inf if z in tr.resets else bound[(tr.target, z)]
-                if lo > limit or (lo == limit and lo_strict):
+                if iv.low > limit or (iv.low == limit and not iv.low_closed):
                     dead = True
                     break
             if not dead:

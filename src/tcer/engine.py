@@ -75,9 +75,8 @@ def _prepare(cea: TimedCea, scale: int) -> tuple[list[_Trans], Optional[str], st
     if len(checked) > 1:
         raise NotStreamable(f"more than one checked clock: {sorted(checked)}")
     clock = next(iter(checked), None)
-    for tr in cea.delta:
-        if tr.target == cea.initial:
-            raise NotStreamable("transition back into the initial state")
+    if not cea.no_transition_into_initial():
+        raise NotStreamable("transition back into the initial state")
     out: list[_Trans] = []
     for tr in cea.delta:
         atoms = _conj_atoms(tr.guard)

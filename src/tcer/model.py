@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import operator
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -66,32 +67,96 @@ def rat(value: Union[int, str, Fraction]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Intervals over the non-negative rationals (used for time windows and gaps).
+# Intervals over the non-negative rationals: time windows, gaps, guard boxes.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Interval:
-    """An interval of non-negative rationals, possibly unbounded above.
+class Interval(namedtuple("Interval", "low high low_closed high_closed")):
+    """An interval of non-negative rationals, possibly unbounded above: the
+    values of a time window or gap, and of one clock in a guard box.
 
     ``high is None`` means +infinity (and then ``high_closed`` is False).
+    The constructor checks its bounds; the operations build their results
+    with ``_make``, which skips the check.
     """
 
-    low: Fraction
-    high: Optional[Fraction]
-    low_closed: bool = True
-    high_closed: bool = True
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.low < 0:
+    def __new__(
+        cls,
+        low: Fraction,
+        high: Optional[Fraction],
+        low_closed: bool = True,
+        high_closed: bool = True,
+    ) -> "Interval":
+        if low < 0:
             raise ValueError("interval bound below zero")
-        if self.high is None and self.high_closed:
-            object.__setattr__(self, "high_closed", False)
-        if self.high is not None:
-            if self.high < self.low:
-                raise ValueError("empty interval: high < low")
-            if self.high == self.low and not (self.low_closed and self.high_closed):
-                raise ValueError("empty interval: open at the single point")
+        if high is None:
+            high_closed = False
+        elif high < low:
+            raise ValueError("empty interval: high < low")
+        elif high == low and not (low_closed and high_closed):
+            raise ValueError("empty interval: open at the single point")
+        return super().__new__(cls, low, high, low_closed, high_closed)
+
+    # Each operation compares two ends once, with ``<`` or ``<=`` as their
+    # closedness decides a tie: Fraction comparisons are most of its cost.
+
+    @classmethod
+    def of(cls, op: str, c: Fraction) -> Optional["Interval"]:
+        """The non-negative values ``v`` with ``v op c`` (``op`` one of
+        ``<= < >= > =``, or ``==`` as ``=``); None when there is none.  A
+        negative ``c`` under ``>=`` or ``>`` gives ``[0, inf)``."""
+        if op in (">=", ">"):
+            if c < 0:
+                return cls._make((Fraction(0), None, True, False))
+            return cls._make((c, None, op == ">=", False))
+        if (c <= 0) if op == "<" else (c < 0):
+            return None
+        if op in ("<=", "<"):
+            return cls._make((Fraction(0), c, True, op == "<="))
+        return cls._make((c, c, True, True))
+
+    def meet(self, other: "Interval") -> Optional["Interval"]:
+        """The intersection, or None when it is empty."""
+        lo1, hi1, lc1, hc1 = self
+        lo2, hi2, lc2, hc2 = other
+        # the higher low end; at a tie, the open one
+        lo, lc = (lo1, lc1) if ((lo2 <= lo1) if lc2 else (lo2 < lo1)) else (lo2, lc2)
+        # the lower high end; at a tie, the open one
+        if hi1 is None or (hi2 is not None and ((hi2 <= hi1) if not hc2 else (hi2 < hi1))):
+            hi, hc = hi2, hc2
+        else:
+            hi, hc = hi1, hc1
+        if hi is not None and ((hi < lo) if lc and hc else (hi <= lo)):
+            return None
+        return self._make((lo, hi, lc, hc))
+
+    def join(self, other: "Interval") -> Optional["Interval"]:
+        """The union, when it is an interval; else None."""
+        lo1, hi1, lc1, hc1 = self
+        lo2, hi2, lc2, hc2 = other
+        if (lo2 <= lo1) if lc2 else (lo2 < lo1):  # put the lower (or closed) low end first
+            lo1, hi1, lc1, hc1, lo2, hi2, lc2, hc2 = lo2, hi2, lc2, hc2, lo1, hi1, lc1, hc1
+        if hi1 is not None and ((hi1 < lo2) if hc1 or lc2 else (hi1 <= lo2)):
+            return None  # a gap between them
+        if hi1 is None or hi2 is None:
+            hi, hc = None, False
+        elif (hi2 >= hi1) if hc2 else (hi2 > hi1):
+            hi, hc = hi2, hc2
+        else:
+            hi, hc = hi1, hc1
+        return self._make((lo1, hi, lc1, hc))
+
+    def covers(self, other: "Interval") -> bool:
+        """Does ``other`` lie inside this interval?"""
+        lo1, hi1, lc1, hc1 = self
+        lo2, hi2, lc2, hc2 = other
+        if (lo2 <= lo1) if lc2 and not lc1 else (lo2 < lo1):
+            return False
+        if hi1 is None:
+            return True
+        return hi2 is not None and ((hi2 <= hi1) if hc1 or not hc2 else (hi2 < hi1))
 
     def contains(self, value: Fraction) -> bool:
         if self.low_closed:
@@ -107,26 +172,6 @@ class Interval:
 
     def contains_zero(self) -> bool:
         return self.contains(Fraction(0))
-
-    @staticmethod
-    def at_most(c: Union[int, str, Fraction]) -> "Interval":
-        return Interval(Fraction(0), rat(c))
-
-    @staticmethod
-    def less_than(c: Union[int, str, Fraction]) -> "Interval":
-        return Interval(Fraction(0), rat(c), high_closed=False)
-
-    @staticmethod
-    def at_least(c: Union[int, str, Fraction]) -> "Interval":
-        return Interval(rat(c), None)
-
-    @staticmethod
-    def greater_than(c: Union[int, str, Fraction]) -> "Interval":
-        return Interval(rat(c), None, low_closed=False)
-
-    @staticmethod
-    def exactly(c: Union[int, str, Fraction]) -> "Interval":
-        return Interval(rat(c), rat(c))
 
     def __str__(self) -> str:
         lo = "[" if self.low_closed else "("
@@ -444,16 +489,6 @@ def event_cells(preds: Sequence[Predicate]) -> set[tuple[bool, ...]]:
             for rest in remainders
         }
     return remainders
-
-
-def pred_satisfiable(pred: Predicate) -> bool:
-    """Is some event satisfying the predicate possible at all?"""
-    return (True,) in event_cells([pred])
-
-
-def preds_intersect(p: Predicate, q: Predicate) -> bool:
-    """Do the event sets of two predicates overlap?"""
-    return (True, True) in event_cells([p, q])
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import cel
-from .model import And, Basic, Interval, Not, Predicate, TrueP, TypeIs, rat
+from .model import And, Basic, Interval, Not, Predicate, TrueP, TypeIs, format_rat, rat
 
 # At the default recursion limit of 1000 the parser overflows at about 165
 # nested parentheses (six frames each), determinize and the oracles at a
@@ -339,17 +339,10 @@ class _Parser:
         if tok.kind == "symbol" and tok.text in ("<=", "<", ">=", ">", "=", "=="):
             op = self.take().text
             value = self.number()
-            if op == "<=":
-                return Interval.at_most(value)
-            if op == "<":
-                if value == 0:
-                    raise ParseError("empty interval: < 0", tok.line, tok.col)
-                return Interval.less_than(value)
-            if op == ">=":
-                return Interval.at_least(value)
-            if op == ">":
-                return Interval.greater_than(value)
-            return Interval.exactly(value)
+            iv = Interval.of(op, value)
+            if iv is None:
+                raise ParseError(f"empty interval: {op} {format_rat(value)}", tok.line, tok.col)
+            return iv
         if tok.kind == "symbol" and tok.text in ("[", "("):
             low_closed = self.take().text == "["
             low = self.number()

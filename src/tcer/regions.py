@@ -153,10 +153,6 @@ class SyncResult:
     witness: Optional[tuple[list[Transition], list[Transition]]] = None
     explored: int = 0
 
-    @property
-    def is_sync(self) -> bool:
-        return self.verdict == "yes"
-
 
 def check_sync(cea: TimedCea, cap: int = DEFAULT_SYNC_CAP) -> SyncResult:
     """Decide synchronous resets by searching paired same-labeled runs.

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from tcer.caecs import (
-    MAX_ODEPTH,
     Bottom,
     Caecs,
     Extended,
@@ -297,7 +296,7 @@ def test_enumeration_matches_semantics_on_random_lists(direction, seed):
         for u in ul:
             cs.check(u)
             assert _events_of(cs, u, i) == _expected(cs, u, i)
-            assert u.odepth <= MAX_ODEPTH
+            assert u.odepth <= 11
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,7 @@ def test_single_event_type_matches_every_occurrence(s0):
 
 
 def test_zero_width_window_keeps_single_events(s0):
-    phi = cel.Within(cel.EventType("T"), Interval.at_most(0))
+    phi = cel.Within(cel.EventType("T"), Interval.of("<=", Fraction(0)))
     out = eval_cel_oracle(phi, s0)
     assert out == frozenset(
         ComplexEvent.make(k, k, {"T": {k}}) for k in (2, 5, 6, 7)
@@ -74,10 +74,10 @@ def test_classify_swg_form():
 
     chain = cel.TimedSeq(
         block("X1", Basic("x", ">", 0)),
-        Interval.at_most(3),
+        Interval.of("<=", Fraction(3)),
         block("X2", Basic("x", "<", 5)),
     )
-    label, flags = classify(cel.Within(chain, Interval.at_most(5)))
+    label, flags = classify(cel.Within(chain, Interval.of("<=", Fraction(5))))
     assert label == "swg"
     assert "windowed" in flags
     assert "simple" not in flags
@@ -86,8 +86,8 @@ def test_classify_swg_form():
 def test_classify_general():
     # a window nested under a timed operator leaves the two-level grammar
     phi = cel.TimedSeq(
-        cel.Within(cel.EventType("A"), Interval.at_most(1)),
-        Interval.at_most(2),
+        cel.Within(cel.EventType("A"), Interval.of("<=", Fraction(1))),
+        Interval.of("<=", Fraction(2)),
         cel.EventType("B"),
     )
     assert classify(phi)[0] == "general"

@@ -4,6 +4,7 @@ build with synchronous resets."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -97,8 +98,8 @@ def test_simple_body_never_checks_the_window_clock():
 
 def test_windowed_rejects_general_formulas():
     nested = cel.TimedSeq(
-        cel.Within(cel.EventType("A"), Interval.at_most(1)),
-        Interval.at_most(2),
+        cel.Within(cel.EventType("A"), Interval.of("<=", Fraction(1))),
+        Interval.of("<=", Fraction(2)),
         cel.EventType("B"),
     )
     with pytest.raises(NotWindowed):
@@ -119,10 +120,10 @@ def test_swg_query_compiles_to_sync_two_clock():
     phi = cel.Within(
         cel.TimedSeq(
             block("X1", Basic("x", ">=", 1)),
-            Interval.at_most(3),
+            Interval.of("<=", Fraction(3)),
             block("X2", Basic("x", "<=", 3)),
         ),
-        Interval.at_most(5),
+        Interval.of("<=", Fraction(5)),
     )
     assert classify(phi)[0] == "swg"
     cea = compile_windowed(phi)

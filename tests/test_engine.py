@@ -26,6 +26,7 @@ from tcer.cea import (
     eval_cea_oracle,
 )
 from tcer.caecs import enumerate_node
+from tcer.cel import eval_cel_oracle
 from tcer.compiler import compile_windowed
 from tcer.determinize import determinize
 from tcer.engine import NotStreamable, StreamingEngine, run_stream
@@ -350,6 +351,22 @@ def test_invariant_bounds_hold(seed):
         engine.feed(e, t)
     assert engine.max_list_len <= len(cea.states) + 2
     assert engine.max_odepth <= 11
+
+
+def test_output_depth_grows_without_bound_under_ge():
+    # the oldest run heads the list, so odepth grows by one per A (12 at the
+    # 14th): Caecs.check, on by default, must hold at any depth
+    phi = parse_query("A as X ;[1,inf) (A (+))")
+    engine = StreamingEngine(determinize(compile_windowed(phi)))
+    stream = TimedStream((Event("A", {}), t) for t in range(1, 17))
+    expected = eval_cel_oracle(phi, stream, cap=16)
+    total = 0
+    for _, e, t in stream.pairs():
+        matches = engine.feed(e, t)
+        assert frozenset(matches) == {c for c in expected if c.end == engine.position}
+        total += len(matches)
+    assert total == len(expected) == 680
+    assert engine.max_odepth > 11
 
 
 def test_run_stream_yields_only_matching_positions(det_t1, s0):

@@ -6,10 +6,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from tcer.cli import ce_sort_key
 from tcer.model import (
+    COMPARISONS,
     And,
     Basic,
     ComplexEvent,
@@ -21,8 +22,6 @@ from tcer.model import (
     TrueP,
     TypeIs,
     event_cells,
-    pred_satisfiable,
-    preds_intersect,
     project_ce,
     rat,
     sat,
@@ -132,12 +131,56 @@ def test_interval_rejects_bad_bounds():
         Interval(Fraction(-1), Fraction(1))
 
 
+# Intervals with ends in {0, 1/2, 1}, so that ends often tie, and constants
+# from -1 to 2 for ``Interval.of``: every constant, every midpoint between
+# two, and a value beyond them tell any two of these sets apart.
+_ENDS = [Fraction(0), Fraction(1, 2), Fraction(1)]
+_IV_GRID = [Fraction(k, 4) for k in range(11)]
+
+
+@st.composite
+def _intervals(draw):
+    low = draw(st.sampled_from(_ENDS))
+    high = draw(st.one_of(st.none(), st.sampled_from([e for e in _ENDS if e >= low])))
+    low_closed, high_closed = draw(st.booleans()), draw(st.booleans())
+    assume(high != low or (low_closed and high_closed))
+    return Interval(low, high, low_closed, high_closed)
+
+
+@given(
+    _intervals(),
+    _intervals(),
+    st.sampled_from(["<", "<=", ">", ">=", "="]),
+    st.sampled_from([Fraction(k, 2) for k in range(-2, 5)]),
+)
+def test_interval_operations_agree_with_contains_on_a_grid(a, b, op, c):
+    meet, join, of = a.meet(b), a.join(b), Interval.of(op, c)
+    for iv in (meet, join, of):
+        assert iv is None or Interval(*iv) == iv  # a well-formed interval
+    in_a = [a.contains(v) for v in _IV_GRID]
+    in_b = [b.contains(v) for v in _IV_GRID]
+    both = [x and y for x, y in zip(in_a, in_b)]
+    assert (meet is None) == (not any(both))
+    if meet is not None:
+        assert [meet.contains(v) for v in _IV_GRID] == both
+    either = [x or y for x, y in zip(in_a, in_b)]
+    first, last = either.index(True), len(either) - either[::-1].index(True)
+    assert (join is None) == (not all(either[first:last]))
+    if join is not None:
+        assert [join.contains(v) for v in _IV_GRID] == either
+    assert a.covers(b) == all(x for x, y in zip(in_a, in_b) if y)
+    fits = [COMPARISONS[op](v, c) for v in _IV_GRID]
+    assert (of is None) == (not any(fits))
+    if of is not None:
+        assert [of.contains(v) for v in _IV_GRID] == fits
+
+
 def test_interval_shorthands():
-    assert Interval.at_most(5).contains(Fraction(0))
-    assert not Interval.less_than(5).contains(Fraction(5))
-    assert Interval.at_least("0.5").contains(Fraction(1, 2))
-    assert not Interval.greater_than("0.5").contains(Fraction(1, 2))
-    assert Interval.exactly(2).contains(Fraction(2))
+    assert Interval.of("<=", Fraction(5)).contains(Fraction(0))
+    assert not Interval.of("<", Fraction(5)).contains(Fraction(5))
+    assert Interval.of(">=", rat("0.5")).contains(Fraction(1, 2))
+    assert not Interval.of(">", rat("0.5")).contains(Fraction(1, 2))
+    assert Interval.of("=", Fraction(2)).contains(Fraction(2))
 
 
 @given(
@@ -201,21 +244,21 @@ def test_sat_boolean_algebra(v, c1, c2):
 
 
 def test_pred_satisfiable_detects_empty_conjunctions():
-    assert pred_satisfiable(And(Basic("x", ">", 3), Basic("x", "<", 5)))
-    assert not pred_satisfiable(And(Basic("x", ">", 5), Basic("x", "<", 3)))
-    assert not pred_satisfiable(And(TypeIs("A"), TypeIs("B")))
-    assert pred_satisfiable(Not(TrueP())) is False
+    assert (True,) in event_cells([And(Basic("x", ">", 3), Basic("x", "<", 5))])
+    assert (True,) not in event_cells([And(Basic("x", ">", 5), Basic("x", "<", 3))])
+    assert (True,) not in event_cells([And(TypeIs("A"), TypeIs("B"))])
+    assert event_cells([Not(TrueP())]) == {(False,)}
 
 
 def test_preds_intersect_is_syntactic_overlap():
-    assert preds_intersect(Basic("x", "<=", 3), Basic("x", ">=", 3))
-    assert not preds_intersect(Basic("x", "<", 3), Basic("x", ">", 3))
-    assert preds_intersect(TrueP(), TypeIs("A"))
+    assert (True, True) in event_cells([Basic("x", "<=", 3), Basic("x", ">=", 3)])
+    assert (True, True) not in event_cells([Basic("x", "<", 3), Basic("x", ">", 3)])
+    assert (True, True) in event_cells([TrueP(), TypeIs("A")])
 
 
 def test_pred_satisfiable_finds_the_exact_midpoint_of_big_constants():
     # a float midpoint of these two rounds onto the lower one
-    assert pred_satisfiable(And(Basic("x", ">", 10**20), Basic("x", "<", 10**20 + 1)))
+    assert (True,) in event_cells([And(Basic("x", ">", 10**20), Basic("x", "<", 10**20 + 1))])
 
 
 _ATOMS = st.one_of(
@@ -250,7 +293,7 @@ GRID = [
 
 @given(_predicates(4))
 def test_pred_satisfiable_agrees_with_an_event_grid(pred):
-    assert pred_satisfiable(pred) == any(sat(e, pred) for e in GRID)
+    assert ((True,) in event_cells([pred])) == any(sat(e, pred) for e in GRID)
 
 
 @given(st.lists(_predicates(3), min_size=1, max_size=3))

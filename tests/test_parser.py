@@ -36,6 +36,26 @@ def test_shorthand_interval_expands_to_upper_bound():
     assert parse_query("A within <=5") == parse_query("A within [0,5]")
 
 
+@pytest.mark.parametrize(
+    "shorthand, brackets",
+    [
+        ("<= 5", "[0,5]"),
+        ("< 5", "[0,5)"),
+        (">= 5", "[5,inf)"),
+        ("> 5", "(5,inf)"),
+        ("= 5", "[5,5]"),
+        ("== 5", "[5,5]"),
+    ],
+)
+def test_each_interval_shorthand_is_its_bracket_form(shorthand, brackets):
+    assert parse_query(f"A within {shorthand}") == parse_query(f"A within {brackets}")
+
+
+def test_an_empty_shorthand_interval_is_a_parse_error():
+    with pytest.raises(ParseError, match="empty interval: < 0"):
+        parse_query("A ;< 0 B")
+
+
 def test_reference_query_shape():
     phi = parse_query(PHI2_TEXT)
     assert isinstance(phi, cel.Project)

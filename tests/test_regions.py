@@ -131,7 +131,6 @@ def test_regions_agree_with_concrete_valuations(ceilings, run):
 def test_reference_automaton_is_synchronous(t1):
     result = check_sync(t1)
     assert result.verdict == "yes"
-    assert result.is_sync
     assert result.witness is None
     assert result.explored > 0
 
@@ -230,7 +229,6 @@ def test_overlapping_guards_still_conflict():
 def test_cap_yields_unknown():
     result = check_sync(make_t1(">="), cap=1)
     assert result.verdict == "unknown"
-    assert not result.is_sync
 
 
 def test_cap_bounds_the_region_steps_of_a_large_constant():
