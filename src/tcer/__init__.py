@@ -4,7 +4,7 @@ determinization, and constant-update streaming evaluation."""
 from .cea import TimedCea, Transition, eval_cea_oracle, is_deterministic, is_monotonic
 from .cel import classify, eval_cel_oracle
 from .compiler import compile_cel, compile_windowed
-from .determinize import SyncResetViolation, determinize
+from .determinize import SyncResetViolation
 from .engine import NotStreamable, StreamingEngine, run_stream
 from .model import ComplexEvent, Event, Interval, TimedStream, rat
 from .parser import parse_query, pretty
@@ -24,7 +24,6 @@ __all__ = [
     "classify",
     "compile_cel",
     "compile_windowed",
-    "determinize",
     "eval_cea_oracle",
     "eval_cel_oracle",
     "is_deterministic",

@@ -395,12 +395,6 @@ def _run_output(start: int, end: int, labels: tuple) -> ComplexEvent:
     return ComplexEvent.make(start, end, binding)
 
 
-def eval_cea_at(
-    cea: TimedCea, stream: TimedStream, j: int, cap: int = DEFAULT_CEA_CAP
-) -> frozenset[ComplexEvent]:
-    return frozenset(c for c in eval_cea_oracle(cea, stream, cap=cap) if c.end == j)
-
-
 # ---------------------------------------------------------------------------
 # Structural classifiers
 # ---------------------------------------------------------------------------
@@ -468,7 +462,7 @@ def is_monotonic(cea: TimedCea) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Serialization (JSON-friendly dicts) and DOT export
+# Serialization (JSON-friendly dicts)
 # ---------------------------------------------------------------------------
 
 
@@ -634,22 +628,3 @@ def cea_from_json(doc) -> TimedCea:
         )
     except ValueError as exc:
         raise AutomatonFormatError(f"automaton: {exc}") from exc
-
-
-def cea_to_dot(cea: TimedCea) -> str:
-    lines = ["digraph cea {", "  rankdir=LR;"]
-    states = sorted(cea.states, key=_state_key)
-    index = {q: i for i, q in enumerate(states)}
-    for q in states:
-        shape = "doublecircle" if q in cea.finals else "circle"
-        lines.append(f'  n{index[q]} [label="{_state_key(q)}", shape={shape}];')
-    lines.append(f"  start [shape=point];")
-    lines.append(f"  start -> n{index[cea.initial]};")
-    for tr in cea.delta:
-        lab = ",".join(sorted(tr.label)) or "∅"
-        rst = ",".join(sorted(tr.resets)) or "∅"
-        text = f"{tr.pred}, {tr.guard} / {{{lab}}}, {{{rst}}}"
-        text = text.replace('"', "'")
-        lines.append(f'  n{index[tr.source]} -> n{index[tr.target]} [label="{text}"];')
-    lines.append("}")
-    return "\n".join(lines)

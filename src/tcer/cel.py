@@ -181,23 +181,17 @@ def _is_simple(phi: CelFormula) -> bool:
     return not any(isinstance(sub, (Project, Within)) for sub in subformulas(phi))
 
 
-def _is_windowed(phi: CelFormula) -> bool:
-    """The two-level fragment: an outer layer of AS/FILTER/OR/AND/WITHIN (and
+def outside_windowed(phi: CelFormula) -> CelFormula | None:
+    """The first subformula outside the two-level windowed fragment, or None.
+
+    The fragment is an outer layer of AS/FILTER/OR/AND/WITHIN (and
     projection) over bodies that are either simple or free of time operators.
     """
     if _is_standard(phi) or _is_simple(phi):
-        return True
-    if isinstance(phi, As):
-        return _is_windowed(phi.body)
-    if isinstance(phi, Filter):
-        return _is_windowed(phi.body)
-    if isinstance(phi, (Or, And)):
-        return _is_windowed(phi.left) and _is_windowed(phi.right)
-    if isinstance(phi, Within):
-        return _is_windowed(phi.body)
-    if isinstance(phi, Project):
-        return _is_windowed(phi.body)
-    return False
+        return None
+    if not isinstance(phi, (As, Filter, Or, And, Within, Project)):
+        return phi
+    return next(filter(None, map(outside_windowed, children(phi))), None)
 
 
 def _is_type_disjunction(phi: CelFormula) -> bool:
@@ -250,7 +244,7 @@ def classify(phi: CelFormula) -> tuple[str, frozenset[str]]:
         flags.add("swg")
     if _is_simple(phi):
         flags.add("simple")
-    if _is_windowed(phi):
+    if outside_windowed(phi) is None:
         flags.add("windowed")
     for label in ("swg", "simple", "windowed"):
         if label in flags:

@@ -1,18 +1,18 @@
 """Query-to-automaton compilation, operator by operator.
 
-`compile_cel` builds one automaton per syntax node with fresh states/clocks.
-`compile_windowed` is the same build with its clocks fixed to two: ``zx``,
-reset on exactly the marking transitions, and ``zn``, reset on exactly the
-initial out-transitions, which keeps resets a function of the transition
-label and hence synchronous across runs.  Both builds apply AS, FILTER, OR,
-AND and projection through the same combinators, and an untimed iteration is
-a timed one with no clock and no gap guard.
+One builder, `_compile`, makes one automaton per syntax node.  `compile_cel`
+runs it with a fresh clock per time operator.  `compile_windowed` runs it in
+its ``windowed`` mode, where the clocks are fixed to two: ``zx``, reset on
+exactly the marking transitions, and ``zn``, reset on exactly the initial
+out-transitions, which keeps resets a function of the transition label and
+hence synchronous across runs.  Whether a formula may be built that way is
+decided by `cel.outside_windowed` alone.  An untimed iteration is a timed one
+with no clock and no gap guard.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import cel
 from .cea import (
@@ -92,8 +92,7 @@ def _resource(tr: Transition, source: State) -> Transition:
     return Transition(source, tr.pred, tr.guard, tr.label, tr.resets, tr.target)
 
 
-# AS, FILTER, OR, AND and projection: one combinator each, shared by the
-# general and the windowed build.
+# AS, FILTER, OR, AND and projection: one combinator each.
 
 
 def _as(b: _Build, var: str) -> _Build:
@@ -155,40 +154,39 @@ def _project(b: _Build, keep: frozenset[str]) -> _Build:
     return b
 
 
-def _compile(phi: cel.CelFormula, fresh: _Fresh, shared_clock: Optional[str] = None) -> _Build:
+def _compile(phi: cel.CelFormula, fresh: _Fresh, windowed: bool = False) -> _Build:
     """Build the automaton for a formula.
 
-    With ``shared_clock`` set, every marking transition resets that clock and
-    every timed operator checks it instead of allocating a fresh clock (the
-    single-clock build for projection- and window-free formulas).
+    In ``windowed`` mode every event type resets ``zx``, the timed sequences
+    and iterations check ``zx``, a window checks ``zn``, and a projection
+    drops the ``zx`` resets it leaves unobservable.  `compile_windowed` adds
+    the ``zn`` resets on the initial out-transitions.
     """
     if isinstance(phi, cel.EventType):
         q1, q2 = fresh.state(), fresh.state()
-        resets = frozenset((shared_clock,)) if shared_clock else frozenset()
-        tr = Transition(q1, TypeIs(phi.etype), GTrue(), frozenset((phi.etype,)), resets, q2)
-        clocks = {shared_clock} if shared_clock else set()
-        return _Build({q1, q2}, [tr], q1, {q2}, clocks)
+        marks = frozenset((ZX,)) if windowed else frozenset()
+        tr = Transition(q1, TypeIs(phi.etype), GTrue(), frozenset((phi.etype,)), marks, q2)
+        return _Build({q1, q2}, [tr], q1, {q2}, set(marks))
 
     if isinstance(phi, cel.As):
-        return _as(_compile(phi.body, fresh, shared_clock), phi.var)
+        return _as(_compile(phi.body, fresh, windowed), phi.var)
 
     if isinstance(phi, cel.Filter):
-        return _filter(_compile(phi.body, fresh, shared_clock), phi.var, phi.pred)
+        return _filter(_compile(phi.body, fresh, windowed), phi.var, phi.pred)
 
     if isinstance(phi, cel.Or):
-        b1 = _compile(phi.left, fresh, shared_clock)
-        return _or(b1, _compile(phi.right, fresh, shared_clock), fresh)
+        b1 = _compile(phi.left, fresh, windowed)
+        return _or(b1, _compile(phi.right, fresh, windowed), fresh)
 
     if isinstance(phi, cel.And):
-        b1 = _compile(phi.left, fresh, shared_clock)
-        b2 = _compile(phi.right, fresh, shared_clock)
-        if shared_clock is None:
-            assert not (b1.clocks & b2.clocks), "operand clocks must be disjoint"
+        b1 = _compile(phi.left, fresh, windowed)
+        b2 = _compile(phi.right, fresh, windowed)
+        assert windowed or not (b1.clocks & b2.clocks), "operand clocks must be disjoint"
         return _and(b1, b2)
 
     if isinstance(phi, (cel.Seq, cel.ContigSeq)):
-        b1 = _compile(phi.left, fresh, shared_clock)
-        b2 = _compile(phi.right, fresh, shared_clock)
+        b1 = _compile(phi.left, fresh, windowed)
+        b2 = _compile(phi.right, fresh, windowed)
         delta = list(b1.delta) + list(b2.delta)
         for tr in b1.delta:
             if tr.target in b1.finals:
@@ -200,16 +198,17 @@ def _compile(phi: cel.CelFormula, fresh: _Fresh, shared_clock: Optional[str] = N
         )
 
     if isinstance(phi, cel.Project):
-        return _project(_compile(phi.body, fresh, shared_clock), phi.vars)
+        b = _project(_compile(phi.body, fresh, windowed), phi.vars)
+        return _drop_dead_marking_resets(b) if windowed else b
 
     if isinstance(phi, cel.Within):
-        b = _compile(phi.body, fresh, shared_clock)
-        return _within_wrap(b, phi.interval, fresh.clock(), fresh)
+        b = _compile(phi.body, fresh, windowed)
+        return _within_wrap(b, phi.interval, ZN if windowed else fresh.clock(), fresh)
 
     if isinstance(phi, (cel.TimedSeq, cel.TimedContigSeq)):
-        b1 = _compile(phi.left, fresh, shared_clock)
-        b2 = _compile(phi.right, fresh, shared_clock)
-        z_x = shared_clock if shared_clock else fresh.clock()
+        b1 = _compile(phi.left, fresh, windowed)
+        b2 = _compile(phi.right, fresh, windowed)
+        z_x = ZX if windowed else fresh.clock()
         q_new = fresh.state()
         gamma_i = gand(*interval_atoms(z_x, phi.interval))
         delta = list(b1.delta) + list(b2.delta)
@@ -235,9 +234,9 @@ def _compile(phi: cel.CelFormula, fresh: _Fresh, shared_clock: Optional[str] = N
 
     if isinstance(phi, (cel.Plus, cel.ContigPlus, cel.TimedIter, cel.TimedContigIter)):
         # an untimed iteration is a timed one with no clock and no gap guard
-        b = _compile(phi.body, fresh, shared_clock)
+        b = _compile(phi.body, fresh, windowed)
         timed = isinstance(phi, (cel.TimedIter, cel.TimedContigIter))
-        z_x = (shared_clock or fresh.clock()) if timed else None
+        z_x = (ZX if windowed else fresh.clock()) if timed else None
         marks = frozenset((z_x,)) if timed else frozenset()
         gamma_i = gand(*interval_atoms(z_x, phi.interval)) if timed else GTrue()
         q_new = fresh.state()
@@ -293,8 +292,11 @@ def _within_wrap(b: _Build, interval: Interval, z_n: str, fresh: _Fresh) -> _Bui
 
 
 def compile_windowed(phi: cel.CelFormula) -> TimedCea:
-    build = _prune_unreachable(_windowed(phi, _Fresh()))
-    out = _finish(build, phi)
+    outside = cel.outside_windowed(phi)
+    if outside is not None:
+        raise NotWindowed(f"operator outside the windowed fragment: {pretty(outside)}")
+    build = _add_zn_on_initial(_compile(phi, _Fresh(), windowed=True))
+    out = _finish(_prune_unreachable(build), phi)
     assert out.clocks <= {ZX, ZN}
     return out
 
@@ -308,39 +310,6 @@ def _add_zn_on_initial(b: _Build) -> _Build:
     ]
     b.clocks.add(ZN)
     return b
-
-
-def _add_zx_on_marking(b: _Build) -> _Build:
-    b.delta = [
-        tr
-        if not tr.label
-        else Transition(tr.source, tr.pred, tr.guard, tr.label, tr.resets | {ZX}, tr.target)
-        for tr in b.delta
-    ]
-    b.clocks.add(ZX)
-    return b
-
-
-def _windowed(phi: cel.CelFormula, fresh: _Fresh) -> _Build:
-    if cel._is_standard(phi):
-        return _add_zn_on_initial(_add_zx_on_marking(_compile(phi, fresh)))
-    if cel._is_simple(phi):
-        return _add_zn_on_initial(_compile(phi, fresh, shared_clock=ZX))
-    if isinstance(phi, cel.As):
-        return _as(_windowed(phi.body, fresh), phi.var)
-    if isinstance(phi, cel.Filter):
-        return _filter(_windowed(phi.body, fresh), phi.var, phi.pred)
-    if isinstance(phi, cel.Or):
-        b1 = _windowed(phi.left, fresh)
-        return _or(b1, _windowed(phi.right, fresh), fresh)
-    if isinstance(phi, cel.And):
-        b1 = _windowed(phi.left, fresh)
-        return _and(b1, _windowed(phi.right, fresh))
-    if isinstance(phi, cel.Within):
-        return _within_wrap(_windowed(phi.body, fresh), phi.interval, ZN, fresh)
-    if isinstance(phi, cel.Project):
-        return _drop_dead_marking_resets(_project(_windowed(phi.body, fresh), phi.vars))
-    raise NotWindowed(f"operator outside the windowed fragment: {pretty(phi)}")
 
 
 def _drop_dead_marking_resets(b: _Build) -> _Build:

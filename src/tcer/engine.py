@@ -95,7 +95,7 @@ def _prepare(cea: TimedCea, scale: int) -> tuple[list[_Trans], Optional[str], st
 class StreamingEngine:
     """One evaluation session over a single stream."""
 
-    def __init__(self, cea: TimedCea, debug: bool = True):
+    def __init__(self, cea: TimedCea, debug: bool = False):
         self.scale = DECIMAL_SCALE * constant_scale(cea)
         trans, clock, direction = _prepare(cea, self.scale)
         self.cea = cea
@@ -197,7 +197,7 @@ class StreamingEngine:
                 self.max_odepth = max(self.max_odepth, u.odepth)
 
 
-def run_stream(cea: TimedCea, pairs, debug: bool = True):
+def run_stream(cea: TimedCea, pairs, debug: bool = False):
     """Evaluate the automaton over (event, time) pairs.
 
     Yields (position, [matches]) for every position with at least one match.

@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .cea import (
-    ClockCondition,
     TimedCea,
     Transition,
     compatible_pairs,
@@ -120,17 +119,6 @@ def _sample(region: Region, scale: int) -> dict[str, Fraction | float]:
         for z in group:
             frac[z] = Fraction(i, len(region.groups) + 1)
     return {z: math.inf if k == _TOP else (k + frac[z]) / scale for z, k in region.ints}
-
-
-def guard_holds(region: Region, gamma: ClockCondition, scale: int) -> bool:
-    """Whether every valuation in the region satisfies the guard.
-
-    Every constant of the guard, times ``scale``, must be an integer no
-    larger than the ceiling of its clock.  Then each atom is constant on the
-    region, so one valuation in it decides the guard.  A clock the region
-    does not initialize fails.
-    """
-    return guard_sat(_sample(region, scale), gamma)
 
 
 def _scale_and_ceilings(cea: TimedCea) -> tuple[int, dict[str, int]]:

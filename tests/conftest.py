@@ -12,7 +12,7 @@ import pytest
 from hypothesis import settings
 
 from tcer import cel
-from tcer.cea import Cmp, GTrue, TimedCea, Transition
+from tcer.cea import DEFAULT_CEA_CAP, Cmp, GTrue, TimedCea, Transition, eval_cea_oracle
 from tcer.model import Basic, Event, TimedStream, TrueP
 
 # ``--hypothesis-profile=ci`` runs the property tests longer than tier-1 does.
@@ -74,6 +74,11 @@ def rewrite_ge40(phi):
     if isinstance(phi, (cel.Within, cel.TimedIter, cel.TimedContigIter)):
         return type(phi)(body, phi.interval)
     return type(phi)(body)
+
+
+def eval_cea_at(cea: TimedCea, stream: TimedStream, j: int, cap: int = DEFAULT_CEA_CAP):
+    """The run oracle's outputs that end at position ``j``."""
+    return frozenset(c for c in eval_cea_oracle(cea, stream, cap=cap) if c.end == j)
 
 
 def make_t1(temp_op: str = ">=") -> TimedCea:

@@ -23,7 +23,6 @@ from tcer.cea import (
     GTrue,
     TimedCea,
     Transition,
-    eval_cea_at,
     eval_cea_oracle,
     is_deterministic,
 )
@@ -41,7 +40,7 @@ from tcer.randgen import (
 )
 from tcer.regions import check_sync
 
-from conftest import PHI2_TEXT, make_s0, make_t1
+from conftest import PHI2_TEXT, eval_cea_at, make_s0, make_t1
 
 
 # -- 1. reference reproduction across all three engines -----------------------
@@ -53,7 +52,7 @@ def test_reference_query_all_engines_agree_everywhere():
     phi = parse_query(PHI2_TEXT)
     cea = compile_cel(phi)
     det = determinize(compile_windowed(phi))
-    engine = StreamingEngine(det)
+    engine = StreamingEngine(det, debug=True)
 
     expected_match = ComplexEvent.make(4, 8, {"X": {4}, "Y": {8}, "T": {5, 6, 7}})
     reference = eval_cel_oracle(phi, s0)

@@ -15,10 +15,9 @@ from tcer.cea import (
     GTrue,
     TimedCea,
     Transition,
+    _state_key,
     cea_from_json,
-    cea_to_dot,
     cea_to_json,
-    eval_cea_at,
     eval_cea_oracle,
     guard_sat,
     guard_satisfiable,
@@ -31,7 +30,7 @@ from tcer.cea import (
 from tcer.model import Basic, ComplexEvent, Event, TimedStream, TrueP, TypeIs
 from tcer.randgen import random_stream, random_sync_cea
 
-from conftest import make_t1
+from conftest import eval_cea_at, make_t1
 
 
 # -- guards over partial valuations ------------------------------------------
@@ -206,6 +205,26 @@ def test_json_round_trip_preserves_fractions(t1):
     back = cea_from_json(cea_to_json(cea))
     guards = {tr.guard for tr in back.delta}
     assert Cmp("z", "<=", Fraction(4, 3)) in guards
+
+
+def cea_to_dot(cea: TimedCea) -> str:
+    """A Graphviz rendering of the automaton, for reading one by eye."""
+    lines = ["digraph cea {", "  rankdir=LR;"]
+    states = sorted(cea.states, key=_state_key)
+    index = {q: i for i, q in enumerate(states)}
+    for q in states:
+        shape = "doublecircle" if q in cea.finals else "circle"
+        lines.append(f'  n{index[q]} [label="{_state_key(q)}", shape={shape}];')
+    lines.append("  start [shape=point];")
+    lines.append(f"  start -> n{index[cea.initial]};")
+    for tr in cea.delta:
+        lab = ",".join(sorted(tr.label)) or "∅"
+        rst = ",".join(sorted(tr.resets)) or "∅"
+        text = f"{tr.pred}, {tr.guard} / {{{lab}}}, {{{rst}}}"
+        text = text.replace('"', "'")
+        lines.append(f'  n{index[tr.source]} -> n{index[tr.target]} [label="{text}"];')
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def test_dot_export_mentions_all_states(t1):

@@ -7,13 +7,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tcer import cel
 from tcer.cea import eval_cea_oracle, guard_clocks
 from tcer.cel import classify, eval_cel_oracle
 from tcer.compiler import ZN, ZX, NotWindowed, compile_cel, compile_windowed
 from tcer.model import Interval
-from tcer.parser import parse_query
+from tcer.parser import parse_query, pretty
 from tcer.randgen import random_formula, random_stream
 from tcer.regions import check_sync
 
@@ -132,6 +133,28 @@ def test_swg_query_compiles_to_sync_two_clock():
     for _ in range(10):
         stream = random_stream(rng, rng.randint(0, 10))
         assert eval_cea_oracle(cea, stream) == eval_cel_oracle(phi, stream)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 5))
+def test_classify_and_compile_windowed_decide_the_fragment_alike(seed, depth):
+    """One test, ``cel.outside_windowed``, decides the fragment for both; a
+    refusal names its subformula, and every build keeps the two clocks'
+    resets a function of the transition: ``zn`` on exactly the initial
+    out-transitions, ``zx`` on every marking one."""
+    phi = random_formula(random.Random(seed), depth)
+    outside = cel.outside_windowed(phi)
+    windowed = "windowed" in classify(phi)[1]
+    try:
+        cea = compile_windowed(phi)
+    except NotWindowed as exc:
+        assert not windowed and outside is not None
+        assert str(exc).endswith(pretty(outside))
+        return
+    assert windowed and outside is None
+    for tr in cea.delta:
+        assert (ZN in tr.resets) == (tr.source == cea.initial)
+        assert not tr.label or ZX in tr.resets
 
 
 @pytest.mark.parametrize("seed", range(30))

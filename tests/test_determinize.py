@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,13 @@ from tcer.randgen import random_stream, random_sync_cea
 
 
 # -- guard negation ----------------------------------------------------------
+
+
+def test_the_package_leaves_the_determinize_module_importable():
+    import tcer.determinize as d
+
+    assert isinstance(d, types.ModuleType)
+    assert callable(d.determinize)
 
 
 def test_negate_guard_duals():

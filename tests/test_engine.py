@@ -22,10 +22,9 @@ from tcer.cea import (
     _guard_atoms,
     cea_from_json,
     cea_to_json,
-    eval_cea_at,
     eval_cea_oracle,
 )
-from tcer.caecs import enumerate_node
+from tcer.caecs import Caecs, enumerate_node
 from tcer.cel import eval_cel_oracle
 from tcer.compiler import compile_windowed
 from tcer.determinize import determinize
@@ -34,7 +33,7 @@ from tcer.model import ComplexEvent, Event, TimedStream, TrueP, TypeIs, rat
 from tcer.parser import parse_query
 from tcer.randgen import ATTR, TYPES, random_stream, random_streamable_cea
 
-from conftest import PHI2_TEXT, bench_stream, make_t1
+from conftest import PHI2_TEXT, bench_stream, eval_cea_at, make_t1
 
 
 @pytest.fixture
@@ -46,12 +45,12 @@ def det_t1(t1):
 
 
 def test_reference_pipeline_end_to_end(det_t1, s0):
-    results = dict(run_stream(det_t1, s0.pairs_et()))
+    results = dict(run_stream(det_t1, s0.pairs_et(), debug=True))
     assert results == {9: [ComplexEvent.make(5, 9, {"X": {5}, "Y": {9}})]}
 
 
 def test_per_position_output_matches_oracle(det_t1, s0):
-    engine = StreamingEngine(det_t1)
+    engine = StreamingEngine(det_t1, debug=True)
     for _, e, t in s0.pairs():
         matches = engine.feed(e, t)
         assert frozenset(matches) == eval_cea_at(det_t1, s0, engine.position)
@@ -59,7 +58,7 @@ def test_per_position_output_matches_oracle(det_t1, s0):
 
 
 def test_enumerate_at_is_repeatable(det_t1, s0):
-    engine = StreamingEngine(det_t1)
+    engine = StreamingEngine(det_t1, debug=True)
     for _, e, t in s0.pairs():
         engine.feed(e, t)
     once = frozenset(engine.enumerate_at(engine.position))
@@ -68,21 +67,21 @@ def test_enumerate_at_is_repeatable(det_t1, s0):
 
 
 def test_timestamps_must_increase(det_t1):
-    engine = StreamingEngine(det_t1)
+    engine = StreamingEngine(det_t1, debug=True)
     engine.feed(Event("T", {"temp": Fraction(50)}), Fraction(1))
     with pytest.raises(ValueError):
         engine.feed(Event("T", {"temp": Fraction(50)}), Fraction(1))
 
 
 def test_fresh_run_builds_no_node_when_no_initial_transition_fires():
-    engine = StreamingEngine(determinize(compile_windowed(parse_query(PHI2_TEXT))))
+    engine = StreamingEngine(determinize(compile_windowed(parse_query(PHI2_TEXT))), debug=True)
     assert engine.feed(Event("T", {"temp": Fraction(45)}), Fraction(1)) == []
     assert engine.caecs.created == 0
 
 
 @pytest.mark.parametrize("time", [Fraction(-5), Fraction(0)])
 def test_timestamps_must_be_positive(det_t1, time):
-    engine = StreamingEngine(det_t1)
+    engine = StreamingEngine(det_t1, debug=True)
     with pytest.raises(ValueError):
         engine.feed(Event("H", {"hum": Fraction(20)}), time)
     assert engine.position == 0
@@ -170,7 +169,7 @@ def test_rejects_initial_transition_without_reset_of_checked_clock():
 
 def _timed_engine(text: str) -> tuple[StreamingEngine, float]:
     start = perf_counter()
-    engine = StreamingEngine(determinize(compile_windowed(parse_query(text))))
+    engine = StreamingEngine(determinize(compile_windowed(parse_query(text))), debug=True)
     return engine, perf_counter() - start
 
 
@@ -208,7 +207,7 @@ def test_random_automata_agree_with_oracle_per_position(seed):
     rng = random.Random(30_000 + seed)
     cea = random_streamable_cea(rng)
     stream = random_stream(rng, rng.randint(0, 12))
-    engine = StreamingEngine(cea)
+    engine = StreamingEngine(cea, debug=True)
     for _, e, t in stream.pairs():
         matches = engine.feed(e, t)
         expected = eval_cea_at(cea, stream, engine.position, cap=len(stream))
@@ -291,7 +290,7 @@ def test_feed_reads_a_float_time_as_rat_does(rng, n_states, tenths):
 def test_a_float_time_matches_as_its_decimal_and_a_bool_is_refused():
     """0.4 - 0.1 is 0.3, though the binary floats differ by a little more."""
     cea = determinize(compile_windowed(parse_query("(A as X ; B as Y) within [0, 0.3]")))
-    engine = StreamingEngine(cea)
+    engine = StreamingEngine(cea, debug=True)
     assert engine.feed(Event("A", {}), 0.1) == []
     assert [(ce.start, ce.end) for ce in engine.feed(Event("B", {}), 0.4)] == [(1, 2)]
     with pytest.raises(TypeError):
@@ -317,7 +316,7 @@ def test_a_guard_constant_in_thirds_scales_to_a_whole_bound():
     )
     assert cea_to_json(cea)["transitions"][2]["guard"]["constant"] == "1/3"
     assert cea_from_json(cea_to_json(cea)) == cea
-    engine = StreamingEngine(cea)
+    engine = StreamingEngine(cea, debug=True)
     assert engine.scale == 3 * 10**9
     assert [tr.bound for tr in engine.out[1]] == [None, 10**9]
     assert type(engine.out[1][1].bound) is int
@@ -357,7 +356,7 @@ def test_output_depth_grows_without_bound_under_ge():
     # the oldest run heads the list, so odepth grows by one per A (12 at the
     # 14th): Caecs.check, on by default, must hold at any depth
     phi = parse_query("A as X ;[1,inf) (A (+))")
-    engine = StreamingEngine(determinize(compile_windowed(phi)))
+    engine = StreamingEngine(determinize(compile_windowed(phi)), debug=True)
     stream = TimedStream((Event("A", {}), t) for t in range(1, 17))
     expected = eval_cel_oracle(phi, stream, cap=16)
     total = 0
@@ -370,8 +369,22 @@ def test_output_depth_grows_without_bound_under_ge():
 
 
 def test_run_stream_yields_only_matching_positions(det_t1, s0):
-    positions = [j for j, _ in run_stream(det_t1, s0.pairs_et())]
+    positions = [j for j, _ in run_stream(det_t1, s0.pairs_et(), debug=True)]
     assert positions == [9]
+
+
+def test_the_default_engine_skips_the_store_invariant_walk(monkeypatch, s0):
+    """``Caecs.check`` walks a root's whole spine, so the default engine,
+    which must keep constant update cost, never calls it."""
+
+    def refuse(self, root):
+        raise AssertionError("Caecs.check ran without debug=True")
+
+    monkeypatch.setattr(Caecs, "check", refuse)
+    det = determinize(compile_windowed(parse_query(PHI2_TEXT)))
+    engine = StreamingEngine(det)
+    matches = [engine.feed(e, t) for e, t in s0.pairs_et()]
+    assert sum(map(len, matches)) == len(list(run_stream(det, s0.pairs_et()))) == 1
 
 
 # -- node count ----------------------------------------------------------------

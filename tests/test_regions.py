@@ -20,14 +20,25 @@ from tcer.regions import (
     Region,
     SyncResult,
     _TOP,
+    _sample,
     check_sync,
-    guard_holds,
     region_successor,
     reset_region,
     time_successors,
 )
 
 from conftest import make_t1
+
+
+def guard_holds(region: Region, gamma, scale: int) -> bool:
+    """Whether every valuation in the region satisfies the guard.
+
+    Every constant of the guard, times ``scale``, must be an integer no
+    larger than the ceiling of its clock.  Then each atom is constant on the
+    region, so one valuation in it decides the guard.  A clock the region
+    does not initialize fails.
+    """
+    return guard_sat(_sample(region, scale), gamma)
 
 
 # -- region mechanics ---------------------------------------------------------
