@@ -8,7 +8,6 @@ from .determinize import SyncResetViolation
 from .engine import NotStreamable, StreamingEngine, run_stream
 from .model import ComplexEvent, Event, Interval, TimedStream, rat
 from .parser import parse_query, pretty
-from .regions import check_sync
 
 __all__ = [
     "ComplexEvent",
@@ -35,3 +34,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name == "check_sync":  # loaded on first use: ``tcer run`` never needs it
+        from .regions import check_sync
+
+        return check_sync
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,16 +6,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .model import (
+    Binary,
     ComplexEvent,
     Event,
     Interval,
     Predicate,
     TimedStream,
+    Value,
     format_rat,
 )
 from . import model
@@ -26,48 +27,45 @@ from .parser import MAX_QUERY_DEPTH
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GTrue:
+class GTrue(Value):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True)
-class GFalse:
+class GFalse(Value):
     """Unsatisfiable condition; internal (the dual of GTrue under negation)."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "false"
 
 
-@dataclass(frozen=True)
-class Cmp:
-    clock: str
-    op: str  # one of = < <= >= >
-    constant: Fraction
+class Cmp(Value):
+    __slots__ = ("clock", "op", "constant")
 
-    def __post_init__(self) -> None:
-        if self.op not in ("=", "<", "<=", ">=", ">"):
-            raise ValueError(f"unknown clock comparator {self.op!r}")
-        object.__setattr__(self, "constant", model.rat(self.constant))
+    def __init__(self, clock: str, op: str, constant: Fraction):
+        if op not in ("=", "<", "<=", ">=", ">"):
+            raise ValueError(f"unknown clock comparator {op!r}")
+        object.__setattr__(self, "clock", clock)
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "constant", model.rat(constant))
 
     def __str__(self) -> str:
         return f"{self.clock} {self.op} {format_rat(self.constant)}"
 
 
-@dataclass(frozen=True)
-class GAnd:
-    left: "ClockCondition"
-    right: "ClockCondition"
+class GAnd(Binary):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"({self.left} and {self.right})"
 
 
-@dataclass(frozen=True)
-class GOr:
-    left: "ClockCondition"
-    right: "ClockCondition"
+class GOr(Binary):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"({self.left} or {self.right})"
@@ -211,18 +209,19 @@ def guard_satisfiable(gamma: ClockCondition) -> bool:
 State = Union[int, str, tuple]
 
 
-@dataclass(frozen=True)
-class Transition:
-    source: State
-    pred: Predicate
-    guard: ClockCondition
-    label: frozenset[str]
-    resets: frozenset[str]
-    target: State
+class Transition(Value):
+    __slots__ = ("source", "pred", "guard", "label", "resets", "target")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "label", frozenset(self.label))
-        object.__setattr__(self, "resets", frozenset(self.resets))
+    def __init__(
+        self, source: State, pred: Predicate, guard: ClockCondition,
+        label: frozenset[str], resets: frozenset[str], target: State,
+    ):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "pred", pred)
+        object.__setattr__(self, "guard", guard)
+        object.__setattr__(self, "label", frozenset(label))
+        object.__setattr__(self, "resets", frozenset(resets))
+        object.__setattr__(self, "target", target)
 
     def __str__(self) -> str:
         lab = "{" + ",".join(sorted(self.label)) + "}"
@@ -230,29 +229,26 @@ class Transition:
         return f"{self.source} --{self.pred}, {self.guard} / {lab}, {rst}--> {self.target}"
 
 
-@dataclass(frozen=True)
-class TimedCea:
-    states: frozenset[State]
-    vars: frozenset[str]
-    clocks: frozenset[str]
-    delta: tuple[Transition, ...]
-    initial: State
-    finals: frozenset[State]
-    _out: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+class TimedCea(Value):
+    __slots__ = ("states", "vars", "clocks", "delta", "initial", "finals", "_out")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states", frozenset(self.states))
-        object.__setattr__(self, "vars", frozenset(self.vars))
-        object.__setattr__(self, "clocks", frozenset(self.clocks))
-        object.__setattr__(self, "delta", tuple(self.delta))
-        object.__setattr__(self, "finals", frozenset(self.finals))
+    def __init__(
+        self, states: frozenset[State], vars: frozenset[str], clocks: frozenset[str],
+        delta: tuple[Transition, ...], initial: State, finals: frozenset[State],
+    ):
+        object.__setattr__(self, "states", frozenset(states))
+        object.__setattr__(self, "vars", frozenset(vars))
+        object.__setattr__(self, "clocks", frozenset(clocks))
+        object.__setattr__(self, "delta", tuple(delta))
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "finals", frozenset(finals))
         out: dict[State, list[Transition]] = {}
         for tr in self.delta:
             if tr.source not in self.states or tr.target not in self.states:
                 raise ValueError(f"transition over unknown state: {tr}")
             out.setdefault(tr.source, []).append(tr)
         object.__setattr__(self, "_out", out)
-        if self.initial not in self.states:
+        if initial not in self.states:
             raise ValueError("initial state unknown")
         if not self.finals <= self.states:
             raise ValueError("final state unknown")

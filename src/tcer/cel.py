@@ -7,14 +7,16 @@ desk-scale only; everything else in the system is tested against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .model import (
+    Binary,
     ComplexEvent,
     Interval,
     Predicate,
     TimedStream,
+    Unary,
+    Value,
     project_ce,
     sat,
     union_ce,
@@ -25,97 +27,101 @@ from .model import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EventType:
-    etype: str
+class EventType(Value):
+    __slots__ = ("etype",)
+
+    def __init__(self, etype: str):
+        object.__setattr__(self, "etype", etype)
 
 
-@dataclass(frozen=True)
-class As:
-    body: "CelFormula"
-    var: str
+class As(Value):
+    __slots__ = ("body", "var")
+
+    def __init__(self, body: "CelFormula", var: str):
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "var", var)
 
 
-@dataclass(frozen=True)
-class Filter:
-    body: "CelFormula"
-    var: str
-    pred: Predicate
+class Filter(Value):
+    __slots__ = ("body", "var", "pred")
+
+    def __init__(self, body: "CelFormula", var: str, pred: Predicate):
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "pred", pred)
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "CelFormula"
-    right: "CelFormula"
+class Project(Value):
+    __slots__ = ("vars", "body")
+
+    def __init__(self, vars: frozenset[str], body: "CelFormula"):
+        object.__setattr__(self, "vars", frozenset(vars))
+        object.__setattr__(self, "body", body)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "CelFormula"
-    right: "CelFormula"
+class _TimedUnary(Value):
+    """The fields of a window or a timed iteration."""
+
+    __slots__ = ("body", "interval")
+
+    def __init__(self, body: "CelFormula", interval: Interval):
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "interval", interval)
 
 
-@dataclass(frozen=True)
-class Seq:
-    left: "CelFormula"
-    right: "CelFormula"
+class _TimedBinary(Value):
+    """The fields of a timed sequencing."""
+
+    __slots__ = ("left", "interval", "right")
+
+    def __init__(self, left: "CelFormula", interval: Interval, right: "CelFormula"):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "interval", interval)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class ContigSeq:
-    left: "CelFormula"
-    right: "CelFormula"
+class Or(Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Plus:
-    body: "CelFormula"
+class And(Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ContigPlus:
-    body: "CelFormula"
+class Seq(Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Project:
-    vars: frozenset[str]
-    body: "CelFormula"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vars", frozenset(self.vars))
+class ContigSeq(Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Within:
-    body: "CelFormula"
-    interval: Interval
+class Plus(Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TimedSeq:
-    left: "CelFormula"
-    interval: Interval
-    right: "CelFormula"
+class ContigPlus(Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TimedContigSeq:
-    left: "CelFormula"
-    interval: Interval
-    right: "CelFormula"
+class Within(_TimedUnary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TimedIter:
-    body: "CelFormula"
-    interval: Interval
+class TimedSeq(_TimedBinary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TimedContigIter:
-    body: "CelFormula"
-    interval: Interval
+class TimedContigSeq(_TimedBinary):
+    __slots__ = ()
+
+
+class TimedIter(_TimedUnary):
+    __slots__ = ()
+
+
+class TimedContigIter(_TimedUnary):
+    __slots__ = ()
 
 
 CelFormula = Union[

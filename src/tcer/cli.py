@@ -41,7 +41,6 @@ from .determinize import SyncResetViolation, determinize
 from .engine import NotStreamable, StreamingEngine
 from .model import ComplexEvent, Event, TimedStream, format_rat, rat
 from .parser import ParseError, parse_query, pretty
-from .regions import check_sync
 
 
 class StreamFormatError(Exception):
@@ -202,6 +201,8 @@ def cmd_determinize(args) -> int:
 
 
 def cmd_check_sync(args) -> int:
+    from .regions import check_sync  # only this command needs the region search
+
     cea = load_automaton(args.automaton)
     result = check_sync(cea, cap=args.cap)
     report = {"verdict": result.verdict, "explored": result.explored}

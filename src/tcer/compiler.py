@@ -12,8 +12,6 @@ with no clock and no gap guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import cel
 from .cea import (
     GTrue,
@@ -39,21 +37,20 @@ ZX = "zx"  # marking clock of the windowed build
 ZN = "zn"  # window clock of the windowed build
 
 
-@dataclass
 class _Build:
     """One sub-automaton under construction (mutable scaffolding)."""
 
-    states: set[State]
-    delta: list[Transition]
-    initial: State
-    finals: set[State]
-    clocks: set[str]
+    def __init__(self, states: set, delta: list, initial: State, finals: set, clocks: set):
+        self.states = states
+        self.delta = delta
+        self.initial = initial
+        self.finals = finals
+        self.clocks = clocks
 
 
-@dataclass
 class _Fresh:
-    state_counter: int = 0
-    clock_counter: int = 0
+    def __init__(self):
+        self.state_counter = self.clock_counter = 0
 
     def state(self) -> int:
         self.state_counter += 1

@@ -29,7 +29,6 @@ tick leaves the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -42,7 +41,7 @@ from .cea import (
     is_deterministic,
     is_monotonic,
 )
-from .model import ComplexEvent, Event, Rational, rat, sat
+from .model import ComplexEvent, Event, Rational, Value, rat, sat
 
 # Ticks per second for integer clock constants: a timestamp with at most nine
 # decimal places is a whole number of ticks.
@@ -53,14 +52,18 @@ class NotStreamable(Exception):
     """The automaton is outside the streamable class."""
 
 
-@dataclass(frozen=True)
-class _Trans:
-    source: object
-    pred: object
-    bound: Optional[int]  # None = true guard; else z ≤ bound (or ≥), in ticks
-    label: frozenset
-    reset: bool
-    target: object
+class _Trans(Value):
+    """A transition whose guard is one bound in ticks, or None if it is true."""
+
+    __slots__ = ("source", "pred", "bound", "label", "reset", "target")
+
+    def __init__(self, source, pred, bound: Optional[int], label: frozenset, reset: bool, target):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "pred", pred)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "reset", reset)
+        object.__setattr__(self, "target", target)
 
 
 def _prepare(cea: TimedCea, scale: int) -> tuple[list[_Trans], Optional[str], str]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import operator
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -204,30 +203,97 @@ def format_rat(value: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Immutable value classes
+# ---------------------------------------------------------------------------
+
+
+class Value:
+    """Base of the immutable value classes: syntax nodes, predicates, guards,
+    transitions and automata.
+
+    A subclass lists its fields in ``__slots__``, after its base's, and sets
+    them in ``__init__`` with ``object.__setattr__``; assignment then raises
+    ``AttributeError``.  As for a frozen dataclass, values of one class with
+    equal fields are equal, and a value hashes as the tuple of its fields.  A
+    slot named with a leading ``_`` is a cache, outside eq, hash and repr.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        own = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        if own:
+            fields = cls._fields = cls._fields + own
+            get = operator.attrgetter(*fields)
+            cls._key = property(get if len(fields) > 1 else lambda self: (get(self),))
+
+    @property
+    def _key(self) -> tuple:
+        """The field values, in order."""
+        return ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        """Copies and pickles rebuild the value through ``__init__``."""
+        return self.__class__, self._key
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{self.__class__.__qualname__}({inner})"
+
+
+class Unary(Value):
+    """The fields of an operator over one operand: a negation, an iteration."""
+
+    __slots__ = ("body",)
+
+    def __init__(self, body):
+        object.__setattr__(self, "body", body)
+
+
+class Binary(Value):
+    """The fields of an operator over two operands: and, or, a sequencing."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+
+# ---------------------------------------------------------------------------
 # Events and streams
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(Value):
     """A data item: an event type plus a mapping of attribute values."""
 
-    etype: str
-    attrs: Mapping[str, AttrValue]
+    __slots__ = ("etype", "attrs")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "attrs", dict(self.attrs))
+    def __init__(self, etype: str, attrs: Mapping[str, AttrValue]):
+        object.__setattr__(self, "etype", etype)
+        object.__setattr__(self, "attrs", dict(attrs))
 
     def get(self, name: str) -> Optional[AttrValue]:
         return self.attrs.get(name)
 
     def __hash__(self) -> int:
         return hash((self.etype, tuple(sorted(self.attrs.items()))))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self.etype == other.etype and dict(self.attrs) == dict(other.attrs)
 
 
 class TimedStream:
@@ -283,24 +349,26 @@ class TimedStream:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrueP:
+class TrueP(Value):
     """The predicate satisfied by every event."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True)
-class TypeIs:
-    etype: str
+class TypeIs(Value):
+    __slots__ = ("etype",)
+
+    def __init__(self, etype: str):
+        object.__setattr__(self, "etype", etype)
 
     def __str__(self) -> str:
         return f"type = {self.etype}"
 
 
-@dataclass(frozen=True)
-class Basic:
+class Basic(Value):
     """Comparison of one attribute against a constant.
 
     Absent attributes never satisfy a Basic predicate, and neither do
@@ -308,17 +376,16 @@ class Basic:
     number).  A string constant takes only ``==`` and ``!=``.
     """
 
-    attr: str
-    op: str  # one of < <= > >= == !=
-    value: AttrValue
+    __slots__ = ("attr", "op", "value")
 
-    def __post_init__(self) -> None:
-        if self.op not in ("<", "<=", ">", ">=", "==", "!="):
-            raise ValueError(f"unknown comparison {self.op!r}")
-        if isinstance(self.value, str) and self.op not in ("==", "!="):
-            raise ValueError(f"ordered comparison {self.op!r} needs a number constant")
-        if isinstance(self.value, float):
-            object.__setattr__(self, "value", rat(self.value))
+    def __init__(self, attr: str, op: str, value: AttrValue):
+        if op not in ("<", "<=", ">", ">=", "==", "!="):
+            raise ValueError(f"unknown comparison {op!r}")
+        if isinstance(value, str) and op not in ("==", "!="):
+            raise ValueError(f"ordered comparison {op!r} needs a number constant")
+        object.__setattr__(self, "attr", attr)
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "value", rat(value) if isinstance(value, float) else value)
 
     def __str__(self) -> str:
         v = self.value
@@ -331,18 +398,15 @@ class Basic:
         return f"{self.attr} {self.op} {rendered}"
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Predicate"
-    right: "Predicate"
+class And(Binary):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"({self.left} and {self.right})"
 
 
-@dataclass(frozen=True)
-class Not:
-    body: "Predicate"
+class Not(Unary):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"(not {self.body})"

@@ -22,12 +22,11 @@ and the compilers recurse once or more per level.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import cel
-from .model import And, Basic, Interval, Not, Predicate, TrueP, TypeIs, format_rat, rat
+from .model import And, Basic, Interval, Not, Predicate, TrueP, TypeIs, Value, format_rat, rat
 
 # At the default recursion limit of 1000 the parser overflows at about 165
 # nested parentheses (six frames each), determinize and the oracles at a
@@ -52,12 +51,14 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # number | string | ident | keyword | symbol
-    text: str
-    line: int
-    col: int
+class Token(Value):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        object.__setattr__(self, "kind", kind)  # number | string | ident | keyword | symbol
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "col", col)
 
 
 class ParseError(Exception):

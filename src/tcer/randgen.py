@@ -1,8 +1,7 @@
 """Seeded random generators for differential testing.
 
-Formulas, streams, and automata are drawn small enough for the brute-force
-reference evaluators; automata generators target specific classes
-(synchronous resets by construction, deterministic monotonic single-clock).
+Formulas and streams are drawn small enough for the brute-force reference
+evaluators.
 """
 
 from __future__ import annotations
@@ -11,8 +10,7 @@ import random
 from fractions import Fraction
 
 from . import cel
-from .cea import Cmp, GTrue, TimedCea, Transition
-from .model import Basic, Event, Interval, TimedStream, TrueP, TypeIs
+from .model import Basic, Event, Interval, TimedStream, TrueP
 
 TYPES = ("A", "B", "C")
 ATTR = "x"
@@ -95,72 +93,3 @@ def random_stream(rng: random.Random, n: int) -> TimedStream:
             (Event(rng.choice(TYPES), {ATTR: rng.randint(0, 4)}), t)
         )
     return TimedStream(events)
-
-
-def random_sync_cea(rng: random.Random, n_states: int = 4, n_clocks: int = 2) -> TimedCea:
-    """Synchronous resets hold by construction: the reset set is a function
-    of the transition label."""
-    states = frozenset(range(n_states))
-    clocks = tuple(f"z{i}" for i in range(n_clocks))
-    labels = [frozenset(), frozenset({"X"}), frozenset({"X", "Y"})]
-    label_resets = {
-        lab: frozenset(z for z in clocks if rng.random() < 0.5) for lab in labels
-    }
-    guards = [GTrue()] + [
-        Cmp(z, rng.choice(["<=", "<", ">=", ">"]), Fraction(rng.randint(0, 3)))
-        for z in clocks
-    ]
-    delta = []
-    for _ in range(rng.randint(3, 7)):
-        lab = rng.choice(labels)
-        delta.append(
-            Transition(
-                source=rng.randrange(n_states),
-                pred=rng.choice([TypeIs(t) for t in TYPES] + [TrueP()]),
-                guard=rng.choice(guards),
-                label=lab,
-                resets=label_resets[lab],
-                target=rng.randrange(n_states),
-            )
-        )
-    finals = frozenset(rng.sample(range(n_states), rng.randint(1, n_states)))
-    return TimedCea(
-        states=states,
-        vars=frozenset({"X", "Y"}) | frozenset(TYPES),
-        clocks=frozenset(clocks),
-        delta=tuple(delta),
-        initial=0,
-        finals=finals,
-    )
-
-
-def random_streamable_cea(rng: random.Random, n_states: int = 4) -> TimedCea:
-    """Deterministic (disjoint event types per state), monotonic, one clock,
-    clock initialized on every run's first step, no way back to the start."""
-    direction = rng.choice(["le", "ge"])
-    op = "<=" if direction == "le" else ">="
-    z = "z"
-    labels = [frozenset(), frozenset({"X"}), frozenset({"Y"}), frozenset({"X", "Y"})]
-    delta = []
-    for source in range(n_states):
-        out_types = rng.sample(TYPES, rng.randint(1, len(TYPES)))
-        for etype in out_types:
-            if rng.random() < 0.25:
-                continue
-            target = rng.randrange(1, n_states)
-            guard = GTrue()
-            if source != 0 and rng.random() < 0.6:
-                guard = Cmp(z, op, Fraction(rng.randint(0, 6), 2))
-            resets = frozenset({z}) if source == 0 or rng.random() < 0.3 else frozenset()
-            delta.append(
-                Transition(source, TypeIs(etype), guard, rng.choice(labels), resets, target)
-            )
-    finals = frozenset(rng.sample(range(1, n_states), rng.randint(1, n_states - 1)))
-    return TimedCea(
-        states=frozenset(range(n_states)),
-        vars=frozenset({"X", "Y"}) | frozenset(TYPES),
-        clocks=frozenset({z}),
-        delta=tuple(delta),
-        initial=0,
-        finals=finals,
-    )

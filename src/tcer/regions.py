@@ -16,9 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple
 
 from .cea import (
     TimedCea,
@@ -34,14 +33,14 @@ DEFAULT_SYNC_CAP = 1_000_000
 _TOP = -1  # marker: clock value exceeds its largest constant
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """A clock region over the initialized clocks.
 
     ``ints`` maps each initialized clock to its integer part, or ``_TOP``
     once it exceeds the clock's largest constant.  ``zero`` and ``groups``
     order the bounded clocks by fractional part: ``zero`` holds those with
     fraction exactly 0, ``groups`` the rest in increasing fraction order.
+    A tuple, because the search hashes and compares a region at every step.
     """
 
     ints: tuple[tuple[str, int], ...]
@@ -50,11 +49,7 @@ class Region:
 
 
 def _mk_region(ints: dict[str, int], zero: set[str], groups: list[frozenset[str]]) -> Region:
-    return Region(
-        ints=tuple(sorted(ints.items())),
-        zero=frozenset(zero),
-        groups=tuple(g for g in groups if g),
-    )
+    return Region(tuple(sorted(ints.items())), frozenset(zero), tuple(g for g in groups if g))
 
 
 EMPTY_REGION = _mk_region({}, set(), [])
@@ -135,11 +130,11 @@ def _scale_and_ceilings(cea: TimedCea) -> tuple[int, dict[str, int]]:
     return scale, ceilings
 
 
-@dataclass
 class SyncResult:
-    verdict: str  # "yes" | "no" | "unknown"
-    witness: Optional[tuple[list[Transition], list[Transition]]] = None
-    explored: int = 0
+    def __init__(self, verdict: str, witness=None, explored: int = 0):
+        self.verdict = verdict  # "yes" | "no" | "unknown"
+        self.witness = witness  # on "no": two same-labeled runs, lists of transitions
+        self.explored = explored
 
 
 def check_sync(cea: TimedCea, cap: int = DEFAULT_SYNC_CAP) -> SyncResult:

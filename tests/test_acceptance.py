@@ -32,15 +32,17 @@ from tcer.determinize import determinize
 from tcer.engine import StreamingEngine
 from tcer.model import ComplexEvent, Event, TypeIs, event_cells
 from tcer.parser import parse_query
-from tcer.randgen import (
-    random_formula,
-    random_stream,
+from tcer.randgen import random_formula, random_stream
+from tcer.regions import check_sync
+
+from conftest import (
+    PHI2_TEXT,
+    eval_cea_at,
+    make_s0,
+    make_t1,
     random_streamable_cea,
     random_sync_cea,
 )
-from tcer.regions import check_sync
-
-from conftest import PHI2_TEXT, eval_cea_at, make_s0, make_t1
 
 
 # -- 1. reference reproduction across all three engines -----------------------

@@ -28,9 +28,9 @@ from tcer.cea import (
     step,
 )
 from tcer.model import Basic, ComplexEvent, Event, TimedStream, TrueP, TypeIs
-from tcer.randgen import random_stream, random_sync_cea
+from tcer.randgen import random_stream
 
-from conftest import eval_cea_at, make_t1
+from conftest import eval_cea_at, make_t1, random_sync_cea
 
 
 # -- guards over partial valuations ------------------------------------------

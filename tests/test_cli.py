@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import random
@@ -462,6 +463,44 @@ def test_closed_stdout_ends_quietly(tmp_path):
     assert proc.wait(timeout=60) == 0
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+# -- what a start costs --------------------------------------------------------
+
+
+def test_the_cli_loads_neither_dataclasses_nor_the_region_search():
+    """Each ``tcer run`` is a fresh interpreter that imports ``tcer.cli``:
+    every module that import adds is paid for before the first event."""
+    probe = (
+        "import sys; before = set(sys.modules); import tcer.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    added = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split()
+    assert "tcer.engine" in added
+    assert not {"dataclasses", "inspect", "tcer.regions"} & set(added)
+
+
+def test_no_source_module_imports_dataclasses():
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                assert "dataclasses" not in (alias.name for alias in node.names), path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path.name
+
+
+def test_the_package_exports_check_sync_on_first_use():
+    import tcer
+    from tcer import regions
+
+    assert "check_sync" in tcer.__all__
+    assert tcer.check_sync is regions.check_sync
+    with pytest.raises(AttributeError):
+        tcer.no_such_name
 
 
 # -- every bad input ends in its exit code ------------------------------------

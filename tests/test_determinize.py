@@ -32,7 +32,9 @@ from tcer.determinize import (
     split_disjunctions,
 )
 from tcer.model import TrueP, TypeIs, sat
-from tcer.randgen import random_stream, random_sync_cea
+from tcer.randgen import random_stream
+
+from conftest import random_sync_cea
 
 
 # -- guard negation ----------------------------------------------------------

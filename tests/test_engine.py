@@ -31,9 +31,9 @@ from tcer.determinize import determinize
 from tcer.engine import NotStreamable, StreamingEngine, run_stream
 from tcer.model import ComplexEvent, Event, TimedStream, TrueP, TypeIs, rat
 from tcer.parser import parse_query
-from tcer.randgen import ATTR, TYPES, random_stream, random_streamable_cea
+from tcer.randgen import ATTR, TYPES, random_stream
 
-from conftest import PHI2_TEXT, bench_stream, eval_cea_at, make_t1
+from conftest import PHI2_TEXT, bench_stream, eval_cea_at, make_t1, random_streamable_cea
 
 
 @pytest.fixture

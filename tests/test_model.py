@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from tcer import cel
+from tcer.cea import Cmp, GAnd, GFalse, GOr, GTrue, TimedCea, Transition
 from tcer.cli import ce_sort_key
+from tcer.engine import _Trans
 from tcer.model import (
     COMPARISONS,
     And,
@@ -27,6 +32,8 @@ from tcer.model import (
     sat,
     union_ce,
 )
+from tcer.parser import Token
+from tcer.regions import Region
 
 
 # -- rationals and intervals -------------------------------------------------
@@ -402,3 +409,115 @@ tied_ces = st.builds(ComplexEvent.make, st.integers(0, 1), st.integers(40, 41), 
 @given(st.lists(tied_ces, max_size=12))
 def test_ce_sort_key_orders_as_the_sorted_positions_key(matches):
     assert sorted(matches, key=ce_sort_key) == sorted(matches, key=_sorted_positions_key)
+
+
+# -- value classes -------------------------------------------------------------
+
+_FORMULAS = st.one_of(
+    st.sampled_from("AB").map(cel.EventType),
+    st.sampled_from("AB").map(lambda t: cel.As(cel.EventType(t), "X")),
+)
+_GUARDS = st.one_of(
+    st.sampled_from([GTrue(), GFalse()]),
+    st.builds(Cmp, st.just("z"), st.sampled_from(["=", "<", "<=", ">=", ">"]), st.integers(0, 3)),
+)
+_NODES = st.one_of(_predicates(1), _FORMULAS, _GUARDS)
+_RATS = st.fractions(0, 4, max_denominator=4)
+_SMALL = st.integers(0, 3)
+_INTERVALS = st.builds(Interval, _RATS, st.none())
+_LABELS = st.frozensets(st.sampled_from("XY"))
+_TRANSITION_FIELDS = st.tuples(
+    st.sampled_from([0, 1]), _predicates(1), _GUARDS, _LABELS, st.frozensets(st.just("z")),
+    st.sampled_from([0, 1]),
+)
+_CEA_FIELDS = st.tuples(
+    st.just(frozenset({0, 1})), _LABELS, st.just(frozenset({"z"})),
+    st.lists(_TRANSITION_FIELDS.map(lambda f: Transition(*f)), max_size=3).map(tuple),
+    st.just(0), st.frozensets(st.sampled_from([0, 1])),
+)
+_REGION_FIELDS = st.tuples(
+    st.lists(st.tuples(st.sampled_from("xy"), st.integers(-1, 3)), max_size=2).map(tuple),
+    st.frozensets(st.sampled_from("xy")),
+    st.lists(st.frozensets(st.sampled_from("xy"), min_size=1), max_size=2).map(tuple),
+)
+
+# Every immutable value class, grouped with the classes that take the same
+# fields: (field names, field values, classes).
+_VALUE_CLASSES = [
+    ((), st.just(()), [TrueP, GTrue, GFalse]),
+    (("etype",), st.tuples(st.sampled_from("AB")), [TypeIs, cel.EventType]),
+    (("body",), st.tuples(_NODES), [Not, cel.Plus, cel.ContigPlus]),
+    (
+        ("left", "right"),
+        st.tuples(_NODES, _NODES),
+        [And, cel.Or, cel.And, cel.Seq, cel.ContigSeq, GAnd, GOr],
+    ),
+    (
+        ("body", "interval"),
+        st.tuples(_FORMULAS, _INTERVALS),
+        [cel.Within, cel.TimedIter, cel.TimedContigIter],
+    ),
+    (
+        ("left", "interval", "right"),
+        st.tuples(_FORMULAS, _INTERVALS, _FORMULAS),
+        [cel.TimedSeq, cel.TimedContigSeq],
+    ),
+    (("body", "var"), st.tuples(_FORMULAS, st.sampled_from("XY")), [cel.As]),
+    (
+        ("body", "var", "pred"),
+        st.tuples(_FORMULAS, st.sampled_from("XY"), _predicates(1)),
+        [cel.Filter],
+    ),
+    (("vars", "body"), st.tuples(_LABELS, _FORMULAS), [cel.Project]),
+    (
+        ("attr", "op", "value"),
+        st.tuples(st.just("x"), st.sampled_from(["<", "<=", ">", ">=", "==", "!="]), _RATS),
+        [Basic],
+    ),
+    (("clock", "op", "constant"), st.tuples(st.just("z"), st.sampled_from("<>"), _RATS), [Cmp]),
+    (("source", "pred", "guard", "label", "resets", "target"), _TRANSITION_FIELDS, [Transition]),
+    (("states", "vars", "clocks", "delta", "initial", "finals"), _CEA_FIELDS, [TimedCea]),
+    (
+        ("kind", "text", "line", "col"),
+        st.tuples(st.sampled_from(["ident", "number"]), st.text(max_size=3), _SMALL, _SMALL),
+        [Token],
+    ),
+    (
+        ("source", "pred", "bound", "label", "reset", "target"),
+        st.tuples(_SMALL, _predicates(1), st.none() | _SMALL, _LABELS, st.booleans(), _SMALL),
+        [_Trans],
+    ),
+    (("ints", "zero", "groups"), _REGION_FIELDS, [Region]),
+    (
+        ("etype", "attrs"),
+        st.tuples(st.sampled_from("AB"), st.dictionaries(st.just("x"), _SMALL)),
+        [Event],
+    ),
+]
+
+
+@given(st.data())
+def test_value_classes_compare_hash_and_print_as_frozen_dataclasses(data):
+    names, values, classes = data.draw(st.sampled_from(_VALUE_CLASSES))
+    fields = data.draw(values)
+    for cls in classes:
+        x, y = cls(*fields), cls(**dict(zip(names, fields)))
+        assert x == y and not x != y
+        assert tuple(getattr(x, name) for name in names) == fields
+        if cls is Event:  # the attributes are a dict, hashed as sorted items
+            assert hash(x) == hash((fields[0], tuple(sorted(fields[1].items()))))
+        else:
+            assert hash(x) == hash(fields)
+        inner = ", ".join(f"{name}={value!r}" for name, value in zip(names, fields))
+        assert repr(x) == f"{cls.__qualname__}({inner})"
+        assert not hasattr(x, "__dict__")
+        for name in names + ("new_field",):
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)
+        for name in names:
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert pickle.loads(pickle.dumps(x)) == x and copy.deepcopy(x) == x
+        for other in classes:
+            if other is not cls:
+                assert x != other(*fields) and other(*fields) != x

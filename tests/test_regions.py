@@ -14,7 +14,6 @@ from tcer.cea import Cmp, GAnd, GTrue, TimedCea, Transition, advance, guard_sat,
 from tcer.compiler import compile_windowed
 from tcer.model import TrueP, TypeIs
 from tcer.parser import parse_query
-from tcer.randgen import random_sync_cea
 from tcer.regions import (
     EMPTY_REGION,
     Region,
@@ -27,7 +26,7 @@ from tcer.regions import (
     time_successors,
 )
 
-from conftest import make_t1
+from conftest import make_t1, random_sync_cea
 
 
 def guard_holds(region: Region, gamma, scale: int) -> bool:
