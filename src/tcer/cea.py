@@ -230,7 +230,7 @@ class Transition(Value):
 
 
 class TimedCea(Value):
-    __slots__ = ("states", "vars", "clocks", "delta", "initial", "finals", "_out")
+    __slots__ = ("states", "vars", "clocks", "delta", "initial", "finals", "_out", "_dispatch")
 
     def __init__(
         self, states: frozenset[State], vars: frozenset[str], clocks: frozenset[str],
@@ -248,6 +248,9 @@ class TimedCea(Value):
                 raise ValueError(f"transition over unknown state: {tr}")
             out.setdefault(tr.source, []).append(tr)
         object.__setattr__(self, "_out", out)
+        # what every streaming engine over the automaton shares, built by the
+        # first one (``engine._Dispatch``)
+        object.__setattr__(self, "_dispatch", None)
         if initial not in self.states:
             raise ValueError("initial state unknown")
         if not self.finals <= self.states:

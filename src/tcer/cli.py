@@ -3,6 +3,9 @@
 Streams are JSON Lines, one event per line:
 ``{"type": "H", "attrs": {"temp": 45}, "ts": "2.5"}``.
 Timestamps and numeric attributes are parsed as exact decimal rationals.
+A streaming run reads each line for its engine instead: the timestamp and
+only the attributes the query's predicates read, in the engine's int units,
+each number read from its digits; the other attributes are only checked.
 
 ``run`` prints each match as a JSON line as soon as it is produced, in
 ``(end, start, bindings)`` order, with ``pos`` the match's end, so the three
@@ -39,7 +42,7 @@ from .cel import classify, eval_cel_oracle
 from .compiler import NotWindowed, compile_cel, compile_windowed
 from .determinize import SyncResetViolation, determinize
 from .engine import NotStreamable, StreamingEngine
-from .model import ComplexEvent, Event, TimedStream, format_rat, rat
+from .model import MAX_DIGITS, ComplexEvent, Event, TimedStream, format_rat, rat, to_units
 from .parser import ParseError, parse_query, pretty
 
 
@@ -91,9 +94,39 @@ def _json_value(value) -> str:
     return json.dumps(value)  # an int, a bool or None
 
 
-def read_stream(fh):
+class _Decimal(str):
+    """A JSON number's text, in plain decimal form within ``MAX_DIGITS``."""
+
+    __slots__ = ()
+
+
+def _number_text(text: str):
+    """``parse_float`` for the engine's reader: a plain decimal within
+    ``MAX_DIGITS`` stays its text, and any other form is read by ``rat``, so
+    the decoder refuses a number past ``MAX_DIGITS``, read or not, as the
+    default reader's does."""
+    if len(text) > MAX_DIGITS or "e" in text or "E" in text:
+        return rat(text)
+    return _Decimal(text)
+
+
+_TEXT_DECODER = json.JSONDecoder(parse_float=_number_text)
+
+
+def read_stream(fh, engine: Optional[StreamingEngine] = None):
     """Yield (event, timestamp) pairs, enforcing positive, strictly
-    increasing time."""
+    increasing time.
+
+    Given a streaming engine, yield its ``step``'s ``(etype, values,
+    ticks)`` instead: the timestamp in the engine's ticks, and only the
+    attributes its atoms read, in units (``engine.reads``), each number read
+    from its digits; a string stays a string, and a null or a boolean is left
+    out.  The other attributes are only checked, for their kind and, through
+    the decoder, for ``MAX_DIGITS``.  Every bad line raises what the default
+    reader raises for it."""
+    if engine is not None:
+        yield from _read_units(fh, engine)
+        return
     last = 0
     for lineno, line in enumerate(fh, start=1):
         line = line.strip()
@@ -101,12 +134,51 @@ def read_stream(fh):
             continue
         event, ts = parse_stream_line(line, lineno)
         if ts <= last:
-            raise StreamFormatError(
-                f"line {lineno}: timestamp {format_rat(ts)} is not above "
-                f"{format_rat(last)}; timestamps must be positive and increase"
-            )
+            raise _time_error(lineno, ts, last)
         last = ts
         yield event, ts
+
+
+def _time_error(lineno: int, ts: Fraction, last: Fraction) -> StreamFormatError:
+    return StreamFormatError(
+        f"line {lineno}: timestamp {format_rat(ts)} is not above "
+        f"{format_rat(last)}; timestamps must be positive and increase"
+    )
+
+
+def _read_units(fh, engine: StreamingEngine):
+    """``read_stream`` for the engine.  A line it finds bad goes to
+    ``parse_stream_line``, which raises the default reader's error for it."""
+    decode, scale, reads = _TEXT_DECODER.raw_decode, engine.scale, engine.reads
+    last = 0
+    for lineno, line in enumerate(fh, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj, end = decode(line)
+            etype = obj["type"]
+            attrs = obj.get("attrs", {})
+            ticks = to_units(obj["ts"], scale)
+        except (KeyError, TypeError, ValueError, RecursionError):
+            parse_stream_line(line, lineno)
+            raise
+        # a stripped line is one JSON value when the value ends the line
+        if end != len(line) or etype.__class__ is not str or not isinstance(attrs, dict):
+            parse_stream_line(line, lineno)
+        values = {}
+        for name, value in attrs.items():
+            if value is None or value.__class__ is bool:
+                continue
+            if not isinstance(value, (str, int, Fraction)):
+                parse_stream_line(line, lineno)
+            units = reads.get(name)
+            if units is not None:
+                values[name] = value if value.__class__ is str else to_units(value, units)
+        if ticks <= last:
+            raise _time_error(lineno, Fraction(ticks, scale), Fraction(last, scale))
+        last = ticks
+        yield etype, values, ticks
 
 
 def ce_sort_key(ce: ComplexEvent):
@@ -145,15 +217,17 @@ def streaming_engine(phi, debug: bool = False) -> StreamingEngine:
     return StreamingEngine(determinize(compile_windowed(phi)), debug=debug)
 
 
-def run_matches(engine: str, phi, pairs) -> Iterable[Iterable[ComplexEvent]]:
-    """The query's matches over ``(event, ts)`` pairs, in groups in stream
-    order.  The streaming engine takes one pair at a time and gives one group
-    per event; the two oracle engines need random access, so they load every
-    pair and give one group of all matches."""
+def run_matches(engine: str, phi, fh) -> Iterable[Iterable[ComplexEvent]]:
+    """The query's matches over a stream's lines, in groups in stream
+    order.  The streaming engine takes one line at a time, read for its
+    ``step``, and gives one group per event; the two oracle engines need
+    random access, so they load every event and give one group of all
+    matches."""
     if engine == "streaming":
         streaming = streaming_engine(phi)
-        return (streaming.feed(event, ts) for event, ts in pairs)
-    stream = TimedStream(pairs)
+        step = streaming.step
+        return (step(etype, values, ticks) for etype, values, ticks in read_stream(fh, streaming))
+    stream = TimedStream(read_stream(fh))
     cap = max(len(stream), 1)
     if engine == "oracle":
         return [eval_cel_oracle(phi, stream, cap=cap)]
@@ -168,7 +242,7 @@ def run_matches(engine: str, phi, pairs) -> Iterable[Iterable[ComplexEvent]]:
 def cmd_run(args) -> int:
     phi = load_query(args.query)
     with open(args.stream, encoding="utf-8") as fh:
-        for found in run_matches(args.engine, phi, read_stream(fh)):
+        for found in run_matches(args.engine, phi, fh):
             for ce in sorted(found, key=ce_sort_key):
                 print(match_json(ce, ce.end))
     return 0
@@ -267,7 +341,9 @@ def _diff_one(phi, stream) -> tuple[str | None, str]:
     """A description of the first disagreement, or None, and how far the
     case got: ``compiled``, the name of the streaming engine's refusal, or
     ``streamed``.  The oracles' cap is above the stream's length, so they
-    never refuse the case."""
+    never refuse the case.  A streamed case runs twice: event by event
+    through ``feed``, and line by line through ``read_stream`` with the
+    engine, as ``tcer run`` runs it."""
     expected = eval_cel_oracle(phi, stream, cap=len(stream) + 1)
     via_cea = eval_cea_oracle(compile_cel(phi), stream, cap=len(stream) + 1)
     if expected != via_cea:
@@ -281,6 +357,13 @@ def _diff_one(phi, stream) -> tuple[str | None, str]:
         got.update(engine.feed(event, ts))
     if got != expected:
         return f"streaming engine disagrees for: {pretty(phi)}", "streamed"
+    engine = StreamingEngine(engine.cea, debug=True)
+    got = set()
+    lines = [stream_line(event, ts) for event, ts in stream.pairs_et()]
+    for etype, values, ticks in read_stream(lines, engine):
+        got.update(engine.step(etype, values, ticks))
+    if got != expected:
+        return f"streaming engine disagrees on stream lines for: {pretty(phi)}", "streamed"
     return None, "streamed"
 
 

@@ -25,11 +25,41 @@ third), stays an exact ``Fraction`` of ticks.  Python compares ints and
 ``Fraction``s exactly, so such a time takes the same path and gives the
 same matches.  ``feed`` takes seconds and matches carry positions, so no
 tick leaves the engine.
+
+Predicates are dispatched on event cells (minterms, as in D'Antoni and
+Veanes): the engine collects the distinct atoms (``TypeIs``, ``Basic``) of
+its transitions' predicates, and per event finds their truth vector, each
+atom decided once.  The type tests' part is looked up by the event type.
+The part of the atoms on one attribute is constant on each class of its
+values that ``model.event_cells`` uses (each constant, each gap around the
+number constants, any other string, anything else), so it is looked up by
+the value's class, found by bisection among the number constants.  Every
+predicate is a Boolean combination of its atoms, so the vector decides
+which transitions fire; ``cells`` memoizes, per vector, each state's fired
+transitions.  The memo is filled lazily: on the first event with a new
+vector, ``sat`` decides each transition on that event.  It holds at most one
+entry per cell of the atoms, ``len(model.event_cells(atoms))``, a bound set
+by the automaton, and ``sat`` runs at most that many times ``|Δ|`` over a
+whole stream.  The memo, the atoms and the prepared transitions depend on
+the automaton alone, so the first engine over an automaton keeps them on it
+(``_Dispatch``) and every later engine over it starts from them.
+
+Attribute values are compared in units, as clocks compare ticks: an
+attribute that the atoms read is counted in ``1/S`` units, ``S =
+DECIMAL_SCALE · lcm`` of the denominators of its number constants, so its
+constants are ints, and so is every value with at most nine decimal places;
+any other value is an exact ``Fraction`` of units.  ``feed`` converts the
+attributes the atoms read from the event; ``step`` takes them already
+converted, from a reader such as the CLI's that reads them straight from
+their digits.  Only numbers (not booleans) satisfy a number comparison and
+only strings a string comparison, as in ``sat``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Optional
 
 from .caecs import Caecs, Node, enumerate_node
@@ -41,7 +71,19 @@ from .cea import (
     is_deterministic,
     is_monotonic,
 )
-from .model import ComplexEvent, Event, Rational, Value, rat, sat
+from .model import (
+    COMPARISONS,
+    Basic,
+    ComplexEvent,
+    Event,
+    Rational,
+    TypeIs,
+    Value,
+    _atoms,
+    rat,
+    sat,
+    to_units,
+)
 
 # Ticks per second for integer clock constants: a timestamp with at most nine
 # decimal places is a whole number of ticks.
@@ -95,21 +137,102 @@ def _prepare(cea: TimedCea, scale: int) -> tuple[list[_Trans], Optional[str], st
     return out, clock, direction
 
 
-class StreamingEngine:
-    """One evaluation session over a single stream."""
+class _Field:
+    """The cells of one attribute: the truth vector of the atoms that read it,
+    for each class of its values in units.  The classes are each number
+    constant, each gap below, between and above them, each string constant,
+    any other string, and any other value (absent, null, boolean), which
+    satisfies none of the atoms."""
 
-    def __init__(self, cea: TimedCea, debug: bool = False):
+    __slots__ = ("attr", "numbers", "at_number", "at_string", "other_string", "nothing")
+
+    def __init__(self, attr: str, atoms: list[Basic], scale: int):
+        tests = []
+        numbers, strings = set(), set()
+        for a in atoms:
+            c = a.value
+            if isinstance(c, str):
+                strings.add(c)
+            else:
+                c = c.numerator * (scale // c.denominator)  # the scale is a multiple of c's denominator
+                numbers.add(c)
+            tests.append((COMPARISONS[a.op], c))
+
+        def vector(v) -> tuple[bool, ...]:
+            return tuple([isinstance(v, str) == isinstance(c, str) and op(v, c) for op, c in tests])
+
+        numbers, strings = sorted(numbers), sorted(strings)
+        # class 2i: below numbers[i] (above them all for i = len(numbers));
+        # class 2i + 1: numbers[i]
+        below = [numbers[0] - 1] if numbers else [0]
+        below += [Fraction(x + y, 2) for x, y in zip(numbers, numbers[1:])]
+        below += [numbers[-1] + 1] if numbers else []
+        self.attr = attr
+        self.numbers = numbers
+        self.at_number = [vector(v) for pair in zip(below, numbers) for v in pair] + [vector(below[-1])]
+        self.at_string = {c: vector(c) for c in strings}
+        self.other_string = vector("".join(strings) + "_")  # longer than every constant
+        self.nothing = (False,) * len(tests)
+
+
+class _Dispatch:
+    """What every engine over one automaton shares, built by the first one
+    and kept on the automaton: the transitions with their guards in ticks, by
+    source state; the distinct atoms of their predicates, and the tables that
+    find the atoms' truth vector; and the memo of each vector's fired
+    transitions."""
+
+    __slots__ = (
+        "scale", "clock", "direction", "out", "atoms", "reads", "types", "no_type", "fields", "cells"
+    )
+
+    def __init__(self, cea: TimedCea):
         self.scale = DECIMAL_SCALE * constant_scale(cea)
-        trans, clock, direction = _prepare(cea, self.scale)
-        self.cea = cea
-        self.clock = clock
-        self.caecs = Caecs(direction)
-        self.debug = debug
+        trans, self.clock, self.direction = _prepare(cea, self.scale)
         self.out: dict[object, list[_Trans]] = {}
         for tr in trans:
             if tr.source == cea.initial and tr.bound is not None:
                 continue  # a guard cannot pass before the clock is started
             self.out.setdefault(tr.source, []).append(tr)
+        types: dict[str, TypeIs] = {}
+        reads: dict[str, list[Basic]] = {}
+        scales: dict[str, int] = {}
+        for trs in self.out.values():
+            for tr in trs:
+                for atom in _atoms(tr.pred):
+                    if isinstance(atom, TypeIs):
+                        types.setdefault(atom.etype, atom)
+                    elif atom not in reads.setdefault(atom.attr, []):
+                        reads[atom.attr].append(atom)
+                        d = 1 if isinstance(atom.value, str) else atom.value.denominator
+                        scales[atom.attr] = lcm(scales.get(atom.attr, 1), d)
+        # the type tests, then each attribute's atoms
+        self.atoms = (*types.values(), *(a for atoms in reads.values() for a in atoms))
+        self.reads = {attr: DECIMAL_SCALE * d for attr, d in scales.items()}
+        self.types = {t: tuple([t == u for u in types]) for t in types}
+        self.no_type = (False,) * len(types)
+        self.fields = [_Field(attr, atoms, self.reads[attr]) for attr, atoms in reads.items()]
+        self.cells: dict[tuple[bool, ...], dict[object, list[_Trans]]] = {}
+
+
+class StreamingEngine:
+    """One evaluation session over a single stream."""
+
+    def __init__(self, cea: TimedCea, debug: bool = False):
+        dispatch = cea._dispatch
+        if dispatch is None:
+            dispatch = _Dispatch(cea)
+            object.__setattr__(cea, "_dispatch", dispatch)
+        self.cea = cea
+        self.scale = dispatch.scale
+        self.clock = dispatch.clock
+        self.out = dispatch.out
+        self.atoms = dispatch.atoms
+        self.reads = dispatch.reads
+        self.cells = dispatch.cells
+        self._types, self._no_type, self._fields = dispatch.types, dispatch.no_type, dispatch.fields
+        self.caecs = Caecs(dispatch.direction)
+        self.debug = debug
         self.table: dict[object, list[Node]] = {}
         self.position = 0
         self.last_time: Rational = 0  # in ticks
@@ -125,15 +248,50 @@ class StreamingEngine:
         n, d = rat(time).as_integer_ratio()
         q, r = divmod(self.scale, d)
         ticks = n * q if r == 0 else Fraction(n * self.scale, d)
+        attrs = event.attrs
+        values = {}
+        # the kinds the default reader gives, Fraction and int, inline: a call
+        # costs about as much as the conversion
+        for attr, scale in self.reads.items():
+            value = attrs.get(attr)
+            kind = value.__class__
+            if kind is Fraction:
+                n, d = value.as_integer_ratio()
+                q, r = divmod(scale, d)
+                values[attr] = n * q if r == 0 else Fraction(n * scale, d)
+            elif kind is int:
+                values[attr] = value * scale
+            elif isinstance(value, str):
+                values[attr] = value
+            elif isinstance(value, (int, Fraction, float)) and kind is not bool:
+                values[attr] = to_units(value, scale)
+        return self.step(event.etype, values, ticks, event)
+
+    def step(
+        self, etype: str, values: dict, ticks: Rational, event: Optional[Event] = None
+    ) -> list[ComplexEvent]:
+        """``feed``, with the time in ticks and the attributes that the atoms
+        read in units (``reads``); an absent, null or boolean value is left
+        out.  ``event`` is the element itself, when the caller has it."""
         if ticks <= self.last_time:
             raise ValueError("timestamps must be positive and increase strictly")
+        cell = self.cell(etype, values)
+        fired = self.cells.get(cell)
+        if fired is None:
+            if event is None:
+                event = self._event(etype, values)
+            fired = self.cells[cell] = self._fire(event)
         self.last_time = ticks
         self.position += 1
         j = self.position
         self.next_table: dict[object, list[Node]] = {}
-        self._exec(self.cea.initial, None, event, j, ticks)
+        trs = fired.get(self.cea.initial)
+        if trs is not None:
+            self._exec(None, trs, j, ticks)
         for p, ul in self.table.items():
-            self._exec(p, ul, event, j, ticks)
+            trs = fired.get(p)
+            if trs is not None:
+                self._exec(ul, trs, j, ticks)
         self.table = self.next_table
         if self.debug:
             self._check_invariants()
@@ -141,17 +299,49 @@ class StreamingEngine:
             return []
         return list(self.enumerate_at(j))
 
-    def _exec(
-        self, p, ul: Optional[list[Node]], event: Event, j: int, time: Rational
-    ) -> None:
-        """Advance state ``p``'s union-list at ``time`` ticks; None is the
-        fresh run, whose bottom is built when one of its transitions first
-        fires."""
+    def cell(self, etype: str, values: dict) -> tuple[bool, ...]:
+        """The truth vector of ``atoms`` on an event with values in units:
+        the type tests' looked up by the type, and each attribute's by the
+        class of its value, found by bisection among its number constants."""
+        vector = self._types.get(etype, self._no_type)
+        for field in self._fields:
+            v = values.get(field.attr)
+            if v.__class__ is int or v.__class__ is Fraction:
+                numbers = field.numbers
+                i = bisect_left(numbers, v)
+                vector += field.at_number[2 * i + (i < len(numbers) and numbers[i] == v)]
+            elif isinstance(v, str):
+                vector += field.at_string.get(v, field.other_string)
+            else:
+                vector += field.nothing
+        return vector
+
+    def _event(self, etype: str, values: dict) -> Event:
+        """An event that the atoms see as they see these values: the read
+        attributes, back in exact value units."""
+        reads = self.reads
+        return Event(
+            etype,
+            {a: v if isinstance(v, str) else Fraction(v, reads[a]) for a, v in values.items()},
+        )
+
+    def _fire(self, event: Event) -> dict[object, list[_Trans]]:
+        """Each state's transitions that fire on the event, states with none
+        left out."""
+        fired = {}
+        for p, trs in self.out.items():
+            hits = [tr for tr in trs if sat(event, tr.pred)]
+            if hits:
+                fired[p] = hits
+        return fired
+
+    def _exec(self, ul: Optional[list[Node]], trs: list[_Trans], j: int, time: Rational) -> None:
+        """Advance a state's union-list through its fired transitions at
+        ``time`` ticks; None is the fresh run, whose bottom is built when one
+        of its transitions fires."""
         caecs = self.caecs
         merged: Optional[Node] = None
-        for tr in self.out.get(p, ()):
-            if not sat(event, tr.pred):
-                continue
+        for tr in trs:
             if ul is None:
                 ul = [caecs.new_bottom(j, time)]
             out: Optional[list[Node]] = ul

@@ -65,6 +65,25 @@ def rat(value: Union[int, str, Fraction]) -> Fraction:
     return Fraction(value)
 
 
+def to_units(value: Union[int, str, Fraction], scale: int) -> Union[int, Fraction]:
+    """``rat(value)`` counted in units of ``1/scale``, exactly: an int when
+    the count is whole, else a ``Fraction``.  An int is multiplied, and a
+    plain decimal string is read from its digits, as ``rat``'s fast path
+    reads it; any other value goes through ``rat`` and raises as it does."""
+    if value.__class__ is int:
+        return value * scale
+    plain = _PLAIN_DECIMAL.fullmatch(value) if isinstance(value, str) else None
+    if plain is not None and len(value) <= MAX_DIGITS:
+        whole, frac = plain.groups()
+        if frac is None:
+            return int(whole) * scale
+        n, d = int(whole + frac), 10 ** len(frac)
+    else:
+        n, d = rat(value).as_integer_ratio()
+    q, r = divmod(scale, d)
+    return n * q if r == 0 else Fraction(n * scale, d)
+
+
 # ---------------------------------------------------------------------------
 # Intervals over the non-negative rationals: time windows, gaps, guard boxes.
 # ---------------------------------------------------------------------------
@@ -429,8 +448,13 @@ COMPARISONS = {
 
 
 def _compare(lhs: AttrValue, op: str, rhs: AttrValue) -> bool:
-    if isinstance(lhs, bool) or isinstance(lhs, str) != isinstance(rhs, str):
-        # A boolean, or mixed string/number, never satisfies any comparison,
+    if (
+        isinstance(lhs, bool)
+        or not isinstance(lhs, (int, Fraction, float, str))
+        or isinstance(lhs, str) != isinstance(rhs, str)
+    ):
+        # A boolean, a value that is neither a number nor a string (a list,
+        # a complex), or mixed string/number never satisfies any comparison,
         # including !=; a Basic predicate constrains values of its
         # constant's kind.
         return False
@@ -481,16 +505,21 @@ def pred_and(*preds: Predicate) -> Predicate:
 # attributes costs time linear in them, not their witnesses' product.
 
 
-def _atoms(pred: Predicate) -> Iterable[Union[TypeIs, Basic]]:
-    if isinstance(pred, (TypeIs, Basic)):
-        yield pred
-    elif isinstance(pred, Not):
-        yield from _atoms(pred.body)
-    elif isinstance(pred, And):
-        yield from _atoms(pred.left)
-        yield from _atoms(pred.right)
-    elif not isinstance(pred, TrueP):
-        raise TypeError(f"not a predicate: {pred!r}")
+def _atoms(pred: Predicate) -> list[Union[TypeIs, Basic]]:
+    """The predicate's atoms, left to right, repeats included."""
+    atoms = []
+    stack = [pred]
+    while stack:
+        pred = stack.pop()
+        if isinstance(pred, (TypeIs, Basic)):
+            atoms.append(pred)
+        elif isinstance(pred, Not):
+            stack.append(pred.body)
+        elif isinstance(pred, And):
+            stack += (pred.right, pred.left)
+        elif not isinstance(pred, TrueP):
+            raise TypeError(f"not a predicate: {pred!r}")
+    return atoms
 
 
 def _witnesses(constants: set[AttrValue]) -> list[Optional[AttrValue]]:

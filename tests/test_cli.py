@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,11 +27,12 @@ from tcer.cli import (
     stream_line,
     StreamFormatError,
 )
-from tcer.model import Basic, ComplexEvent, Event, rat
+from tcer.model import Basic, ComplexEvent, Event, format_rat, rat
 from tcer.parser import MAX_QUERY_DEPTH, parse_query, pretty
 from tcer.randgen import random_stream
 
 from conftest import PHI1P_TEXT, PHI2_TEXT, S0_ROWS, bench_stream, rewrite_ge40
+from test_cli_fuzz import FUZZ, ODD_NUMBERS, QUERIES, stream_lines
 
 
 @pytest.fixture
@@ -665,3 +670,176 @@ def test_directory_path_exits_2(capsys, tmp_path, stream_file, query_file, flag)
 def test_directory_automaton_exits_2(capsys, tmp_path):
     code, _, err = _run(capsys, ["check-sync", "--automaton", str(tmp_path)])
     assert code == 2 and err
+
+
+# -- the engine's reader prints what the default reader prints ---------------
+
+
+DIFF_QUERIES = [
+    PHI2_TEXT,
+    "A as X filter X[x < 2.5]",
+    "(A as X ; B as Y) filter (X[x == 1] and Y[x >= 0.5])",
+    "A as X filter X[x != 'a']",
+    "A as X filter X[x == '2.5']",
+    "((A as X ; B as Y) within [0, 3]) filter (X[x > 0.333333333333] and Y[hum <= 1.5])",
+]
+
+
+def _number_text(rng: random.Random) -> str:
+    """A number near the queries' constants, in one of the forms a line can
+    give it: an int, a plain decimal with 0-12 places, an exponent form."""
+    whole = rng.choice([0, 1, 2, 30]) + rng.randint(-2, 2)
+    places = "".join(rng.choice("0123456789") for _ in range(rng.randint(0, 12)))
+    form = rng.randrange(4)
+    if form == 0:
+        return str(whole)
+    if form == 1:
+        return rng.choice(["1", "2.5", "0.5", "30", "0.333333333333", "0.3333333333333"])
+    if form == 2:
+        return f"{rng.randint(-40, 400)}{rng.choice('eE')}{rng.randint(-2, 1)}"
+    return f"{whole}.{places or '0'}"
+
+
+def _mixed_stream(rng: random.Random, n: int) -> str:
+    """Lines whose read and unread attributes (``x``, ``hum``; ``y``) take
+    every kind of value, timed by strings and by numbers."""
+    lines, t = [], Fraction(0)
+    for _ in range(n):
+        t += Fraction(rng.randint(1, 1500), 1000)
+        ts = format_rat(t) if rng.random() < 0.5 else json.dumps(format_rat(t))
+        attrs = []
+        for name in ("x", "hum", "y"):
+            kind = rng.randrange(8)
+            if kind == 0:
+                continue
+            if kind == 1:
+                value = rng.choice(["true", "false", "null", '"a"', '"2.5"'])
+            elif kind == 2:
+                value = json.dumps(_number_text(rng))
+            else:
+                value = _number_text(rng)
+            attrs.append(f'"{name}": {value}')
+        lines.append(f'{{"type": "{rng.choice("ABHT")}", "attrs": {{{", ".join(attrs)}}}, "ts": {ts}}}\n')
+    return "".join(lines)
+
+
+def _library_run(query: str, path) -> tuple[int, str, str]:
+    """``tcer run --engine streaming`` composed from the default reader and
+    ``feed``: the exit code, stdout and stderr it gives."""
+    engine = cli.streaming_engine(parse_query(query))
+    out = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for event, ts in read_stream(fh):
+                for ce in sorted(engine.feed(event, ts), key=cli.ce_sort_key):
+                    out.append(match_json(ce, ce.end) + "\n")
+    except StreamFormatError as exc:
+        return 3, "".join(out), f"{exc}\n"
+    return 0, "".join(out), ""
+
+
+def _three_runs(capsys, tmp_path, query: str, data: str):
+    path = tmp_path / "s.jsonl"
+    path.write_text(data, encoding="utf-8")
+    streamed = _run_stream(capsys, tmp_path, data.encode(), query=query)
+    oracle = _run_stream(capsys, tmp_path, data.encode(), query=query, engine="oracle")
+    return streamed, _library_run(query, path), oracle
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_engine_reader_prints_what_the_default_reader_and_the_oracle_print(capsys, tmp_path, seed):
+    rng = random.Random(seed)
+    data = _mixed_stream(rng, 40)
+    for query in DIFF_QUERIES:
+        streamed, library, oracle = _three_runs(capsys, tmp_path, query, data)
+        assert streamed == library == oracle, query
+        assert streamed[0] == 0
+
+
+# Every bad line of ``test_bad_stream_line_exits_3``, every odd number of
+# ``test_cli_fuzz`` in each place a line holds a number, and the lines the
+# default reader refuses for their shape or their time.
+BAD_LINES = [
+    '{"type": "A", "attrs": {"x": [1]}, "ts": 1}',
+    '{"type": "A", "attrs": {"x": {"y": 1}}, "ts": 1}',
+    '{"type": "A", "attrs": {"x": NaN}, "ts": 1}',
+    '{"type": "A", "attrs": {"x": ' + "9" * 4500 + '}, "ts": 1}',
+    '{"type": "A", "ts": ' + "9" * 4500 + "}",
+    "[" * 100_000,
+    '{"type": "A", "ts": true}',
+    '{"type": "A", "ts": "1e999999999"}',
+    '{"type": "A", "ts": 1e999999999}',
+    '{"type": "A", "attrs": {"x": 1e-999999999}, "ts": 1}',
+    '{"type": "A", "ts": "1/0"}',
+    '{"type": "A", "attrs": {"y": 1e999999999}, "ts": 1}',
+    '{"type": "A", "attrs": {"y": 0.' + "1" * 1000 + '}, "ts": 1}',
+    '{"type": "A", "attrs": {"y": [1e999999999]}, "ts": 1}',
+    '{"type": "A", "attrs": {"y": 1e999999999} "ts": 1}',
+    '{"type": "A", "attrs": {"y": [1]}, "ts": "x"}',
+    '{"type": "A", "attrs": {"x": 1}, "ts": 0.5}',
+    '{"type": "A", "ts": "0.75"} x',
+    '{"type": "A"}',
+    '{"ts": 1}',
+    '{"type": 1, "ts": 1}',
+    '{"type": "A", "attrs": [], "ts": 1}',
+    "1.5",
+    '"A"',
+    *[
+        form % number
+        for number in ODD_NUMBERS
+        for form in (
+            '{"type": "A", "attrs": {"x": %s}, "ts": 99}',
+            '{"type": "A", "attrs": {"y": %s}, "ts": 99}',
+            '{"type": "A", "ts": %s}',
+            '{"type": "A", "ts": "%s"}',
+        )
+    ],
+]
+
+
+def test_the_engine_reader_fails_a_bad_line_as_the_default_reader_does(capsys, tmp_path):
+    """The same matches before the line, then the same exit code and message;
+    an unread attribute past ``MAX_DIGITS`` still exits 3."""
+    head = '{"type": "A", "attrs": {"x": 1}, "ts": 0.25}\n{"type": "A", "attrs": {"x": 1.5}, "ts": "0.5"}\n'
+    codes = Counter()
+    for line in BAD_LINES:
+        streamed, library, oracle = _three_runs(capsys, tmp_path, "A filter A[x < 2]", head + line + "\n")
+        assert streamed == library, line[:80]
+        assert (streamed[0], streamed[2]) == (oracle[0], oracle[2]), line[:80]
+        codes[streamed[0]] += 1
+        if streamed[0] == 3:
+            assert streamed[1].count("\n") == 2 and streamed[2].startswith("line 3: ")
+    assert codes[3] > 40 and set(codes) == {0, 3}
+    unread = '{"type": "A", "attrs": {"y": 1e999999999}, "ts": 1}'
+    code, _, err = _run_stream(capsys, tmp_path, (head + unread + "\n").encode())
+    assert code == 3 and err == "line 3: invalid JSON: number longer than 1000 digits\n"
+
+
+@FUZZ
+@given(query=st.sampled_from([QUERIES[0], *QUERIES[2:6]]), stream=stream_lines())
+def test_the_engine_reader_agrees_with_the_default_reader_on_fuzzed_streams(query, stream):
+    """The fuzzed streams of ``test_cli_fuzz``, odd values and bad lines
+    among them: the same output, exit code and message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        qpath, spath = Path(tmp, "q.tcel"), Path(tmp, "s.jsonl")
+        qpath.write_text(query, encoding="utf-8")
+        spath.write_text(stream, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", "--query", str(qpath), "--stream", str(spath), "--engine", "streaming"])
+        assert (code, out.getvalue(), err.getvalue()) == _library_run(query, spath)
+
+
+def test_diff_test_streams_each_case_through_the_engine_reader(capsys, monkeypatch):
+    """A reader that loses the attributes is caught: the line-by-line run
+    of a streamed case disagrees with the oracle."""
+    read_units = cli._read_units
+
+    def lossy(fh, engine):
+        for etype, _, ticks in read_units(fh, engine):
+            yield etype, {}, ticks
+
+    monkeypatch.setattr(cli, "_read_units", lossy)
+    code, _, err = _run(capsys, ["diff-test", "--seed", "1", "--cases", "200", "--max-stream", "8"])
+    assert code == 1
+    assert "streaming engine disagrees on stream lines for" in err

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -26,10 +27,22 @@ from tcer.cea import (
 )
 from tcer.caecs import Caecs, enumerate_node
 from tcer.cel import eval_cel_oracle
+from tcer.cli import parse_stream_line, read_stream, stream_line
 from tcer.compiler import compile_windowed
 from tcer.determinize import determinize
 from tcer.engine import NotStreamable, StreamingEngine, run_stream
-from tcer.model import ComplexEvent, Event, TimedStream, TrueP, TypeIs, rat
+from tcer.model import (
+    Basic,
+    ComplexEvent,
+    Event,
+    TimedStream,
+    TrueP,
+    TypeIs,
+    event_cells,
+    format_rat,
+    rat,
+    sat,
+)
 from tcer.parser import parse_query
 from tcer.randgen import ATTR, TYPES, random_stream
 
@@ -537,3 +550,182 @@ def test_feed_calls_sat_and_enumerate_node_through_the_engine_module(monkeypatch
     for ul in engine.table.values():
         assert isinstance(ul, list)
         assert all(type(node.odepth) is int for node in ul)
+
+
+# -- dispatch on event cells ---------------------------------------------------
+
+
+def _chain(preds) -> TimedCea:
+    """One transition per predicate, in a row: a deterministic automaton whose
+    engine holds the predicates' atoms."""
+    n = len(preds)
+    return TimedCea(
+        states=frozenset(range(n + 1)),
+        vars=frozenset({"X"}),
+        clocks=frozenset(),
+        delta=tuple(
+            Transition(i, pred, GTrue(), frozenset({"X"}), frozenset(), i + 1)
+            for i, pred in enumerate(preds)
+        ),
+        initial=0,
+        finals=frozenset({n}),
+    )
+
+
+def _fed(engine: StreamingEngine, event: Event):
+    """The ``(etype, values)`` that ``feed`` hands to ``step`` for the event."""
+    seen = []
+    engine.step = lambda etype, values, ticks, event: seen.append((etype, values))
+    try:
+        engine.feed(event, 1)
+    finally:
+        del engine.step
+    return seen[0]
+
+
+_OPS = ["<", "<=", ">", ">=", "==", "!="]
+_CONSTANTS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+_DECIMAL_TEXTS = st.builds(
+    lambda neg, whole, places: ("-" if neg else "") + str(whole) + ("." + places if places else ""),
+    st.booleans(),
+    st.integers(0, 4),
+    st.text("0123456789", max_size=12),
+)
+_VALUE_TEXTS = st.one_of(
+    _DECIMAL_TEXTS,
+    st.builds(format_rat, st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 4, 5, 8, 10]))),
+    st.builds(
+        lambda m, e, mark: f"{m}{mark}{e}", st.integers(-400, 400), st.integers(-3, 3), st.sampled_from("eE")
+    ),
+    st.builds(json.dumps, _DECIMAL_TEXTS),
+    st.sampled_from(["true", "false", "null", '"a"']),
+)
+_EXACT_VALUES = st.one_of(
+    _CONSTANTS,
+    st.integers(-40, 40),
+    st.floats(-40, 40, width=32),
+    st.sampled_from([None, True, False, "a", "1.5", [1], {"y": 1}, 1 + 0j]),
+)
+
+
+@settings(deadline=None)
+@given(
+    atoms=st.lists(st.tuples(st.sampled_from(_OPS), _CONSTANTS), min_size=1, max_size=3),
+    string=st.sampled_from([None, "==", "!="]),
+    texts=st.lists(_VALUE_TEXTS, min_size=1, max_size=4),
+    exact=st.lists(_EXACT_VALUES, max_size=4),
+)
+@example(
+    atoms=[("<", Fraction(1, 3)), ("==", Fraction(5, 2))],
+    string="==",
+    texts=["0.3333333333", "2.5", "25e-1", '"1.5"'],
+    exact=[Fraction(1, 3)],
+)
+def test_unit_atoms_agree_with_sat_on_the_exact_event(atoms, string, texts, exact):
+    """Each atom's verdict on values in units, as the engine's reader and
+    ``feed`` give them, is ``sat``'s on the exact event, whatever the
+    constants' denominators and the values' forms."""
+    preds = [Basic("x", op, int(c) if c.denominator == 1 else c) for op, c in atoms]
+    if string is not None:
+        preds.append(Basic("x", string, "1.5"))
+    engine = StreamingEngine(_chain(preds))
+    for text in texts:
+        line = '{"type": "A", "attrs": {"x": %s, "y": %s}, "ts": 1}' % (text, text)
+        event, _ = parse_stream_line(line, 1)
+        expected = tuple(sat(event, atom) for atom in engine.atoms)
+        [(etype, values, ticks)] = read_stream([line], engine)
+        assert ticks == engine.scale and set(values) <= {"x"}
+        assert engine.cell(etype, values) == expected, text
+        assert engine.cell(*_fed(engine, event)) == expected, text
+    for value in exact:
+        event = Event("A", {"x": value, "y": value})
+        expected = tuple(sat(event, atom) for atom in engine.atoms)
+        assert engine.cell(*_fed(engine, event)) == expected, value
+
+
+class _CountingDict(dict):
+    """A dict that counts the lookups made through ``get``."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        _CountingDict.lookups += 1
+        return super().get(key, default)
+
+
+def _cell_counts(text: str, events, through_lines: bool, monkeypatch):
+    """Run the events through an engine, by ``feed`` or as stream lines;
+    return the engine, the most lookups one event made to find its cell, and
+    the calls of ``sat``."""
+    import tcer.engine
+
+    sat_calls = Counter()
+
+    def counting_sat(event, pred):
+        sat_calls[0] += 1
+        return sat(event, pred)
+
+    monkeypatch.setattr(tcer.engine, "sat", counting_sat)
+    monkeypatch.setattr(_CountingDict, "lookups", 0)
+    engine = StreamingEngine(determinize(compile_windowed(parse_query(text))), debug=False)
+    engine._types = _CountingDict(engine._types)
+    step = engine.step
+    engine.step = lambda etype, values, ticks, event=None: step(etype, _CountingDict(values), ticks, event)
+    if through_lines:
+        items = read_stream((stream_line(event, ts) for event, ts in events), engine)
+        run = engine.step
+    else:
+        items, run = events, engine.feed
+    most = 0
+    for item in items:
+        before = _CountingDict.lookups
+        run(*item)
+        most = max(most, _CountingDict.lookups - before)
+    return engine, most, sat_calls[0]
+
+
+@pytest.mark.parametrize("through_lines", [False, True], ids=["feed", "lines"])
+@pytest.mark.parametrize(
+    "text, events",
+    [
+        (PHI2_TEXT, lambda phi, n: bench_stream(phi, n, random.Random(0))),
+        (FANOUT_TEXT, lambda phi, n: fanout_events(random.Random(5), n)),
+    ],
+    ids=["phi2", "fanout"],
+)
+def test_an_event_evaluates_each_atom_once_and_sat_runs_once_per_cell(
+    text, events, through_lines, monkeypatch
+):
+    """Over 20k events: no event makes more lookups to find its cell (one
+    for its type, one per attribute that the atoms read) than the engine has
+    distinct atoms, the memo holds at most one entry per cell of the atoms,
+    each a cell that ``event_cells`` finds, and ``sat`` runs at most once per
+    cell and transition."""
+    engine, most, sat_calls = _cell_counts(
+        text, events(parse_query(text), 20_000), through_lines, monkeypatch
+    )
+    atoms = engine.atoms
+    assert len(set(atoms)) == len(atoms) and all(isinstance(a, (TypeIs, Basic)) for a in atoms)
+    assert 0 < most <= len(atoms)
+    cells = event_cells(atoms)
+    assert set(engine.cells) <= cells
+    assert 0 < sat_calls <= len(engine.cells) * len(engine.cea.delta)
+    assert len(engine.cells) <= len(cells)
+
+
+def test_engines_over_one_automaton_share_its_memo_and_nothing_else(monkeypatch, s0):
+    """A second engine over the same automaton finds every cell that the
+    first one met already decided, so ``sat`` does not run again, and it
+    still gives the same matches from its own store."""
+    import tcer.engine
+
+    det = determinize(compile_windowed(parse_query(PHI2_TEXT)))
+    first = StreamingEngine(det)
+    expected = [first.feed(event, ts) for event, ts in s0.pairs_et()]
+    calls = Counter()
+    monkeypatch.setattr(tcer.engine, "sat", lambda event, pred: calls.update([pred]) or sat(event, pred))
+    second = StreamingEngine(det)
+    assert second.cells is first.cells and second.table is not first.table
+    assert [second.feed(event, ts) for event, ts in s0.pairs_et()] == expected
+    assert not calls and second.caecs is not first.caecs and second.position == first.position
+    assert StreamingEngine(determinize(compile_windowed(parse_query(PHI2_TEXT)))).cells == {}

@@ -30,6 +30,7 @@ from tcer.model import (
     project_ce,
     rat,
     sat,
+    to_units,
     union_ce,
 )
 from tcer.parser import Token
@@ -110,9 +111,43 @@ def test_rat_agrees_with_fraction_on_every_string(text):
         assert type(got) is Fraction and got == expected
 
 
+@given(
+    st.one_of(
+        _number_strings(),
+        st.sampled_from(_ODD_NUMBERS),
+        st.integers(-10**12, 10**12),
+        st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 1000)),
+    ),
+    st.sampled_from([1, 10**9, 3 * 10**9, 7 * 10**10]),
+)
+def test_to_units_counts_what_rat_reads(value, scale):
+    """``rat(value) · scale`` exactly, an int when it is whole, or the error
+    ``rat`` raises."""
+    try:
+        expected = rat(value) * scale
+    except ValueError:
+        with pytest.raises(ValueError):
+            to_units(value, scale)
+    else:
+        got = to_units(value, scale)
+        assert got == expected and type(got) is (int if expected.denominator == 1 else Fraction)
+
+
 def test_booleans_satisfy_no_comparison():
     for pred in (Basic("x", "<", 2), Basic("x", "!=", "a"), Basic("x", "==", 1), Basic("x", "!=", 0)):
         assert not sat(Event("A", {"x": True}), pred)
+
+
+@pytest.mark.parametrize("value", [[1], {"y": 1}, 1 + 0j, (1,)], ids=["list", "dict", "complex", "tuple"])
+def test_a_value_that_is_neither_a_number_nor_a_string_satisfies_no_comparison(value):
+    """Not even ``!=``, and ``<`` does not raise: a Basic predicate
+    constrains values of its constant's kind."""
+    event = Event("A", {"x": value})
+    for op in ("<", "<=", ">", ">=", "==", "!="):
+        for constant in (1, Fraction(1, 3)):
+            assert not sat(event, Basic("x", op, constant))
+    assert not sat(event, Basic("x", "!=", "a"))
+    assert not sat(event, Basic("x", "==", "a"))
 
 
 @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
