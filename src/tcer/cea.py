@@ -1,5 +1,11 @@
-"""Clocked automata over event streams: clock conditions, valuations,
-transitions, a brute-force run-enumeration oracle, and structural classifiers.
+"""Clocked automata over event streams: guards, valuations, transitions, a
+brute-force run-enumeration oracle, and structural classifiers.
+
+A guard is a box: a tuple of ``(clock, model.Interval)`` pairs, one per
+clock it checks, in the order the clocks were first checked.  The empty box
+is true.  A clock that a box checks fails it while uninitialized, so a box
+keeps a ``[0, inf)`` entry for a clock it checks but does not bound.  A
+disjunction of guards is several transitions.
 """
 
 from __future__ import annotations
@@ -10,7 +16,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .model import (
-    Binary,
     ComplexEvent,
     Event,
     Interval,
@@ -23,183 +28,178 @@ from . import model
 from .parser import MAX_QUERY_DEPTH
 
 # ---------------------------------------------------------------------------
-# Clock conditions
+# Guards
 # ---------------------------------------------------------------------------
 
+Guard = tuple  # ((clock, model.Interval), ...), at most one pair per clock
 
-class GTrue(Value):
-    __slots__ = ()
+TRUE: Guard = ()
 
-    def __str__(self) -> str:
-        return "true"
-
-
-class GFalse(Value):
-    """Unsatisfiable condition; internal (the dual of GTrue under negation)."""
-
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return "false"
-
-
-class Cmp(Value):
-    __slots__ = ("clock", "op", "constant")
-
-    def __init__(self, clock: str, op: str, constant: Fraction):
-        if op not in ("=", "<", "<=", ">=", ">"):
-            raise ValueError(f"unknown clock comparator {op!r}")
-        object.__setattr__(self, "clock", clock)
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "constant", model.rat(constant))
-
-    def __str__(self) -> str:
-        return f"{self.clock} {self.op} {format_rat(self.constant)}"
-
-
-class GAnd(Binary):
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return f"({self.left} and {self.right})"
-
-
-class GOr(Binary):
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return f"({self.left} or {self.right})"
-
-
-ClockCondition = Union[GTrue, GFalse, Cmp, GAnd, GOr]
+FULL_INTERVAL = Interval(Fraction(0), None)
 
 ClockValuation = Mapping[str, Fraction]
 
-
-def guard_clocks(gamma: ClockCondition) -> frozenset[str]:
-    return frozenset([atom.clock for atom in _guard_atoms(gamma)])
-
-
-def guard_size(gamma: ClockCondition) -> int:
-    """Number of comparisons (GTrue/GFalse count 1, connectives are free)."""
-    if isinstance(gamma, (GTrue, GFalse, Cmp)):
-        return 1
-    return guard_size(gamma.left) + guard_size(gamma.right)
+def clock_guard(clock: str, op: str, constant) -> Optional[Guard]:
+    """The box of ``clock op constant``; None when no clock value passes."""
+    if op not in ("=", "<", "<=", ">=", ">"):
+        raise ValueError(f"unknown clock comparator {op!r}")
+    iv = Interval.of(op, model.rat(constant))
+    return None if iv is None else ((clock, iv),)
 
 
-def guard_constants(gamma: ClockCondition) -> dict[str, set[Fraction]]:
-    out: dict[str, set[Fraction]] = {}
-    for sub in _guard_atoms(gamma):
-        out.setdefault(sub.clock, set()).add(sub.constant)
-    return out
+def guard_meet(g: Guard, h: Guard) -> Optional[Guard]:
+    """The box of both guards, with ``g``'s clocks first; None when empty."""
+    if not g or not h:
+        return g or h
+    box = dict(g)
+    for z, iv in h:
+        if z in box:
+            iv = box[z].meet(iv)
+            if iv is None:
+                return None
+        box[z] = iv
+    return tuple(box.items())
+
+
+def guard_covers(g: Guard, h: Guard) -> bool:
+    """Does every valuation that passes ``h`` pass ``g``?"""
+    inner = dict(h)
+    return all(z in inner and iv.covers(inner[z]) for z, iv in g)
+
+
+def guard_clocks(g: Guard) -> frozenset[str]:
+    return frozenset([z for z, _ in g])
+
+
+def guard_sat(nu: ClockValuation, g: Guard) -> bool:
+    """A valuation passes a guard only if it initializes every clock the
+    guard checks."""
+    for z, (low, high, low_closed, high_closed) in g:
+        v = nu.get(z)
+        if v is None:
+            return False
+        # a clock is never negative, so a closed low end at 0 always holds
+        if (low or not low_closed) and (v < low if low_closed else v <= low):
+            return False
+        if high is not None and (v > high if high_closed else v >= high):
+            return False
+    return True
+
+
+def _comparisons(iv: Interval) -> list[tuple[str, Fraction]]:
+    """The comparisons saying that a clock lies in ``iv``: ``>= 0`` for
+    ``[0, inf)``, which a box keeps to check that the clock is set."""
+    low, high, low_closed, high_closed = iv
+    if high is not None and low == high:
+        return [("=", low)]
+    out = []
+    if low > 0 or not low_closed:
+        out.append((">=" if low_closed else ">", low))
+    if high is not None:
+        out.append(("<=" if high_closed else "<", high))
+    return out or [(">=", low)]
+
+
+def guard_size(g: Guard) -> int:
+    """Number of comparisons the guard is written with (true counts 1)."""
+    return sum(len(_comparisons(iv)) for _, iv in g) or 1
+
+
+def format_guard(g: Guard) -> str:
+    if not g:
+        return "true"
+    return " and ".join(
+        f"{z} {op} {format_rat(c)}" for z, iv in g for op, c in _comparisons(iv)
+    )
+
+
+def guard_constants(g: Guard) -> dict[str, tuple[Fraction, ...]]:
+    """Per clock, the finite ends of its interval."""
+    return {z: (iv.low,) if iv.high is None else (iv.low, iv.high) for z, iv in g}
 
 
 def constant_scale(cea: TimedCea) -> int:
     """The lcm of the clock constants' denominators: the least positive
     int that turns every clock constant into an int when multiplied by it."""
     return math.lcm(
-        1, *(atom.constant.denominator for tr in cea.delta for atom in _guard_atoms(tr.guard))
+        1,
+        *(c.denominator for tr in cea.delta for cs in guard_constants(tr.guard).values() for c in cs),
     )
 
 
-def _guard_atoms(gamma: ClockCondition) -> list[Cmp]:
-    if isinstance(gamma, Cmp):
-        return [gamma]
-    if isinstance(gamma, (GAnd, GOr)):
-        return _guard_atoms(gamma.left) + _guard_atoms(gamma.right)
-    return []
+# --- guard cells: the partition determinization splits valuations by ------
 
 
-def guard_sat(nu: ClockValuation, gamma: ClockCondition) -> bool:
-    """A valuation satisfies a condition only if it initializes every clock
-    the condition mentions (an uninitialized clock fails even under Or)."""
-    try:
-        return _guard_eval(nu, gamma)
-    except KeyError:
-        return False
+def guard_cuts(guards: Iterable[Guard]) -> list[list[tuple[str, Interval]]]:
+    """For each clock the guards check, in clock order, ``[0, inf)`` cut at
+    every end of the guards' intervals on it, with neighbouring pieces that
+    lie in the same intervals joined again.  Each piece lies inside or
+    outside each interval, so a cell, one piece per clock (a box), lies
+    inside or outside each guard, and the cells partition the valuations."""
+    by_clock: dict[str, set[Interval]] = {}
+    for g in guards:
+        for z, iv in g:
+            by_clock.setdefault(z, set()).add(iv)
+    cuts = []
+    for z, ivs in sorted(by_clock.items()):
+        ends = sorted({Fraction(0)} | {iv.low for iv in ivs} | {iv.high for iv in ivs} - {None})
+        pieces: list[tuple[str, Interval]] = []
+        last = None
+        for a, b in zip(ends, ends[1:] + [None]):
+            for piece in (Interval._make((a, a, True, True)), Interval._make((a, b, False, False))):
+                inside = [iv.covers(piece) for iv in ivs]
+                if inside == last:
+                    pieces[-1] = (z, pieces[-1][1].join(piece))
+                else:
+                    pieces.append((z, piece))
+                    last = inside
+        cuts.append(pieces)
+    return cuts
 
 
-def _guard_eval(nu: ClockValuation, gamma: ClockCondition) -> bool:
-    # no short circuit: every atom looks its clock up, so a missing one raises
-    if isinstance(gamma, GTrue):
-        return True
-    if isinstance(gamma, GFalse):
-        return False
-    if isinstance(gamma, Cmp):
-        return model.COMPARISONS[gamma.op](nu[gamma.clock], gamma.constant)
-    if isinstance(gamma, GAnd):
-        return _guard_eval(nu, gamma.left) & _guard_eval(nu, gamma.right)
-    return _guard_eval(nu, gamma.left) | _guard_eval(nu, gamma.right)
+def simplify_boxes(boxes: Sequence[Guard]) -> list[Guard]:
+    """The same union in as few boxes as joins find: boxes equal on all
+    clocks but one, whose intervals there join into one, are joined, and a
+    box that another covers is dropped.  Given two or more boxes, each comes
+    out with its clocks sorted."""
+    if len(boxes) < 2:
+        return list(boxes)
+    work = list(dict.fromkeys(tuple(sorted(b)) for b in boxes))
+    clocks = sorted({z for b in work for z, _ in b})
+    while True:
+        count = len(work)
+        for z in clocks:
+            work = _join_along(work, z)
+        kept: list[Guard] = []
+        for b in work:
+            if not any(guard_covers(o, b) for o in kept):
+                kept = [o for o in kept if not guard_covers(b, o)] + [b]
+        work = kept
+        if len(work) == count:
+            return work
 
 
-def gand(*gammas: ClockCondition) -> ClockCondition:
-    acc: Optional[ClockCondition] = None
-    for g in gammas:
-        if isinstance(g, GTrue):
-            continue
-        acc = g if acc is None else GAnd(acc, g)
-    return acc if acc is not None else GTrue()
-
-
-def interval_atoms(clock: str, iv: Interval) -> list[Cmp]:
-    """The atoms saying that ``clock`` lies in ``iv``; none for ``[0, inf)``."""
-    low, high, low_closed, high_closed = iv
-    if high is not None and low == high:
-        return [Cmp(clock, "=", low)]
-    atoms = []
-    if low > 0 or not low_closed:
-        atoms.append(Cmp(clock, ">=" if low_closed else ">", low))
-    if high is not None:
-        atoms.append(Cmp(clock, "<=" if high_closed else "<", high))
-    return atoms
-
-
-# --- guard satisfiability over some full-domain valuation ------------------
-
-FULL_INTERVAL = Interval(Fraction(0), None)
-
-Box = dict  # clock -> model.Interval of its values
-
-
-def _guard_dnf(gamma: ClockCondition) -> list[list[Cmp]]:
-    if isinstance(gamma, GTrue):
-        return [[]]
-    if isinstance(gamma, GFalse):
-        return []
-    if isinstance(gamma, Cmp):
-        return [[gamma]]
-    if isinstance(gamma, GAnd):
-        return [a + b for a in _guard_dnf(gamma.left) for b in _guard_dnf(gamma.right)]
-    return _guard_dnf(gamma.left) + _guard_dnf(gamma.right)
-
-
-def _conj_box(conj: Iterable[Cmp]) -> Optional[Box]:
-    """Per-clock interval of a conjunction; None if it is empty."""
-    box: Box = {}
-    for atom in conj:
-        iv = Interval.of(atom.op, atom.constant)
-        if iv is not None and atom.clock in box:
-            iv = iv.meet(box[atom.clock])
-        if iv is None:
-            return None
-        box[atom.clock] = iv
-    return box
-
-
-def guard_boxes(gamma: ClockCondition) -> list[Box]:
-    """DNF of a condition as interval boxes (empty conjuncts dropped).
-
-    A box keeps an entry for every clock it mentions, even when the interval
-    is the trivial [0, ∞): a guard mentioning a clock fails while the clock
-    is uninitialized, so mention is part of the meaning.
-    """
-    boxes = (_conj_box(conj) for conj in _guard_dnf(gamma))
-    return [box for box in boxes if box is not None]
-
-
-def guard_satisfiable(gamma: ClockCondition) -> bool:
-    """Is there a valuation (initializing all mentioned clocks) satisfying γ?"""
-    return bool(guard_boxes(gamma))
+def _join_along(boxes: list[Guard], z: str) -> list[Guard]:
+    """The boxes, those equal on all clocks but ``z`` joined wherever their
+    intervals on ``z`` join: sorted by low end, each joins the one before."""
+    out, runs = [], {}
+    for b in boxes:
+        i = next((i for i, (y, _) in enumerate(b) if y == z), None)
+        if i is None:
+            out.append(b)
+        else:
+            runs.setdefault((b[:i], b[i + 1:]), []).append(b[i][1])
+    for (head, tail), ivs in runs.items():
+        ivs.sort(key=lambda iv: (iv.low, not iv.low_closed))
+        joined = [ivs[0]]
+        for iv in ivs[1:]:
+            both = joined[-1].join(iv)
+            if both is None:
+                joined.append(iv)
+            else:
+                joined[-1] = both
+        out.extend(head + ((z, iv),) + tail for iv in joined)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +213,7 @@ class Transition(Value):
     __slots__ = ("source", "pred", "guard", "label", "resets", "target")
 
     def __init__(
-        self, source: State, pred: Predicate, guard: ClockCondition,
+        self, source: State, pred: Predicate, guard: Guard,
         label: frozenset[str], resets: frozenset[str], target: State,
     ):
         object.__setattr__(self, "source", source)
@@ -226,7 +226,8 @@ class Transition(Value):
     def __str__(self) -> str:
         lab = "{" + ",".join(sorted(self.label)) + "}"
         rst = "{" + ",".join(sorted(self.resets)) + "}"
-        return f"{self.source} --{self.pred}, {self.guard} / {lab}, {rst}--> {self.target}"
+        guard = format_guard(self.guard)
+        return f"{self.source} --{self.pred}, {guard} / {lab}, {rst}--> {self.target}"
 
 
 class TimedCea(Value):
@@ -419,7 +420,7 @@ def deterministic_violations(cea: TimedCea) -> list[tuple[Transition, Transition
     for state in cea.states:
         out = cea.out(state)
         for i, j in compatible_pairs(out, itertools.combinations(range(len(out)), 2)):
-            if guard_satisfiable(gand(out[i].guard, out[j].guard)):
+            if guard_meet(out[i].guard, out[j].guard) is not None:
                 violations.append((out[i], out[j]))
     return violations
 
@@ -428,35 +429,15 @@ def is_deterministic(cea: TimedCea) -> bool:
     return not deterministic_violations(cea)
 
 
-def _conj_atoms(gamma: ClockCondition) -> Optional[list[Cmp]]:
-    """Atoms of a pure conjunction, or None if the guard is not one."""
-    if isinstance(gamma, GTrue):
-        return []
-    if isinstance(gamma, Cmp):
-        return [gamma]
-    if isinstance(gamma, GAnd):
-        left = _conj_atoms(gamma.left)
-        right = _conj_atoms(gamma.right)
-        if left is None or right is None:
-            return None
-        return left + right
-    return None
-
-
 def is_monotonic(cea: TimedCea) -> str:
-    """'le' if every guard is a conjunction of z ≤ c atoms, 'ge' dually,
-    'no' otherwise.  All-true guards report 'le' by convention."""
-    ops: set[str] = set()
-    for tr in cea.delta:
-        atoms = _conj_atoms(tr.guard)
-        if atoms is None:
-            return "no"
-        for atom in atoms:
-            ops.add(atom.op)
-    if ops <= {"<="}:
-        return "le"
-    if ops <= {">="}:
+    """'ge' if every interval of every guard is ``[c, inf)``, else 'le' if
+    every one is ``[0, c]`` or ``[0, inf)``, else 'no'.  All-true guards
+    report 'le' by convention."""
+    ivs = [iv for tr in cea.delta for _, iv in tr.guard]
+    if ivs and all(iv.high is None and iv.low_closed for iv in ivs):
         return "ge"
+    if all(iv.low == 0 and iv.low_closed and (iv.high is None or iv.high_closed) for iv in ivs):
+        return "le"
     return "no"
 
 
@@ -511,40 +492,72 @@ def pred_from_json(doc, where: str, depth: int = 0) -> Predicate:
     raise AutomatonFormatError(f"{where}: unknown predicate kind {kind!r}")
 
 
-def guard_to_json(gamma: ClockCondition):
-    if isinstance(gamma, GTrue):
-        return {"kind": "true"}
-    if isinstance(gamma, GFalse):
-        return {"kind": "false"}
-    if isinstance(gamma, Cmp):
-        return {
-            "kind": "cmp",
-            "clock": gamma.clock,
-            "op": gamma.op,
-            "constant": f"{gamma.constant.numerator}/{gamma.constant.denominator}",
-        }
-    tag = "and" if isinstance(gamma, GAnd) else "or"
-    return {"kind": tag, "left": guard_to_json(gamma.left), "right": guard_to_json(gamma.right)}
+def _and_json(left, right):
+    return right if left is None else {"kind": "and", "left": left, "right": right}
 
 
-def guard_from_json(doc, where: str, depth: int = 0) -> ClockCondition:
+def guard_to_json(g: Guard):
+    """The box as a tree of ``cmp`` and ``and`` nodes: each clock's
+    comparisons joined in order, and the clocks' trees joined in order."""
+    tree = None
+    for z, iv in g:
+        sub = None
+        for op, c in _comparisons(iv):
+            constant = f"{c.numerator}/{c.denominator}"
+            sub = _and_json(sub, {"kind": "cmp", "clock": z, "op": op, "constant": constant})
+        tree = _and_json(tree, sub)
+    return tree or {"kind": "true"}
+
+
+# The boxes one guard of an automaton file may need, at any node of its tree
+MAX_GUARD_BOXES = 16
+
+
+def guard_from_json(doc, where: str) -> tuple[list[Guard], frozenset[str]]:
+    """The boxes of a ``true``/``false``/``cmp``/``and``/``or`` tree, one
+    transition each, and the clocks the tree mentions.  The boxes are
+    pairwise disjoint, and each checks every mentioned clock: an
+    uninitialized clock fails the whole guard, even under ``or``.  They are
+    built bottom-up and simplified at every node; a tree that needs more
+    than ``MAX_GUARD_BOXES`` boxes at a node, or more than its cube of
+    cells to make its boxes disjoint, is refused."""
+    boxes, mentioned = _guard_boxes(doc, where, 0)
+    boxes = [
+        b + tuple((z, FULL_INTERVAL) for z in sorted(mentioned - guard_clocks(b))) for b in boxes
+    ]
+    if len(boxes) > 1:
+        # cut into cells and rejoined, as ``determinize`` joins its cells
+        cuts = guard_cuts(boxes)
+        if math.prod(map(len, cuts)) > MAX_GUARD_BOXES**3:
+            raise AutomatonFormatError(f"{where}: more than {MAX_GUARD_BOXES**3} cells")
+        cells = itertools.product(*cuts)
+        boxes = simplify_boxes([c for c in cells if any(guard_covers(b, c) for b in boxes)])
+    return boxes, frozenset(mentioned)
+
+
+def _guard_boxes(doc, where: str, depth: int) -> tuple[list[Guard], set[str]]:
     if depth > MAX_QUERY_DEPTH:
         raise AutomatonFormatError(f"{where}: nested deeper than {MAX_QUERY_DEPTH}")
     kind = _field(doc, "kind", str, where)
-    if kind == "true":
-        return GTrue()
-    if kind == "false":
-        return GFalse()
+    if kind in ("true", "false"):
+        return ([TRUE] if kind == "true" else []), set()
     if kind == "cmp":
+        clock = _field(doc, "clock", str, where)
         constant = model.rat(_field(doc, "constant", str, where))
-        return Cmp(_field(doc, "clock", str, where), _field(doc, "op", str, where), constant)
-    if kind in ("and", "or"):
-        ctor = GAnd if kind == "and" else GOr
-        return ctor(
-            guard_from_json(doc.get("left"), where, depth + 1),
-            guard_from_json(doc.get("right"), where, depth + 1),
-        )
-    raise AutomatonFormatError(f"{where}: unknown guard kind {kind!r}")
+        g = clock_guard(clock, _field(doc, "op", str, where), constant)
+        return ([] if g is None else [g]), {clock}
+    if kind not in ("and", "or"):
+        raise AutomatonFormatError(f"{where}: unknown guard kind {kind!r}")
+    left, left_clocks = _guard_boxes(doc.get("left"), where, depth + 1)
+    right, right_clocks = _guard_boxes(doc.get("right"), where, depth + 1)
+    if kind == "or":
+        boxes = left + right
+    else:
+        boxes = [m for a in left for b in right if (m := guard_meet(a, b)) is not None]
+    boxes = simplify_boxes(boxes)
+    if len(boxes) > MAX_GUARD_BOXES:
+        raise AutomatonFormatError(f"{where}: more than {MAX_GUARD_BOXES} boxes")
+    return boxes, left_clocks | right_clocks
 
 
 def cea_to_json(cea: TimedCea) -> dict:
@@ -592,8 +605,10 @@ def _items(doc, key: str, kind, where: str) -> list:
 
 
 def cea_from_json(doc) -> TimedCea:
-    """The automaton ``cea_to_json`` wrote; raises ``AutomatonFormatError``,
-    naming the field, for a document that does not describe one."""
+    """The automaton ``cea_to_json`` wrote, or one whose guards use ``or``
+    and ``false``, each guard split into one transition per box
+    (``guard_from_json``); raises ``AutomatonFormatError``, naming the field,
+    for a document that does not describe one."""
     n = len(_items(doc, "states", str, "automaton"))
     var_names = frozenset(_items(doc, "vars", str, "automaton"))
     clocks = frozenset(_items(doc, "clocks", str, "automaton"))
@@ -601,21 +616,19 @@ def cea_from_json(doc) -> TimedCea:
     for i, tr in enumerate(_items(doc, "transitions", dict, "automaton")):
         where = f"transitions[{i}]"
         try:
-            transition = Transition(
-                _field(tr, "source", int, where),
-                pred_from_json(tr.get("pred"), f"{where}.pred"),
-                guard_from_json(tr.get("guard"), f"{where}.guard"),
-                frozenset(_items(tr, "label", str, where)),
-                frozenset(_items(tr, "resets", str, where)),
-                _field(tr, "target", int, where),
-            )
+            source = _field(tr, "source", int, where)
+            pred = pred_from_json(tr.get("pred"), f"{where}.pred")
+            guards, checked = guard_from_json(tr.get("guard"), f"{where}.guard")
+            label = frozenset(_items(tr, "label", str, where))
+            resets = frozenset(_items(tr, "resets", str, where))
+            target = _field(tr, "target", int, where)
         except ValueError as exc:
             raise AutomatonFormatError(f"{where}: {exc}") from exc
-        if not transition.label <= var_names:
+        if not label <= var_names:
             raise AutomatonFormatError(f"{where}.label: unknown variable")
-        if not transition.resets | guard_clocks(transition.guard) <= clocks:
+        if not resets | checked <= clocks:
             raise AutomatonFormatError(f"{where}: unknown clock")
-        delta.append(transition)
+        delta.extend(Transition(source, pred, g, label, resets, target) for g in guards)
     try:
         return TimedCea(
             states=frozenset(range(n)),

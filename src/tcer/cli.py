@@ -50,9 +50,17 @@ class StreamFormatError(Exception):
     pass
 
 
+def _int_text(text: str) -> int:
+    """``parse_int`` for both readers: an integer past ``MAX_DIGITS`` is
+    refused as ``rat`` refuses a decimal."""
+    if len(text) > MAX_DIGITS:
+        raise ValueError(f"number longer than {MAX_DIGITS} digits")
+    return int(text)
+
+
 # One decoder for every line: ``json.loads`` with ``parse_float`` builds a
 # new one per call.
-_EVENT_DECODER = json.JSONDecoder(parse_float=rat)
+_EVENT_DECODER = json.JSONDecoder(parse_float=rat, parse_int=_int_text)
 
 
 def parse_stream_line(line: str, lineno: int) -> tuple[Event, Fraction]:
@@ -110,7 +118,7 @@ def _number_text(text: str):
     return _Decimal(text)
 
 
-_TEXT_DECODER = json.JSONDecoder(parse_float=_number_text)
+_TEXT_DECODER = json.JSONDecoder(parse_float=_number_text, parse_int=_int_text)
 
 
 def read_stream(fh, engine: Optional[StreamingEngine] = None):

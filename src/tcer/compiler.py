@@ -14,14 +14,15 @@ from __future__ import annotations
 
 from . import cel
 from .cea import (
-    GTrue,
+    FULL_INTERVAL,
+    TRUE,
+    Guard,
     State,
     TimedCea,
     Transition,
     exposed_clocks,
-    gand,
     guard_clocks,
-    interval_atoms,
+    guard_meet,
     reachable,
 )
 from .model import And as PAnd
@@ -81,6 +82,22 @@ def compile_cel(phi: cel.CelFormula) -> TimedCea:
     return _finish(_compile(phi, fresh), phi)
 
 
+def _interval_guard(clock: str, interval: Interval) -> Guard:
+    """The box that checks ``clock`` in ``interval``; true for ``[0, inf)``."""
+    return TRUE if interval == FULL_INTERVAL else ((clock, interval),)
+
+
+def _checking(
+    tr: Transition, guard: Guard, source: State, target: State, resets: frozenset = frozenset()
+) -> list[Transition]:
+    """``tr`` from ``source`` to ``target``, also checking ``guard`` and
+    resetting ``resets``; none when no clock value passes both guards."""
+    both = guard_meet(tr.guard, guard)
+    if both is None:
+        return []
+    return [Transition(source, tr.pred, both, tr.label, tr.resets | resets, target)]
+
+
 def _retarget(tr: Transition, target: State) -> Transition:
     return Transition(tr.source, tr.pred, tr.guard, tr.label, tr.resets, target)
 
@@ -129,14 +146,14 @@ def _and(b1: _Build, b2: _Build) -> _Build:
         Transition(
             (t1.source, t2.source),
             PAnd(t1.pred, t2.pred),
-            gand(t1.guard, t2.guard),
+            guard,
             t1.label,
             t1.resets | t2.resets,
             (t1.target, t2.target),
         )
         for t1 in b1.delta
         for t2 in b2.delta
-        if t1.label == t2.label
+        if t1.label == t2.label and (guard := guard_meet(t1.guard, t2.guard)) is not None
     ]
     states = {(p1, p2) for p1 in b1.states for p2 in b2.states}
     finals = {(f1, f2) for f1 in b1.finals for f2 in b2.finals}
@@ -162,7 +179,7 @@ def _compile(phi: cel.CelFormula, fresh: _Fresh, windowed: bool = False) -> _Bui
     if isinstance(phi, cel.EventType):
         q1, q2 = fresh.state(), fresh.state()
         marks = frozenset((ZX,)) if windowed else frozenset()
-        tr = Transition(q1, TypeIs(phi.etype), GTrue(), frozenset((phi.etype,)), marks, q2)
+        tr = Transition(q1, TypeIs(phi.etype), TRUE, frozenset((phi.etype,)), marks, q2)
         return _Build({q1, q2}, [tr], q1, {q2}, set(marks))
 
     if isinstance(phi, cel.As):
@@ -189,7 +206,7 @@ def _compile(phi: cel.CelFormula, fresh: _Fresh, windowed: bool = False) -> _Bui
             if tr.target in b1.finals:
                 delta.append(_retarget(tr, b2.initial))
         if isinstance(phi, cel.Seq):
-            delta.append(Transition(b2.initial, TrueP(), GTrue(), frozenset(), frozenset(), b2.initial))
+            delta.append(Transition(b2.initial, TrueP(), TRUE, frozenset(), frozenset(), b2.initial))
         return _Build(
             b1.states | b2.states, delta, b1.initial, set(b2.finals), b1.clocks | b2.clocks
         )
@@ -207,7 +224,7 @@ def _compile(phi: cel.CelFormula, fresh: _Fresh, windowed: bool = False) -> _Bui
         b2 = _compile(phi.right, fresh, windowed)
         z_x = ZX if windowed else fresh.clock()
         q_new = fresh.state()
-        gamma_i = gand(*interval_atoms(z_x, phi.interval))
+        gamma_i = _interval_guard(z_x, phi.interval)
         delta = list(b1.delta) + list(b2.delta)
         for tr in b1.delta:
             if tr.target in b1.finals:
@@ -215,12 +232,10 @@ def _compile(phi: cel.CelFormula, fresh: _Fresh, windowed: bool = False) -> _Bui
                     Transition(tr.source, tr.pred, tr.guard, tr.label, tr.resets | {z_x}, q_new)
                 )
         if isinstance(phi, cel.TimedSeq):
-            delta.append(Transition(q_new, TrueP(), GTrue(), frozenset(), frozenset(), q_new))
+            delta.append(Transition(q_new, TrueP(), TRUE, frozenset(), frozenset(), q_new))
         for tr in b2.delta:
             if tr.source == b2.initial:
-                delta.append(
-                    Transition(q_new, tr.pred, gand(tr.guard, gamma_i), tr.label, tr.resets, tr.target)
-                )
+                delta += _checking(tr, gamma_i, q_new, tr.target)
         return _Build(
             b1.states | b2.states | {q_new},
             delta,
@@ -235,7 +250,7 @@ def _compile(phi: cel.CelFormula, fresh: _Fresh, windowed: bool = False) -> _Bui
         timed = isinstance(phi, (cel.TimedIter, cel.TimedContigIter))
         z_x = (ZX if windowed else fresh.clock()) if timed else None
         marks = frozenset((z_x,)) if timed else frozenset()
-        gamma_i = gand(*interval_atoms(z_x, phi.interval)) if timed else GTrue()
+        gamma_i = _interval_guard(z_x, phi.interval) if timed else TRUE
         q_new = fresh.state()
         delta = list(b.delta)
         for tr in b.delta:
@@ -244,17 +259,14 @@ def _compile(phi: cel.CelFormula, fresh: _Fresh, windowed: bool = False) -> _Bui
                     Transition(tr.source, tr.pred, tr.guard, tr.label, tr.resets | marks, q_new)
                 )
         if isinstance(phi, (cel.Plus, cel.TimedIter)):
-            delta.append(Transition(q_new, TrueP(), GTrue(), frozenset(), frozenset(), q_new))
+            delta.append(Transition(q_new, TrueP(), TRUE, frozenset(), frozenset(), q_new))
         for tr in b.delta:
             if tr.source == b.initial:
-                guard = gand(tr.guard, gamma_i)
-                delta.append(Transition(q_new, tr.pred, guard, tr.label, tr.resets, tr.target))
+                delta += _checking(tr, gamma_i, q_new, tr.target)
                 if tr.target in b.finals:
                     # one-step sub-match looping back: the gap must also be
                     # checked here, and the block-end reset applied
-                    delta.append(
-                        Transition(q_new, tr.pred, guard, tr.label, tr.resets | marks, q_new)
-                    )
+                    delta += _checking(tr, gamma_i, q_new, q_new, marks)
         return _Build(b.states | {q_new}, delta, b.initial, set(b.finals), b.clocks | marks)
 
     raise TypeError(f"not a formula: {phi!r}")
@@ -264,7 +276,7 @@ def _within_wrap(b: _Build, interval: Interval, z_n: str, fresh: _Fresh) -> _Bui
     """Wrap a build with a window clock: reset on the initial out-transitions,
     checked on the transitions entering a fresh final state."""
     q_f = fresh.state()
-    gamma_i = gand(*interval_atoms(z_n, interval))
+    gamma_i = _interval_guard(z_n, interval)
     delta: list[Transition] = []
     for tr in b.delta:
         if tr.source == b.initial:
@@ -277,9 +289,7 @@ def _within_wrap(b: _Build, interval: Interval, z_n: str, fresh: _Fresh) -> _Bui
         else:
             delta.append(tr)
             if tr.target in b.finals:
-                delta.append(
-                    Transition(tr.source, tr.pred, gand(tr.guard, gamma_i), tr.label, tr.resets, q_f)
-                )
+                delta += _checking(tr, gamma_i, tr.source, q_f)
     return _Build(b.states | {q_f}, delta, b.initial, {q_f}, b.clocks | {z_n})
 
 

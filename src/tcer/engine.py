@@ -51,26 +51,19 @@ constants are ints, and so is every value with at most nine decimal places;
 any other value is an exact ``Fraction`` of units.  ``feed`` converts the
 attributes the atoms read from the event; ``step`` takes them already
 converted, from a reader such as the CLI's that reads them straight from
-their digits.  Only numbers (not booleans) satisfy a number comparison and
-only strings a string comparison, as in ``sat``.
+their digits.  Only numbers (not booleans, NaN or infinities) satisfy a
+number comparison and only strings a string comparison, as in ``sat``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from typing import Iterator, Optional
 
 from .caecs import Caecs, Node, enumerate_node
-from .cea import (
-    TimedCea,
-    _conj_atoms,
-    constant_scale,
-    guard_clocks,
-    is_deterministic,
-    is_monotonic,
-)
+from .cea import TimedCea, constant_scale, guard_clocks, is_deterministic, is_monotonic
 from .model import (
     COMPARISONS,
     Basic,
@@ -109,8 +102,10 @@ class _Trans(Value):
 
 
 def _prepare(cea: TimedCea, scale: int) -> tuple[list[_Trans], Optional[str], str]:
-    """Validate the automaton and collapse guards to single bounds, in ticks
-    of ``1/scale`` s."""
+    """Validate the automaton and read each guard's bound off its interval
+    (the high end under ``le``, the low end under ``ge``), in ticks of
+    ``1/scale`` s.  The initial state's guarded transitions are left out: a
+    guard cannot pass before the clock is started."""
     if not is_deterministic(cea):
         raise NotStreamable("automaton is not deterministic")
     direction = is_monotonic(cea)
@@ -124,15 +119,17 @@ def _prepare(cea: TimedCea, scale: int) -> tuple[list[_Trans], Optional[str], st
         raise NotStreamable("transition back into the initial state")
     out: list[_Trans] = []
     for tr in cea.delta:
-        atoms = _conj_atoms(tr.guard)
-        assert all(atom.clock == clock for atom in atoms)
-        strictest = min if direction == "le" else max
-        bound = int(strictest(atom.constant for atom in atoms) * scale) if atoms else None
         reset = clock is not None and clock in tr.resets
-        if tr.source == cea.initial and clock is not None and not reset and bound is None:
-            raise NotStreamable(
-                "unguarded initial transition must initialize the clock"
-            )
+        if tr.source == cea.initial:
+            if tr.guard:
+                continue
+            if clock is not None and not reset:
+                raise NotStreamable("unguarded initial transition must initialize the clock")
+        bound = None
+        if tr.guard:
+            ((_, iv),) = tr.guard
+            end = iv.high if direction == "le" else iv.low
+            bound = None if end is None else int(end * scale)
         out.append(_Trans(tr.source, tr.pred, bound, tr.label, reset, tr.target))
     return out, clock, direction
 
@@ -191,8 +188,6 @@ class _Dispatch:
         trans, self.clock, self.direction = _prepare(cea, self.scale)
         self.out: dict[object, list[_Trans]] = {}
         for tr in trans:
-            if tr.source == cea.initial and tr.bound is not None:
-                continue  # a guard cannot pass before the clock is started
             self.out.setdefault(tr.source, []).append(tr)
         types: dict[str, TypeIs] = {}
         reads: dict[str, list[Basic]] = {}
@@ -264,7 +259,8 @@ class StreamingEngine:
             elif isinstance(value, str):
                 values[attr] = value
             elif isinstance(value, (int, Fraction, float)) and kind is not bool:
-                values[attr] = to_units(value, scale)
+                if not isinstance(value, float) or isfinite(value):
+                    values[attr] = to_units(value, scale)
         return self.step(event.etype, values, ticks, event)
 
     def step(

@@ -7,6 +7,7 @@ pairs with strictly increasing timestamps, indexed from 1.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from collections import namedtuple
@@ -472,6 +473,8 @@ def sat(event: Event, pred: Predicate) -> bool:
         if value is None:
             return False
         if isinstance(value, float):
+            if not math.isfinite(value):
+                return False  # NaN and the infinities satisfy no comparison
             value = rat(value)
         return _compare(value, pred.op, pred.value)
     if isinstance(pred, And):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import settings
 
 from tcer import cel
-from tcer.cea import DEFAULT_CEA_CAP, Cmp, GTrue, TimedCea, Transition, eval_cea_oracle
+from tcer.cea import DEFAULT_CEA_CAP, TRUE, TimedCea, Transition, clock_guard, eval_cea_oracle
 from tcer.model import Basic, Event, TimedStream, TrueP, TypeIs
 from tcer.randgen import TYPES
 
@@ -94,11 +94,11 @@ def make_t1(temp_op: str = ">=") -> TimedCea:
         vars=frozenset({"X", "Y"}),
         clocks=frozenset({"z"}),
         delta=(
-            Transition(0, hot, GTrue(), frozenset({"X"}), frozenset({"z"}), 1),
-            Transition(1, TrueP(), GTrue(), frozenset(), frozenset(), 1),
-            Transition(1, hot, Cmp("z", "<=", Fraction(1)), frozenset(), frozenset(), 2),
-            Transition(2, TrueP(), GTrue(), frozenset(), frozenset(), 2),
-            Transition(2, dry, Cmp("z", "<=", Fraction(5)), frozenset({"Y"}), frozenset(), 3),
+            Transition(0, hot, TRUE, frozenset({"X"}), frozenset({"z"}), 1),
+            Transition(1, TrueP(), TRUE, frozenset(), frozenset(), 1),
+            Transition(1, hot, clock_guard("z", "<=", 1), frozenset(), frozenset(), 2),
+            Transition(2, TrueP(), TRUE, frozenset(), frozenset(), 2),
+            Transition(2, dry, clock_guard("z", "<=", 5), frozenset({"Y"}), frozenset(), 3),
         ),
         initial=0,
         finals=frozenset({3}),
@@ -146,23 +146,19 @@ def random_sync_cea(rng: random.Random, n_states: int = 4, n_clocks: int = 2) ->
     label_resets = {
         lab: frozenset(z for z in clocks if rng.random() < 0.5) for lab in labels
     }
-    guards = [GTrue()] + [
-        Cmp(z, rng.choice(["<=", "<", ">=", ">"]), Fraction(rng.randint(0, 3)))
-        for z in clocks
+    # ``z < 0`` passes no value: a transition drawing it is left out
+    guards = [TRUE] + [
+        clock_guard(z, rng.choice(["<=", "<", ">=", ">"]), rng.randint(0, 3)) for z in clocks
     ]
     delta = []
     for _ in range(rng.randint(3, 7)):
         lab = rng.choice(labels)
-        delta.append(
-            Transition(
-                source=rng.randrange(n_states),
-                pred=rng.choice([TypeIs(t) for t in TYPES] + [TrueP()]),
-                guard=rng.choice(guards),
-                label=lab,
-                resets=label_resets[lab],
-                target=rng.randrange(n_states),
-            )
-        )
+        source = rng.randrange(n_states)
+        pred = rng.choice([TypeIs(t) for t in TYPES] + [TrueP()])
+        guard = rng.choice(guards)
+        target = rng.randrange(n_states)
+        if guard is not None:
+            delta.append(Transition(source, pred, guard, lab, label_resets[lab], target))
     finals = frozenset(rng.sample(range(n_states), rng.randint(1, n_states)))
     return TimedCea(
         states=states,
@@ -188,9 +184,9 @@ def random_streamable_cea(rng: random.Random, n_states: int = 4) -> TimedCea:
             if rng.random() < 0.25:
                 continue
             target = rng.randrange(1, n_states)
-            guard = GTrue()
+            guard = TRUE
             if source != 0 and rng.random() < 0.6:
-                guard = Cmp(z, op, Fraction(rng.randint(0, 6), 2))
+                guard = clock_guard(z, op, Fraction(rng.randint(0, 6), 2))
             resets = frozenset({z}) if source == 0 or rng.random() < 0.3 else frozenset()
             delta.append(
                 Transition(source, TypeIs(etype), guard, rng.choice(labels), resets, target)

@@ -20,7 +20,7 @@ import pytest
 from tcer import cel
 from tcer.caecs import Caecs
 from tcer.cea import (
-    GTrue,
+    TRUE,
     TimedCea,
     Transition,
     eval_cea_oracle,
@@ -132,7 +132,7 @@ def _conflict_family():
                 Transition(
                     i,
                     TypeIs(rng.choice(["A", "B"])),
-                    GTrue(),
+                    TRUE,
                     frozenset({"X"}) if rng.random() < 0.5 else frozenset(),
                     frozenset({"z"}) if rng.random() < 0.5 else frozenset(),
                     i + 1,
@@ -141,9 +141,9 @@ def _conflict_family():
         pred = TypeIs(rng.choice(["A", "B"]))
         label = frozenset({"Y"})
         delta.append(
-            Transition(depth, pred, GTrue(), label, frozenset({"z"}), depth + 1)
+            Transition(depth, pred, TRUE, label, frozenset({"z"}), depth + 1)
         )
-        delta.append(Transition(depth, pred, GTrue(), label, frozenset(), depth + 2))
+        delta.append(Transition(depth, pred, TRUE, label, frozenset(), depth + 2))
         yield TimedCea(
             states=frozenset(range(depth + 3)),
             vars=frozenset({"X", "Y"}),
@@ -232,8 +232,8 @@ def _accumulating_automaton() -> TimedCea:
         vars=frozenset({"X"}),
         clocks=frozenset({"z"}),
         delta=(
-            Transition(0, TypeIs("A"), GTrue(), frozenset({"X"}), frozenset({"z"}), 1),
-            Transition(1, TypeIs("A"), GTrue(), frozenset(), frozenset(), 1),
+            Transition(0, TypeIs("A"), TRUE, frozenset({"X"}), frozenset({"z"}), 1),
+            Transition(1, TypeIs("A"), TRUE, frozenset(), frozenset(), 1),
         ),
         initial=0,
         finals=frozenset({1}),

@@ -9,25 +9,26 @@ from fractions import Fraction
 import pytest
 
 from tcer.cea import (
-    Cmp,
-    GAnd,
-    GOr,
-    GTrue,
+    FULL_INTERVAL,
+    TRUE,
     TimedCea,
     Transition,
     _state_key,
     cea_from_json,
     cea_to_json,
+    clock_guard,
     eval_cea_oracle,
+    format_guard,
+    guard_from_json,
+    guard_meet,
     guard_sat,
-    guard_satisfiable,
     guard_size,
     is_deterministic,
     is_monotonic,
     reset,
     step,
 )
-from tcer.model import Basic, ComplexEvent, Event, TimedStream, TrueP, TypeIs
+from tcer.model import Basic, ComplexEvent, Event, Interval, TimedStream, TrueP, TypeIs
 from tcer.randgen import random_stream
 
 from conftest import eval_cea_at, make_t1, random_sync_cea
@@ -36,30 +37,43 @@ from conftest import eval_cea_at, make_t1, random_sync_cea
 # -- guards over partial valuations ------------------------------------------
 
 
+def _cmp(clock, op, constant) -> dict:
+    return {"kind": "cmp", "clock": clock, "op": op, "constant": str(constant)}
+
+
 def test_guard_sat_reference_values():
     nu = {"x": Fraction(5), "y": Fraction(1, 2)}
-    disj = GOr(Cmp("x", ">=", Fraction(4)), Cmp("y", "<", Fraction(1, 2)))
-    assert guard_sat(nu, disj)
-    conj = GAnd(Cmp("z", "<=", Fraction(5, 3)), Cmp("y", ">=", Fraction(1)))
+    assert guard_sat(nu, clock_guard("x", ">=", Fraction(4)))
+    assert not guard_sat(nu, clock_guard("y", "<", Fraction(1, 2)))
+    conj = guard_meet(clock_guard("z", "<=", Fraction(5, 3)), clock_guard("y", ">=", 1))
+    assert conj == (("z", Interval(0, Fraction(5, 3))), ("y", Interval(1, None)))
     assert not guard_sat(nu, conj)  # z is not initialized
-    assert guard_sat(nu, GTrue())
+    assert guard_sat(nu, TRUE)
 
 
 def test_uninitialized_clock_fails_even_under_or():
     nu = {"x": Fraction(5)}
-    assert not guard_sat(nu, GOr(Cmp("x", ">=", 0), Cmp("z", ">=", 0)))
+    doc = {"kind": "or", "left": _cmp("x", ">=", 0), "right": _cmp("z", ">=", 0)}
+    boxes, mentioned = guard_from_json(doc, "guard")
+    assert mentioned == {"x", "z"}
+    assert boxes == [(("x", FULL_INTERVAL), ("z", FULL_INTERVAL))]
+    assert not any(guard_sat(nu, box) for box in boxes)
 
 
 def test_guard_size_counts_comparisons():
-    g = GAnd(Cmp("x", "<", 1), GOr(Cmp("y", ">", 2), Cmp("y", "=", 3)))
+    g = guard_meet(
+        clock_guard("x", "<", 1), guard_meet(clock_guard("y", ">", 2), clock_guard("y", "<", 4))
+    )
     assert guard_size(g) == 3
-    assert guard_size(GTrue()) == 1  # the constant itself is one operation
+    assert format_guard(g) == "x < 1 and y > 2 and y < 4"
+    assert guard_size(TRUE) == 1  # the constant itself is one operation
+    assert guard_size(clock_guard("z", ">=", 0)) == 1  # kept to check that z is set
 
 
 def test_guard_satisfiable():
-    assert guard_satisfiable(GAnd(Cmp("z", ">", 1), Cmp("z", "<", 2)))
-    assert not guard_satisfiable(GAnd(Cmp("z", ">", 2), Cmp("z", "<", 1)))
-    assert not guard_satisfiable(Cmp("z", "<", 0))  # clocks are non-negative
+    assert guard_meet(clock_guard("z", ">", 1), clock_guard("z", "<", 2)) is not None
+    assert guard_meet(clock_guard("z", ">", 2), clock_guard("z", "<", 1)) is None
+    assert clock_guard("z", "<", 0) is None  # clocks are non-negative
 
 
 def test_reset_initializes_and_zeroes():
@@ -112,7 +126,7 @@ def test_never_reset_clock_never_fires(s0):
         vars=frozenset({"X"}),
         clocks=frozenset({"z"}),
         delta=(
-            Transition(0, TrueP(), Cmp("z", ">=", 0), frozenset({"X"}), frozenset(), 1),
+            Transition(0, TrueP(), clock_guard("z", ">=", 0), frozenset({"X"}), frozenset(), 1),
         ),
         initial=0,
         finals=frozenset({1}),
@@ -140,7 +154,7 @@ def test_single_transition_is_deterministic():
         frozenset({0, 1}),
         frozenset({"X"}),
         frozenset(),
-        (Transition(0, TrueP(), GTrue(), frozenset({"X"}), frozenset(), 1),),
+        (Transition(0, TrueP(), TRUE, frozenset({"X"}), frozenset(), 1),),
         0,
         frozenset({1}),
     )
@@ -161,7 +175,7 @@ def test_disjoint_predicates_keep_determinism(t1):
 
 def test_equality_guard_is_not_monotonic(t1):
     delta = t1.delta[:2] + (
-        Transition(1, TrueP(), Cmp("z", "=", 3), frozenset(), frozenset(), 2),
+        Transition(1, TrueP(), clock_guard("z", "=", 3), frozenset(), frozenset(), 2),
     )
     cea = TimedCea(t1.states, t1.vars, t1.clocks, delta, t1.initial, t1.finals)
     assert is_monotonic(cea) == "no"
@@ -169,10 +183,26 @@ def test_equality_guard_is_not_monotonic(t1):
 
 def test_mixed_directions_are_not_monotonic(t1):
     delta = t1.delta + (
-        Transition(1, TrueP(), Cmp("z", ">=", 3), frozenset(), frozenset(), 2),
+        Transition(1, TrueP(), clock_guard("z", ">=", 3), frozenset(), frozenset(), 2),
     )
     cea = TimedCea(t1.states, t1.vars, t1.clocks, delta, t1.initial, t1.finals)
     assert is_monotonic(cea) == "no"
+
+
+@pytest.mark.parametrize(
+    "op, constant, direction",
+    [
+        ("<=", 3, "le"), ("=", 0, "le"), (">=", 3, "ge"), (">=", 0, "ge"),
+        ("<", 3, "no"), (">", 3, "no"), ("=", 3, "no"),
+    ],
+)
+def test_a_guard_is_monotonic_by_its_interval(t1, op, constant, direction):
+    """``le``: every interval is ``[0, c]`` or ``[0, inf)``; ``ge``: every
+    one is ``[c, inf)``; a strict end or a point above 0 is neither."""
+    guard = clock_guard("z", op, constant)
+    delta = t1.delta[:2] + (Transition(1, TrueP(), guard, frozenset(), frozenset(), 2),)
+    cea = TimedCea(t1.states, t1.vars, t1.clocks, delta, t1.initial, t1.finals)
+    assert is_monotonic(cea) == direction
 
 
 def test_size_counts_states_and_transition_parts(t1):
@@ -199,12 +229,12 @@ def test_json_round_trip(seed):
 
 def test_json_round_trip_preserves_fractions(t1):
     delta = t1.delta[:1] + (
-        Transition(1, TrueP(), Cmp("z", "<=", Fraction(4, 3)), frozenset(), frozenset(), 2),
+        Transition(1, TrueP(), clock_guard("z", "<=", Fraction(4, 3)), frozenset(), frozenset(), 2),
     )
     cea = TimedCea(t1.states, t1.vars, t1.clocks, delta, t1.initial, t1.finals)
     back = cea_from_json(cea_to_json(cea))
     guards = {tr.guard for tr in back.delta}
-    assert Cmp("z", "<=", Fraction(4, 3)) in guards
+    assert clock_guard("z", "<=", Fraction(4, 3)) in guards
 
 
 def cea_to_dot(cea: TimedCea) -> str:
@@ -220,7 +250,7 @@ def cea_to_dot(cea: TimedCea) -> str:
     for tr in cea.delta:
         lab = ",".join(sorted(tr.label)) or "∅"
         rst = ",".join(sorted(tr.resets)) or "∅"
-        text = f"{tr.pred}, {tr.guard} / {{{lab}}}, {{{rst}}}"
+        text = f"{tr.pred}, {format_guard(tr.guard)} / {{{lab}}}, {{{rst}}}"
         text = text.replace('"', "'")
         lines.append(f'  n{index[tr.source]} -> n{index[tr.target]} [label="{text}"];')
     lines.append("}")

@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +28,8 @@ from tcer.cli import (
     stream_line,
     StreamFormatError,
 )
-from tcer.model import Basic, ComplexEvent, Event, format_rat, rat
+from tcer.cea import MAX_GUARD_BOXES
+from tcer.model import MAX_DIGITS, Basic, ComplexEvent, Event, format_rat, rat
 from tcer.parser import MAX_QUERY_DEPTH, parse_query, pretty
 from tcer.randgen import random_stream
 
@@ -156,7 +158,7 @@ def test_compile_determinize_check_chain(capsys, tmp_path, query_file, stream_fi
 
 
 def test_check_sync_reports_conflict_with_witness(capsys, tmp_path):
-    from tcer.cea import GTrue, TimedCea, Transition, cea_to_json
+    from tcer.cea import TRUE, TimedCea, Transition, cea_to_json
     from tcer.model import TrueP
 
     cea = TimedCea(
@@ -164,8 +166,8 @@ def test_check_sync_reports_conflict_with_witness(capsys, tmp_path):
         vars=frozenset({"X"}),
         clocks=frozenset({"z"}),
         delta=(
-            Transition(0, TrueP(), GTrue(), frozenset({"X"}), frozenset({"z"}), 1),
-            Transition(0, TrueP(), GTrue(), frozenset({"X"}), frozenset(), 2),
+            Transition(0, TrueP(), TRUE, frozenset({"X"}), frozenset({"z"}), 1),
+            Transition(0, TrueP(), TRUE, frozenset({"X"}), frozenset(), 2),
         ),
         initial=0,
         finals=frozenset({1, 2}),
@@ -813,6 +815,69 @@ def test_the_engine_reader_fails_a_bad_line_as_the_default_reader_does(capsys, t
     unread = '{"type": "A", "attrs": {"y": 1e999999999}, "ts": 1}'
     code, _, err = _run_stream(capsys, tmp_path, (head + unread + "\n").encode())
     assert code == 3 and err == "line 3: invalid JSON: number longer than 1000 digits\n"
+
+
+@pytest.mark.parametrize("engine", ["oracle", "streaming"])
+@pytest.mark.parametrize(
+    "form",
+    [
+        '{"type": "A", "attrs": {"x": %s}, "ts": 1}',
+        '{"type": "A", "attrs": {"y": %s}, "ts": 1}',
+        '{"type": "A", "ts": %s}',
+    ],
+    ids=["read", "unread", "ts"],
+)
+def test_an_integer_past_max_digits_exits_3_as_its_fraction_does(capsys, tmp_path, form, engine):
+    """A JSON integer of 2,000 nines gets the message that the same digits
+    with ``.5`` appended get: in an attribute the query reads, in one it
+    does not, and as the timestamp.  ``MAX_DIGITS`` nines are a number."""
+    nines = "9" * 2000
+    runs = [
+        _run_stream(capsys, tmp_path, (form % text + "\n").encode(), engine=engine)
+        for text in (nines, nines + ".5")
+    ]
+    refusal = f"line 1: invalid JSON: number longer than {MAX_DIGITS} digits\n"
+    assert runs[0] == runs[1] == (3, "", refusal)
+    line = form % ("9" * MAX_DIGITS) + "\n"
+    code, _, err = _run_stream(capsys, tmp_path, line.encode(), engine=engine)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("clocks", [1, 25])
+def test_a_50_level_and_of_or_guard_determinizes_in_seconds_or_exits_3(capsys, tmp_path, clocks):
+    """An ``and`` of 25 ``or``s, 50 levels deep.  On one clock its boxes
+    stay two at every node, and ``determinize`` writes two transitions for
+    it; on 25 clocks its full DNF would be 2^25 boxes, and the file exits 3
+    naming the transition."""
+    names = [f"z{i}" for i in range(clocks)]
+    guard = {"kind": "true"}
+    for i in range(25):
+        z = names[i % clocks]
+        either = {"kind": "or", "left": _clock_cmp(z, "<=", "1"), "right": _clock_cmp(z, ">=", "2")}
+        guard = {"kind": "and", "left": either, "right": guard}
+    true = {"kind": "true"}
+    doc = {
+        "states": ["0", "1", "2"], "vars": ["X"], "clocks": names, "initial": 0, "finals": [2],
+        "transitions": [
+            {"source": 0, "pred": true, "guard": true, "label": ["X"], "resets": names, "target": 1},
+            {"source": 1, "pred": true, "guard": guard, "label": ["X"], "resets": [], "target": 2},
+        ],
+    }
+    out = tmp_path / "d.json"
+    start = time.perf_counter()
+    path = _automaton(tmp_path, json.dumps(doc))
+    code, _, err = _run(capsys, ["determinize", "--automaton", path, "-o", str(out)])
+    assert time.perf_counter() - start < 10
+    if clocks == 1:
+        assert code == 0, err
+        assert len(json.loads(out.read_text(encoding="utf-8"))["transitions"]) == 3
+    else:
+        assert code == 3
+        assert f"transitions[1].guard: more than {MAX_GUARD_BOXES} boxes" in err
+
+
+def _clock_cmp(clock: str, op: str, constant: str) -> dict:
+    return {"kind": "cmp", "clock": clock, "op": op, "constant": constant}
 
 
 @FUZZ

@@ -2,42 +2,43 @@
 
 from __future__ import annotations
 
+import itertools
+import json
 import random
 import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tcer.cea import (
-    Cmp,
-    GAnd,
-    GOr,
-    GTrue,
+    TRUE,
     TimedCea,
     Transition,
+    cea_from_json,
+    cea_to_json,
+    clock_guard,
     eval_cea_oracle,
-    guard_boxes,
     guard_clocks,
+    guard_covers,
+    guard_cuts,
+    guard_from_json,
+    guard_meet,
     guard_sat,
     is_deterministic,
     is_monotonic,
-)
-from tcer.determinize import (
-    SyncResetViolation,
-    determinize,
-    boxes_to_guard,
-    negate_guard,
     simplify_boxes,
-    split_disjunctions,
 )
-from tcer.model import TrueP, TypeIs, sat
+from tcer.compiler import compile_windowed
+from tcer.determinize import SyncResetViolation, determinize
+from tcer.model import Event, Interval, TimedStream, TrueP, TypeIs, sat
+from tcer.parser import parse_query
 from tcer.randgen import random_stream
 
 from conftest import random_sync_cea
 
 
-# -- guard negation ----------------------------------------------------------
+# -- guard boxes ---------------------------------------------------------------
 
 
 def test_the_package_leaves_the_determinize_module_importable():
@@ -47,57 +48,33 @@ def test_the_package_leaves_the_determinize_module_importable():
     assert callable(d.determinize)
 
 
-def test_negate_guard_duals():
-    assert negate_guard(Cmp("z", "<=", 3)) == Cmp("z", ">", 3)
-    assert negate_guard(Cmp("z", "=", 3)) == GOr(Cmp("z", ">", 3), Cmp("z", "<", 3))
-    assert not guard_sat({"z": Fraction(1)}, negate_guard(GTrue()))
-
-
-@given(
-    st.integers(0, 6),
-    st.sampled_from(["=", "<", "<=", ">=", ">"]),
-    st.fractions(min_value=0, max_value=6),
-)
-def test_negation_complements_over_initialized_clocks(c, op, v):
-    gamma = Cmp("z", op, Fraction(c))
-    nu = {"z": v}
-    assert guard_sat(nu, negate_guard(gamma)) == (not guard_sat(nu, gamma))
-
-
-def test_negation_complements_compound_guards():
-    gamma = GAnd(Cmp("x", "<=", 2), GOr(Cmp("y", ">", 1), Cmp("x", "=", 0)))
-    for xv in range(4):
-        for yv in range(4):
-            nu = {"x": Fraction(xv), "y": Fraction(yv)}
-            assert guard_sat(nu, negate_guard(gamma)) == (not guard_sat(nu, gamma))
-
-
 def test_simplify_guard_rejoins_adjacent_intervals():
-    gamma = GOr(Cmp("z", "<=", 2), GAnd(Cmp("z", ">", 2), Cmp("z", "<=", 5)))
-    assert boxes_to_guard(simplify_boxes(guard_boxes(gamma))) == Cmp("z", "<=", 5)
+    boxes = [_conjunction([("z", "<=", 2)]), _conjunction([("z", ">", 2), ("z", "<=", 5)])]
+    assert simplify_boxes(boxes) == [clock_guard("z", "<=", 5)]
 
 
 def test_split_disjunctions_keeps_clock_mention():
     # a disjunct must keep failing while any mentioned clock is uninitialized
-    cea = TimedCea(
-        states=frozenset({0, 1}),
-        vars=frozenset({"X"}),
-        clocks=frozenset({"z0", "z1"}),
-        delta=(
-            Transition(
-                0,
-                TrueP(),
-                GOr(Cmp("z0", "<", 1), Cmp("z1", "<", 2)),
-                frozenset({"X"}),
-                frozenset(),
-                1,
-            ),
-        ),
-        initial=0,
-        finals=frozenset({1}),
+    doc = cea_to_json(
+        TimedCea(
+            states=frozenset({0, 1}),
+            vars=frozenset({"X"}),
+            clocks=frozenset({"z0", "z1"}),
+            delta=(Transition(0, TrueP(), TRUE, frozenset({"X"}), frozenset(), 1),),
+            initial=0,
+            finals=frozenset({1}),
+        )
     )
-    for tr in split_disjunctions(cea).delta:
+    either = {"kind": "or", "left": _cmp("z0", "<", 1), "right": _cmp("z1", "<", 2)}
+    doc["transitions"][0]["guard"] = either
+    cea = cea_from_json(doc)
+    assert len(cea.delta) == 2
+    for tr in cea.delta:
         assert guard_clocks(tr.guard) == frozenset({"z0", "z1"})
+
+
+def _cmp(clock, op, constant) -> dict:
+    return {"kind": "cmp", "clock": clock, "op": op, "constant": str(constant)}
 
 
 # -- the reference automaton -------------------------------------------------
@@ -141,6 +118,27 @@ def test_all_states_reachable(t1):
     assert reached == det.states
 
 
+def test_transitions_that_cannot_lead_to_acceptance_are_pruned():
+    """A ``C`` sends a run to a sink that never accepts: with its clock
+    never reset again, ``z`` at the sink is past every bound, so the
+    transition into it is dead and the sink is not built."""
+    cea = TimedCea(
+        states=frozenset({0, 1, 2, 3}),
+        vars=frozenset({"X"}),
+        clocks=frozenset({"z"}),
+        delta=(
+            Transition(0, TypeIs("A"), TRUE, frozenset({"X"}), frozenset({"z"}), 1),
+            Transition(1, TypeIs("B"), clock_guard("z", "<=", 1), frozenset({"X"}), frozenset(), 2),
+            Transition(1, TypeIs("C"), TRUE, frozenset(), frozenset(), 3),
+            Transition(3, TrueP(), TRUE, frozenset(), frozenset(), 3),
+        ),
+        initial=0,
+        finals=frozenset({2}),
+    )
+    det = determinize(cea)
+    assert det.states == {(0,), (1,), (2,)}
+
+
 # -- random synchronous automata ---------------------------------------------
 
 
@@ -161,8 +159,8 @@ def test_conflicting_resets_are_reported():
         vars=frozenset({"X"}),
         clocks=frozenset({"z"}),
         delta=(
-            Transition(0, TrueP(), GTrue(), frozenset({"X"}), frozenset({"z"}), 1),
-            Transition(0, TrueP(), GTrue(), frozenset({"X"}), frozenset(), 2),
+            Transition(0, TrueP(), TRUE, frozenset({"X"}), frozenset({"z"}), 1),
+            Transition(0, TrueP(), TRUE, frozenset({"X"}), frozenset(), 2),
         ),
         initial=0,
         finals=frozenset({1, 2}),
@@ -207,30 +205,165 @@ def sat_cell(event, cell):
     return sat(event, cell)
 
 
-@given(
-    st.fractions(min_value=0, max_value=7),
-    st.lists(
-        st.tuples(
-            st.sampled_from(["=", "<", "<=", ">=", ">"]), st.integers(0, 6)
-        ),
-        min_size=1,
-        max_size=3,
-        unique=True,
-    ),
+_ATOMS = st.tuples(
+    st.sampled_from(["x", "y"]), st.sampled_from(["=", "<", "<=", ">=", ">"]), st.integers(0, 6)
 )
-def test_guard_types_partition_valuations(v, atoms):
-    import itertools
 
-    from tcer.cea import gand
 
-    guards = [Cmp("z", op, Fraction(c)) for op, c in atoms]
-    nu = {"z": v}
-    holding = 0
-    for bits in itertools.product((True, False), repeat=len(guards)):
-        alpha = gand(*(g if b else negate_guard(g) for g, b in zip(guards, bits)))
-        if guard_sat(nu, alpha):
-            holding += 1
-    assert holding == 1
+def _conjunction(atoms):
+    """The box of ``(clock, op, constant)`` comparisons; None when empty."""
+    g = TRUE
+    for atom in atoms:
+        box = clock_guard(*atom)
+        if box is None or (g := guard_meet(g, box)) is None:
+            return None
+    return g
+
+
+def _sample(cell) -> dict:
+    """One valuation in a cell: each piece's closed low end, else a point
+    just above its open one."""
+    nu = {}
+    for z, iv in cell:
+        if iv.low_closed:
+            nu[z] = iv.low
+        else:
+            nu[z] = iv.low + 1 if iv.high is None else (iv.low + iv.high) / 2
+    return nu
+
+
+@given(
+    st.lists(st.lists(_ATOMS, min_size=1, max_size=2), max_size=4),
+    st.fractions(min_value=0, max_value=7),
+    st.fractions(min_value=0, max_value=7),
+)
+def test_guard_types_partition_valuations(conjunctions, xv, yv):
+    """The guard cells partition the valuations, and a guard covers a cell
+    exactly when it passes the cell's sample."""
+    guards = [g for g in map(_conjunction, conjunctions) if g is not None]
+    cells = list(itertools.product(*guard_cuts(guards)))
+    nu = {"x": xv, "y": yv}
+    assert sum(guard_sat(nu, cell) for cell in cells) == 1
+    for cell in cells:
+        sample = _sample(cell)
+        assert guard_sat(sample, cell)
+        for g in guards:
+            assert guard_covers(g, cell) == guard_sat(sample, g)
+    # the pieces of a clock are at most two per distinct end
+    for pieces in guard_cuts(guards):
+        ivs = [iv for g in guards for z, iv in g if z == pieces[0][0]]
+        ends = {0} | {iv.low for iv in ivs} | {iv.high for iv in ivs if iv.high is not None}
+        assert len(pieces) <= 2 * len(ends)
+
+
+def _alternatives(k: int) -> str:
+    return " OR ".join(f"(A as X ;[0,{i}] B{i} as Y)" for i in range(1, k + 1))
+
+
+def test_k_alternatives_determinize_to_k_plus_three_states():
+    """``k`` gaps on one clock make ``2k + 2`` guard cells, not ``2^k``
+    guard types: ``k = 16`` builds at once, and agrees with the run oracle."""
+    k = 16
+    cea = compile_windowed(parse_query(_alternatives(k)))
+    det = determinize(cea)
+    assert len(det.states) == k + 3
+    assert is_deterministic(det)
+    types = ["A"] + [f"B{i}" for i in range(1, k + 1)]
+    for seed in range(10):
+        rng = random.Random(seed)
+        t = Fraction(0)
+        events = []
+        for _ in range(rng.randint(1, 10)):
+            t += Fraction(rng.randint(1, 12), 4)
+            events.append((Event(rng.choice(types), {}), t))
+        stream = TimedStream(events)
+        assert eval_cea_oracle(det, stream) == eval_cea_oracle(cea, stream)
+
+
+# -- automaton files with ``or`` guards --------------------------------------
+
+
+_CLOCK_TREES = st.recursive(
+    st.one_of(
+        st.sampled_from([{"kind": "true"}, {"kind": "false"}]),
+        _ATOMS.map(lambda a: _cmp(*a)),
+    ),
+    lambda sub: st.tuples(st.sampled_from(["and", "or"]), sub, sub).map(
+        lambda t: {"kind": t[0], "left": t[1], "right": t[2]}
+    ),
+    max_leaves=6,
+)
+
+
+def _tree_sat(nu: dict, doc) -> bool:
+    """The reference semantics of a guard tree: its Boolean value, failing
+    as a whole when a clock it mentions is not set."""
+
+    def clocks(d):
+        if d["kind"] == "cmp":
+            return {d["clock"]}
+        return clocks(d["left"]) | clocks(d["right"]) if d["kind"] in ("and", "or") else set()
+
+    def value(d):
+        if d["kind"] in ("true", "false"):
+            return d["kind"] == "true"
+        if d["kind"] == "cmp":
+            g = clock_guard(d["clock"], d["op"], Fraction(d["constant"]))
+            return g is not None and guard_sat(nu, g)
+        both = (value(d["left"]), value(d["right"]))
+        return all(both) if d["kind"] == "and" else any(both)
+
+    return clocks(doc) <= set(nu) and value(doc)
+
+
+@settings(deadline=None)
+@given(_CLOCK_TREES, st.data())
+def test_guard_trees_load_as_disjoint_boxes(doc, data):
+    """A loaded guard tree is pairwise disjoint boxes whose union is the
+    tree's meaning, on every valuation of a grid, clocks unset included."""
+    boxes, _ = guard_from_json(doc, "guard")
+    for a, b in itertools.combinations(boxes, 2):
+        assert guard_meet(a, b) is None
+    values = [None] + [Fraction(n, 2) for n in range(15)]
+    nu = {z: v for z in ("x", "y") if (v := data.draw(st.sampled_from(values))) is not None}
+    assert sum(guard_sat(nu, box) for box in boxes) == _tree_sat(nu, doc)
+
+
+def _or_joined(doc: dict) -> dict:
+    """The automaton file with the transitions that differ only in their
+    guard joined into one, under an ``or`` of their guards."""
+    groups: dict[str, list[dict]] = {}
+    for tr in doc["transitions"]:
+        key = json.dumps({k: v for k, v in tr.items() if k != "guard"}, sort_keys=True)
+        groups.setdefault(key, []).append(tr)
+    joined = []
+    for trs in groups.values():
+        guard = trs[0]["guard"]
+        for tr in trs[1:]:
+            guard = {"kind": "or", "left": tr["guard"], "right": guard}
+        joined.append(dict(trs[0], guard=guard))
+    return dict(doc, transitions=joined)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_or_guarded_automaton_files_reload_as_the_same_language(seed):
+    """A determinized automaton written with ``or`` guards, as files from
+    before guards were boxes hold it, reloads deterministic, with pairwise
+    disjoint disjuncts, and accepts what it accepted."""
+    rng = random.Random(seed)
+    cea = random_sync_cea(rng)
+    det = determinize(cea)
+    back = cea_from_json(json.loads(json.dumps(_or_joined(cea_to_json(det)))))
+    assert is_deterministic(back)
+    for stream in (random_stream(rng, rng.randint(0, 7)) for _ in range(2)):
+        assert eval_cea_oracle(back, stream) == eval_cea_oracle(det, stream)
+    plain = cea_from_json(json.loads(json.dumps(_or_joined(cea_to_json(cea)))))
+    def split_from_one(a: Transition, b: Transition) -> bool:
+        return all(getattr(a, f) == getattr(b, f) for f in ("source", "pred", "label", "resets", "target"))
+
+    for a, b in itertools.combinations(plain.delta, 2):
+        assert not split_from_one(a, b) or guard_meet(a.guard, b.guard) is None
 
 
 # -- size bound --------------------------------------------------------------

@@ -15,15 +15,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tcer.cea import (
-    Cmp,
-    GAnd,
-    GTrue,
+    FULL_INTERVAL,
+    TRUE,
     TimedCea,
     Transition,
-    _guard_atoms,
     cea_from_json,
     cea_to_json,
+    clock_guard,
     eval_cea_oracle,
+    guard_meet,
 )
 from tcer.caecs import Caecs, enumerate_node
 from tcer.cel import eval_cel_oracle
@@ -115,9 +115,9 @@ def test_rejects_nondeterministic_automata(t1):
 def test_rejects_nonmonotonic_guards():
     cea = _one(
         [
-            Transition(0, TrueP(), GTrue(), frozenset({"X"}), frozenset({"z"}), 1),
-            Transition(1, TypeIs("A"), Cmp("z", "<=", 2), frozenset(), frozenset(), 2),
-            Transition(1, TypeIs("B"), Cmp("z", ">=", 2), frozenset(), frozenset(), 2),
+            Transition(0, TrueP(), TRUE, frozenset({"X"}), frozenset({"z"}), 1),
+            Transition(1, TypeIs("A"), clock_guard("z", "<=", 2), frozenset(), frozenset(), 2),
+            Transition(1, TypeIs("B"), clock_guard("z", ">=", 2), frozenset(), frozenset(), 2),
         ]
     )
     with pytest.raises(NotStreamable):
@@ -127,11 +127,11 @@ def test_rejects_nonmonotonic_guards():
 def test_rejects_two_checked_clocks():
     cea = _one(
         [
-            Transition(0, TrueP(), GTrue(), frozenset({"X"}), frozenset({"y", "z"}), 1),
+            Transition(0, TrueP(), TRUE, frozenset({"X"}), frozenset({"y", "z"}), 1),
             Transition(
                 1,
                 TrueP(),
-                GAnd(Cmp("z", "<=", 2), Cmp("y", "<=", 3)),
+                guard_meet(clock_guard("z", "<=", 2), clock_guard("y", "<=", 3)),
                 frozenset(),
                 frozenset(),
                 2,
@@ -144,13 +144,13 @@ def test_rejects_two_checked_clocks():
 
 
 def test_a_gap_in_a_window_is_refused_for_its_second_checked_clock():
-    """``determinize`` drops a ``zx >= 0`` that a join of the gap's guard
-    cells rebuilds, so the refusal names the real obstacle, not the trivial
-    atom that made the guards look non-monotonic."""
+    """``determinize`` drops a ``[0, inf)`` interval on ``zx`` that a join
+    of the gap's guard cells rebuilds, so the refusal names the real
+    obstacle, not the trivial interval that made the guards look
+    non-monotonic."""
     query = "(A as X0 ;[0,2] B as X1) within [0,10]"
     det = determinize(compile_windowed(parse_query(query)))
-    atoms = {atom for tr in det.delta for atom in _guard_atoms(tr.guard)}
-    assert Cmp("zx", ">=", 0) not in atoms
+    assert all(("zx", FULL_INTERVAL) not in tr.guard for tr in det.delta)
     with pytest.raises(NotStreamable, match=r"^more than one checked clock: \['zn', 'zx'\]$"):
         StreamingEngine(det)
 
@@ -158,8 +158,8 @@ def test_a_gap_in_a_window_is_refused_for_its_second_checked_clock():
 def test_rejects_transitions_into_the_initial_state():
     cea = _one(
         [
-            Transition(0, TrueP(), GTrue(), frozenset({"X"}), frozenset({"z"}), 1),
-            Transition(1, TrueP(), GTrue(), frozenset(), frozenset(), 0),
+            Transition(0, TrueP(), TRUE, frozenset({"X"}), frozenset({"z"}), 1),
+            Transition(1, TrueP(), TRUE, frozenset(), frozenset(), 0),
         ]
     )
     with pytest.raises(NotStreamable):
@@ -169,8 +169,8 @@ def test_rejects_transitions_into_the_initial_state():
 def test_rejects_initial_transition_without_reset_of_checked_clock():
     cea = _one(
         [
-            Transition(0, TrueP(), GTrue(), frozenset({"X"}), frozenset(), 1),
-            Transition(1, TrueP(), Cmp("z", "<=", 2), frozenset(), frozenset(), 2),
+            Transition(0, TrueP(), TRUE, frozenset({"X"}), frozenset(), 1),
+            Transition(1, TrueP(), clock_guard("z", "<=", 2), frozenset(), frozenset(), 2),
         ]
     )
     with pytest.raises(NotStreamable):
@@ -318,10 +318,10 @@ def test_a_guard_constant_in_thirds_scales_to_a_whole_bound():
         frozenset({"X", "Y"}),
         frozenset({"z"}),
         (
-            Transition(0, TypeIs("A"), GTrue(), frozenset({"X"}), frozenset({"z"}), 1),
-            Transition(1, TypeIs("C"), GTrue(), frozenset(), frozenset(), 1),
+            Transition(0, TypeIs("A"), TRUE, frozenset({"X"}), frozenset({"z"}), 1),
+            Transition(1, TypeIs("C"), TRUE, frozenset(), frozenset(), 1),
             Transition(
-                1, TypeIs("B"), Cmp("z", "<=", Fraction(1, 3)), frozenset({"Y"}), frozenset(), 2
+                1, TypeIs("B"), clock_guard("z", "<=", Fraction(1, 3)), frozenset({"Y"}), frozenset(), 2
             ),
         ),
         0,
@@ -564,7 +564,7 @@ def _chain(preds) -> TimedCea:
         vars=frozenset({"X"}),
         clocks=frozenset(),
         delta=tuple(
-            Transition(i, pred, GTrue(), frozenset({"X"}), frozenset(), i + 1)
+            Transition(i, pred, TRUE, frozenset({"X"}), frozenset(), i + 1)
             for i, pred in enumerate(preds)
         ),
         initial=0,
@@ -641,6 +641,21 @@ def test_unit_atoms_agree_with_sat_on_the_exact_event(atoms, string, texts, exac
         event = Event("A", {"x": value, "y": value})
         expected = tuple(sat(event, atom) for atom in engine.atoms)
         assert engine.cell(*_fed(engine, event)) == expected, value
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_a_float_that_is_not_finite_satisfies_no_comparison(value):
+    """NaN and the infinities satisfy no comparison, ``!=`` included, under
+    ``sat`` and under ``feed`` alike, as a value that is not a number does;
+    neither raises."""
+    preds = [Basic("x", op, 1) for op in _OPS] + [Basic("x", "!=", "1.5")]
+    for pred in preds:
+        assert not sat(Event("A", {"x": value}), pred)
+        engine = StreamingEngine(_chain([pred]))
+        event = Event("A", {"x": value})
+        assert engine.cell(*_fed(engine, event)) == (False,) == (sat(event, pred),)
+        assert engine.feed(event, 1) == []
+        assert engine.feed(Event("A", {"x": value}), 2) == []
 
 
 class _CountingDict(dict):

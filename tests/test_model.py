@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from tcer import cel
-from tcer.cea import Cmp, GAnd, GFalse, GOr, GTrue, TimedCea, Transition
+from tcer.cea import TRUE, TimedCea, Transition, clock_guard
 from tcer.cli import ce_sort_key
 from tcer.engine import _Trans
 from tcer.model import (
@@ -453,10 +453,10 @@ _FORMULAS = st.one_of(
     st.sampled_from("AB").map(lambda t: cel.As(cel.EventType(t), "X")),
 )
 _GUARDS = st.one_of(
-    st.sampled_from([GTrue(), GFalse()]),
-    st.builds(Cmp, st.just("z"), st.sampled_from(["=", "<", "<=", ">=", ">"]), st.integers(0, 3)),
+    st.just(TRUE),
+    st.builds(clock_guard, st.just("z"), st.sampled_from(["=", "<=", ">=", ">"]), st.integers(0, 3)),
 )
-_NODES = st.one_of(_predicates(1), _FORMULAS, _GUARDS)
+_NODES = st.one_of(_predicates(1), _FORMULAS)
 _RATS = st.fractions(0, 4, max_denominator=4)
 _SMALL = st.integers(0, 3)
 _INTERVALS = st.builds(Interval, _RATS, st.none())
@@ -479,13 +479,13 @@ _REGION_FIELDS = st.tuples(
 # Every immutable value class, grouped with the classes that take the same
 # fields: (field names, field values, classes).
 _VALUE_CLASSES = [
-    ((), st.just(()), [TrueP, GTrue, GFalse]),
+    ((), st.just(()), [TrueP]),
     (("etype",), st.tuples(st.sampled_from("AB")), [TypeIs, cel.EventType]),
     (("body",), st.tuples(_NODES), [Not, cel.Plus, cel.ContigPlus]),
     (
         ("left", "right"),
         st.tuples(_NODES, _NODES),
-        [And, cel.Or, cel.And, cel.Seq, cel.ContigSeq, GAnd, GOr],
+        [And, cel.Or, cel.And, cel.Seq, cel.ContigSeq],
     ),
     (
         ("body", "interval"),
@@ -509,7 +509,6 @@ _VALUE_CLASSES = [
         st.tuples(st.just("x"), st.sampled_from(["<", "<=", ">", ">=", "==", "!="]), _RATS),
         [Basic],
     ),
-    (("clock", "op", "constant"), st.tuples(st.just("z"), st.sampled_from("<>"), _RATS), [Cmp]),
     (("source", "pred", "guard", "label", "resets", "target"), _TRANSITION_FIELDS, [Transition]),
     (("states", "vars", "clocks", "delta", "initial", "finals"), _CEA_FIELDS, [TimedCea]),
     (

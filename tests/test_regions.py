@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tcer.cea import Cmp, GAnd, GTrue, TimedCea, Transition, advance, guard_sat, reset
+from tcer.cea import TRUE, TimedCea, Transition, advance, clock_guard, guard_meet, guard_sat, reset
 from tcer.compiler import compile_windowed
 from tcer.model import TrueP, TypeIs
 from tcer.parser import parse_query
@@ -46,11 +46,11 @@ def guard_holds(region: Region, gamma, scale: int) -> bool:
 def test_successor_advances_fraction_then_integer():
     ceil = {"z": 3}
     r0 = reset_region(EMPTY_REGION, frozenset({"z"}))
-    assert guard_holds(r0, Cmp("z", "=", 0), 1)
+    assert guard_holds(r0, clock_guard("z", "=", 0), 1)
     r1 = region_successor(r0, ceil)
-    assert guard_holds(r1, GAnd(Cmp("z", ">", 0), Cmp("z", "<", 1)), 1)
+    assert guard_holds(r1, guard_meet(clock_guard("z", ">", 0), clock_guard("z", "<", 1)), 1)
     r2 = region_successor(r1, ceil)
-    assert guard_holds(r2, Cmp("z", "=", 1), 1)
+    assert guard_holds(r2, clock_guard("z", "=", 1), 1)
 
 
 def test_successor_saturates_above_the_ceiling():
@@ -58,7 +58,7 @@ def test_successor_saturates_above_the_ceiling():
     region = reset_region(EMPTY_REGION, frozenset({"z"}))
     for _ in range(4):
         region = region_successor(region, ceil)
-    assert guard_holds(region, Cmp("z", ">", 1), 1)
+    assert guard_holds(region, clock_guard("z", ">", 1), 1)
     assert region_successor(region, ceil) == region
 
 
@@ -68,8 +68,8 @@ def test_time_successors_cover_all_later_regions():
     succ = list(time_successors(r0, ceil))
     # strictly positive delay: (0,1), 1, (1,2), 2, (2,inf)
     assert len(succ) == 5
-    assert not any(guard_holds(s, Cmp("z", "=", 0), 1) for s in succ)
-    assert any(guard_holds(s, Cmp("z", "=", 2), 1) for s in succ)
+    assert not any(guard_holds(s, clock_guard("z", "=", 0), 1) for s in succ)
+    assert any(guard_holds(s, clock_guard("z", "=", 2), 1) for s in succ)
 
 
 def test_reset_zeroes_only_the_given_clocks():
@@ -77,14 +77,14 @@ def test_reset_zeroes_only_the_given_clocks():
     region = reset_region(EMPTY_REGION, frozenset({"x", "y"}))
     region = region_successor(region, ceil)  # both in (0,1)
     region = reset_region(region, frozenset({"x"}))
-    assert guard_holds(region, Cmp("x", "=", 0), 1)
-    assert guard_holds(region, GAnd(Cmp("y", ">", 0), Cmp("y", "<", 1)), 1)
+    assert guard_holds(region, clock_guard("x", "=", 0), 1)
+    assert guard_holds(region, guard_meet(clock_guard("y", ">", 0), clock_guard("y", "<", 1)), 1)
 
 
 def test_uninitialized_clock_satisfies_no_guard():
     region = reset_region(EMPTY_REGION, frozenset({"x"}))
-    assert not guard_holds(region, Cmp("y", ">=", 0), 1)
-    assert guard_holds(region, GTrue(), 1)
+    assert not guard_holds(region, clock_guard("y", ">=", 0), 1)
+    assert guard_holds(region, TRUE, 1)
 
 
 def region_of(nu, ceilings) -> Region:
@@ -131,8 +131,9 @@ def test_regions_agree_with_concrete_valuations(ceilings, run):
         for z, ceiling in ceilings.items():
             for op in ("=", "<", "<=", ">=", ">"):
                 for c in range(ceiling + 1):
-                    atom = Cmp(z, op, c)
-                    assert guard_holds(region, atom, 1) == guard_sat(nu, atom)
+                    atom = clock_guard(z, op, c)
+                    if atom is not None:  # ``z < 0`` is no guard: no value passes it
+                        assert guard_holds(region, atom, 1) == guard_sat(nu, atom)
 
 
 # -- the decision procedure ---------------------------------------------------
@@ -151,7 +152,7 @@ def test_random_generator_emits_synchronous_automata(seed):
     assert check_sync(random_sync_cea(rng)).verdict == "yes"
 
 
-def _conflict_automaton(guard1=GTrue(), guard2=GTrue(), pred1=TrueP(), pred2=TrueP()):
+def _conflict_automaton(guard1=TRUE, guard2=TRUE, pred1=TrueP(), pred2=TrueP()):
     return TimedCea(
         states=frozenset({0, 1, 2}),
         vars=frozenset({"X"}),
@@ -181,9 +182,9 @@ def test_witness_runs_share_labels_and_sources():
         vars=frozenset({"X"}),
         clocks=frozenset({"z"}),
         delta=(
-            Transition(0, TrueP(), GTrue(), frozenset(), frozenset({"z"}), 1),
-            Transition(1, TrueP(), Cmp("z", "<=", 2), frozenset({"X"}), frozenset({"z"}), 2),
-            Transition(1, TrueP(), Cmp("z", "<=", 2), frozenset({"X"}), frozenset(), 3),
+            Transition(0, TrueP(), TRUE, frozenset(), frozenset({"z"}), 1),
+            Transition(1, TrueP(), clock_guard("z", "<=", 2), frozenset({"X"}), frozenset({"z"}), 2),
+            Transition(1, TrueP(), clock_guard("z", "<=", 2), frozenset({"X"}), frozenset(), 3),
         ),
         initial=0,
         finals=frozenset({2, 3}),
@@ -204,7 +205,7 @@ def test_disjoint_predicates_avoid_the_conflict():
 
 def test_disjoint_guards_avoid_the_conflict():
     result = check_sync(
-        _conflict_automaton(guard1=Cmp("z", "<=", 1), guard2=Cmp("z", ">", 1))
+        _conflict_automaton(guard1=clock_guard("z", "<=", 1), guard2=clock_guard("z", ">", 1))
     )
     # the guards mention z before any reset initializes it: neither can fire,
     # so the runs never take these transitions together
@@ -214,7 +215,7 @@ def test_disjoint_guards_avoid_the_conflict():
 def test_guards_with_fractional_constants_are_rescaled():
     result = check_sync(
         _conflict_automaton(
-            guard1=Cmp("z", "<=", Fraction(1, 2)), guard2=Cmp("z", ">", Fraction(1, 2))
+            guard1=clock_guard("z", "<=", Fraction(1, 2)), guard2=clock_guard("z", ">", Fraction(1, 2))
         )
     )
     assert result.verdict == "yes"
@@ -226,9 +227,9 @@ def test_overlapping_guards_still_conflict():
         vars=frozenset({"X"}),
         clocks=frozenset({"z"}),
         delta=(
-            Transition(0, TrueP(), GTrue(), frozenset(), frozenset({"z"}), 1),
-            Transition(1, TrueP(), Cmp("z", "<=", 3), frozenset({"X"}), frozenset({"z"}), 2),
-            Transition(1, TrueP(), Cmp("z", ">=", 2), frozenset({"X"}), frozenset(), 3),
+            Transition(0, TrueP(), TRUE, frozenset(), frozenset({"z"}), 1),
+            Transition(1, TrueP(), clock_guard("z", "<=", 3), frozenset({"X"}), frozenset({"z"}), 2),
+            Transition(1, TrueP(), clock_guard("z", ">=", 2), frozenset({"X"}), frozenset(), 3),
         ),
         initial=0,
         finals=frozenset({2, 3}),
