@@ -113,17 +113,13 @@ def format_guard(g: Guard) -> str:
     )
 
 
-def guard_constants(g: Guard) -> dict[str, tuple[Fraction, ...]]:
-    """Per clock, the finite ends of its interval."""
-    return {z: (iv.low,) if iv.high is None else (iv.low, iv.high) for z, iv in g}
-
-
 def constant_scale(cea: TimedCea) -> int:
     """The lcm of the clock constants' denominators: the least positive
     int that turns every clock constant into an int when multiplied by it."""
     return math.lcm(
         1,
-        *(c.denominator for tr in cea.delta for cs in guard_constants(tr.guard).values() for c in cs),
+        *(iv.low.denominator for tr in cea.delta for _, iv in tr.guard),
+        *(iv.high.denominator for tr in cea.delta for _, iv in tr.guard if iv.high is not None),
     )
 
 

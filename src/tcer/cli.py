@@ -283,7 +283,7 @@ def cmd_determinize(args) -> int:
 
 
 def cmd_check_sync(args) -> int:
-    from .regions import check_sync  # only this command needs the region search
+    from .regions import check_sync  # only this command needs the zone search
 
     cea = load_automaton(args.automaton)
     result = check_sync(cea, cap=args.cap)
@@ -427,7 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-sync", help="decide whether resets are synchronous")
     p.add_argument("--automaton", required=True)
-    p.add_argument("--cap", type=_count(1), default=1_000_000)
+    p.add_argument(
+        "--cap", type=_count(1), default=1_000_000,
+        help="answer unknown after this many zones explored",
+    )
     p.set_defaults(func=cmd_check_sync)
 
     p = sub.add_parser("diff-test", help="randomized differential testing")

@@ -31,7 +31,7 @@ from .cea import (
     reachable,
     simplify_boxes,
 )
-from .model import Not, event_cells, pred_and
+from .model import Not, Predicate, event_cells, pred_and
 
 
 class SyncResetViolation(Exception):
@@ -121,8 +121,9 @@ def determinize(cea: TimedCea) -> TimedCea:
     seen = {start}
     worklist = [start]
     # cells that differ only in their guard are joined: they are collected
-    # per (source, predicate, label, resets, target)
-    grouped: dict[tuple, list[Guard]] = {}
+    # per (source, predicate cell, label, resets, target), with the cell's
+    # predicate
+    grouped: dict[tuple, tuple[Predicate, list[Guard]]] = {}
     while worklist:
         source_key = worklist.pop()
         subset, dom = source_key
@@ -136,9 +137,13 @@ def determinize(cea: TimedCea) -> TimedCea:
             continue
         preds = _dedup([tr.pred for tr in out])
         guards = _dedup([tr.guard for tr in out if tr.guard])
-        pred_index = {id(tr): preds.index(tr.pred) for tr in out}
-        guard_index = {id(tr): guards.index(tr.guard) if tr.guard else None for tr in out}
         labels = _dedup([tr.label for tr in out])
+        # the subset's transitions by label, each with the index of its
+        # predicate and of its guard (None for true), in the order of ``out``
+        by_label: dict[frozenset, list] = {label: [] for label in labels}
+        for tr in out:
+            gi = guards.index(tr.guard) if tr.guard else None
+            by_label[tr.label].append((tr, preds.index(tr.pred), gi))
         # the guard cells, by the guards that hold on them, in the order of
         # the product (True, False)^k; the same for every predicate cell
         by_bits: dict[tuple[bool, ...], list[Guard]] = {}
@@ -153,15 +158,14 @@ def determinize(cea: TimedCea) -> TimedCea:
             p_s = pred_and(
                 *chosen, *(Not(p) for p, b in zip(preds, s_bits) if not b)
             )
+            # per label, the transitions whose predicate holds in the cell
+            live = [
+                (label, [(tr, gi) for tr, pi, gi in by_label[label] if s_bits[pi]])
+                for label in labels
+            ]
             for g_bits, cells in guard_types:
-                for label in labels:
-                    matching = [
-                        tr
-                        for tr in out
-                        if tr.label == label
-                        and s_bits[pred_index[id(tr)]]
-                        and (guard_index[id(tr)] is None or g_bits[guard_index[id(tr)]])
-                    ]
+                for label, candidates in live:
+                    matching = [tr for tr, gi in candidates if gi is None or g_bits[gi]]
                     if not matching:
                         continue
                     resets = matching[0].resets
@@ -174,16 +178,17 @@ def determinize(cea: TimedCea) -> TimedCea:
                         frozenset(tr.target for tr in matching),
                         dom | resets,
                     )
-                    key = (source_key, p_s, label, resets, target_key)
-                    grouped.setdefault(key, []).extend(cells)
+                    # ``p_s`` is a function of the source and ``s_bits``,
+                    # which are cheaper to hash
+                    key = (source_key, s_bits, label, resets, target_key)
+                    grouped.setdefault(key, (p_s, []))[1].extend(cells)
                     if target_key not in seen:
                         seen.add(target_key)
                         worklist.append(target_key)
 
     state_name = _name_states(seen)
     delta = []
-    for key, cells in grouped.items():
-        source_key, p_s, label, resets, target_key = key
+    for (source_key, _, label, resets, target_key), (p_s, cells) in grouped.items():
         # every checked clock is initialized here, so trivial intervals can
         # be dropped without changing the meaning; drop them again after
         # the last simplify, whose joins can rebuild [0, inf)

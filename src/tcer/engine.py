@@ -15,9 +15,9 @@ is constant in the stream length; outputs for the position are then
 enumerated by walking the nodes of each final state's union-list in order,
 which creates no node.
 
-Times are held in ticks, as ``regions`` scales clock constants (Alur and
-Dill): one tick is ``1/S`` s, ``S = DECIMAL_SCALE · lcm`` of the clock
-constants' denominators.  Every bound is then an int, and so is every
+Times are held in ticks, as ``regions`` holds the bounds of its zones (the
+scaling of Alur and Dill): one tick is ``1/S`` s, ``S = DECIMAL_SCALE · lcm``
+of the clock constants' denominators.  Every bound is then an int, and so is every
 timestamp with at most nine decimal places, so the store's anchors, resets
 and limits are ints, compared and subtracted without ``Fraction``
 arithmetic.  A timestamp with more places, or one that is not a decimal (a

@@ -1,133 +1,118 @@
-"""Deciding whether an automaton has synchronous resets, via clock regions.
+"""Deciding whether an automaton has synchronous resets, over zones.
 
-Two same-labeled runs can only disagree on resets if a reachable pair of
-control states admits, in some common clock region, a pair of transitions
-that the same event can take but whose reset sets differ.  We therefore
-explore configurations (p, p', R) by breadth-first search, where R is the
-region both runs share: as long as no violation has occurred, the two runs
-have performed identical resets at identical times, so their valuations
-coincide.  Regions count clock values in units of ``1/scale``, where
-``scale`` makes every guard constant an integer, so the standard region
-construction applies.
+Two same-labeled runs can only disagree on resets if, at a reachable pair of
+control states and some clock valuation, one event can take two transitions
+with different reset sets.  Until such a pair fires, the two runs have reset
+the same clocks at the same times, so they share one valuation.  A
+breadth-first search therefore explores configurations ``(p1, p2,
+initialized clocks, zone)``, where the zone holds the valuations the two
+runs can share at ``p1`` and ``p2``.
+
+A zone is a difference-bound matrix (DBM, Bengtsson and Yi 2004) over the
+reference clock 0, a delay clock 1 that every transition resets, and the
+clocks that some guard checks.  A bound on ``x_i - x_j`` is the int
+``2c + (1 if non-strict else 0)``, in units of ``1/scale``, which make every
+guard constant an int.  Timestamps strictly increase, so time elapse is
+``up`` followed by ``delay > 0``.  A clock that no reset has initialized
+fails every guard that checks it, so it is kept free.
+
+After each step the zone is widened by the classical ``Extra_M``, with ``M``
+each clock's largest constant (0 for the delay clock).  Every guard is a
+box, comparing one clock with constants up to ``M``, so it cannot tell
+apart valuations that agree up to ``M``; the widening adds no sequence of
+transitions (Behrmann, Bouyer, Larsen and Pelánek 2006).  So the search stays
+exact, and the number of zones does not grow with the constants.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from collections import deque
-from fractions import Fraction
-from typing import Iterator, NamedTuple
+from itertools import product
 
-from .cea import (
-    TimedCea,
-    Transition,
-    compatible_pairs,
-    constant_scale,
-    guard_constants,
-    guard_sat,
-)
+from .cea import TimedCea, Transition, compatible_pairs, constant_scale
 
 DEFAULT_SYNC_CAP = 1_000_000
 
-_TOP = -1  # marker: clock value exceeds its largest constant
+_INF = 1 << 62  # no bound; never added to another bound, and above every finite one
+_LE0 = 1  # the bound (0, <=); a diagonal entry below it means an empty zone
 
 
-class Region(NamedTuple):
-    """A clock region over the initialized clocks.
-
-    ``ints`` maps each initialized clock to its integer part, or ``_TOP``
-    once it exceeds the clock's largest constant.  ``zero`` and ``groups``
-    order the bounded clocks by fractional part: ``zero`` holds those with
-    fraction exactly 0, ``groups`` the rest in increasing fraction order.
-    A tuple, because the search hashes and compares a region at every step.
-    """
-
-    ints: tuple[tuple[str, int], ...]
-    zero: frozenset[str]
-    groups: tuple[frozenset[str], ...]
+def _add(a: int, b: int) -> int:
+    """The sum of two finite bounds: strict unless both are non-strict."""
+    return a + b - ((a | b) & 1)
 
 
-def _mk_region(ints: dict[str, int], zero: set[str], groups: list[frozenset[str]]) -> Region:
-    return Region(tuple(sorted(ints.items())), frozenset(zero), tuple(g for g in groups if g))
+def _scaled(c, scale: int) -> int:
+    return c.numerator * scale // c.denominator
 
 
-EMPTY_REGION = _mk_region({}, set(), [])
+def _box(guard, index: dict[str, int], scale: int):
+    """A guard box as the bit mask of the clocks it checks and its DBM
+    bounds ``(i, j, b)``, each ``x_i - x_j`` within ``b``."""
+    mask, bounds = 0, []
+    for z, (low, high, low_closed, high_closed) in guard:
+        k = index[z]
+        mask |= 1 << k
+        low = _scaled(low, scale)
+        if low or not low_closed:
+            bounds.append((0, k, -2 * low + low_closed))
+        if high is not None:
+            bounds.append((k, 0, 2 * _scaled(high, scale) + high_closed))
+    return mask, bounds
 
 
-def region_successor(region: Region, ceilings: dict[str, int]) -> Region:
-    """The immediate time successor, or the region itself if time-invariant."""
-    ints = dict(region.ints)
-    bounded = [z for z, k in ints.items() if k != _TOP]
-    if not bounded:
-        return region
-    if region.zero:
-        # clocks at an integer value start a positive fraction (or go above
-        # their ceiling if they were exactly on it)
-        moved, topped = set(), set()
-        for z in region.zero:
-            if ints[z] == ceilings[z]:
-                topped.add(z)
-            else:
-                moved.add(z)
-        for z in topped:
-            ints[z] = _TOP
-        groups = [frozenset(moved)] + list(region.groups)
-        return _mk_region(ints, set(), groups)
-    # the largest-fraction group reaches the next integer
-    last = region.groups[-1]
-    for z in last:
-        ints[z] = ints[z] + 1
-    return _mk_region(ints, set(last), list(region.groups[:-1]))
+def _close(zone: list[int], n: int, pivots) -> None:
+    """Floyd-Warshall over the pivot clocks, in place: all of them for any
+    zone, or the two ends of the one bound that changed in a closed one."""
+    for k in pivots:
+        row = zone[k * n : k * n + n]
+        for p in range(0, n * n, n):
+            pk = zone[p + k]
+            if pk < _INF:
+                for q, kq in enumerate(row):
+                    if kq < _INF and (s := _add(pk, kq)) < zone[p + q]:
+                        zone[p + q] = s
 
 
-def time_successors(region: Region, ceilings: dict[str, int]) -> Iterator[Region]:
-    """The regions reachable by letting a strictly positive delay elapse, in
-    the order time reaches them; generated one at a time."""
-    if not region.zero:
-        yield region
-    while True:
-        nxt = region_successor(region, ceilings)
-        if nxt == region:
-            return
-        yield nxt
-        region = nxt
+def _guarded(zone: list[int], n: int, bounds) -> list[int] | None:
+    """The closed zone met with a guard's bounds, as a closed copy, or None
+    when no valuation is left."""
+    zone = zone.copy()
+    for i, j, b in bounds:
+        if b < zone[i * n + j]:
+            if _add(zone[j * n + i], b) < _LE0:  # an infinite bound stays above 0
+                return None
+            zone[i * n + j] = b
+            _close(zone, n, (i, j))
+    return zone
 
 
-def reset_region(region: Region, clocks: frozenset[str]) -> Region:
-    if not clocks:
-        return region
-    ints = dict(region.ints)
-    for z in clocks:
-        ints[z] = 0
-    zero = set(region.zero) | set(clocks)
-    groups = [g - clocks for g in region.groups]
-    return _mk_region(ints, zero, groups)
+def _elapse(zone, n: int) -> list[int]:
+    """The valuations a strictly positive delay reaches from the zone: ``up``,
+    then ``delay > 0``."""
+    zone = list(zone)
+    zone[n : n * n : n] = [_INF] * (n - 1)
+    return _guarded(zone, n, [(0, 1, 0)])
 
 
-def _sample(region: Region, scale: int) -> dict[str, Fraction | float]:
-    """One valuation in the region, in the automaton's own units: each clock's
-    integer part plus ``i/(m+1)`` for the i-th of ``m`` fraction groups,
-    divided by ``scale``; infinity for a clock above its ceiling."""
-    frac = {z: Fraction(0) for z in region.zero}
-    for i, group in enumerate(region.groups, 1):
-        for z in group:
-            frac[z] = Fraction(i, len(region.groups) + 1)
-    return {z: math.inf if k == _TOP else (k + frac[z]) / scale for z, k in region.ints}
+def _limits(ceilings: list[int]) -> tuple[list[int], list[int]]:
+    """Per DBM entry ``(i, j)``, the loosest bound ``Extra_M`` keeps,
+    ``(M_i, <=)``, and the tightest, ``(-M_j, <)``, for ceilings ``M``."""
+    return [2 * m + 1 for m in ceilings for _ in ceilings], [-2 * m for _ in ceilings for m in ceilings]
 
 
-def _scale_and_ceilings(cea: TimedCea) -> tuple[int, dict[str, int]]:
-    constants = [
-        (z, c)
-        for tr in cea.delta
-        for z, cs in guard_constants(tr.guard).items()
-        for c in cs
-    ]
-    scale = constant_scale(cea)
-    ceilings = {z: 0 for z in cea.clocks}
-    for z, c in constants:
-        ceilings[z] = max(ceilings.get(z, 0), int(c * scale))
-    return scale, ceilings
+def _step(zone: list[int], n: int, resets: int, limits, init: int) -> tuple[int, ...]:
+    """Reset the clocks in the bit mask ``resets`` (in place), free those
+    outside the mask ``init``, and widen by ``Extra_M`` within ``limits``."""
+    for k in range(1, n):
+        if resets >> k & 1 or not init >> k & 1:
+            zone[k * n : k * n + n] = zone[:n] if resets >> k & 1 else [_INF] * n
+            zone[k::n] = zone[::n]
+            zone[k * n + k] = _LE0
+    widened = [_INF if b > hi else lo if b < lo else b for b, hi, lo in zip(zone, *limits)]
+    if widened != zone:  # widening keeps the zone non-empty, but not closed
+        _close(widened, n, range(n))
+    return tuple(widened)
 
 
 class SyncResult:
@@ -141,63 +126,78 @@ def check_sync(cea: TimedCea, cap: int = DEFAULT_SYNC_CAP) -> SyncResult:
     """Decide synchronous resets by searching paired same-labeled runs.
 
     Returns ``yes``, ``no`` with a witness pair of transition sequences, or
-    ``unknown`` once more than ``cap`` configurations would be explored or
-    more than ``cap`` region steps taken.
+    ``unknown`` once more than ``cap`` zones would be explored, or at once
+    when a scaled constant is so large that a bound could reach ``_INF``.
     """
-    scale, ceilings = _scale_and_ceilings(cea)
-    start = (cea.initial, cea.initial, EMPTY_REGION)
-    seen = {start}
-    parents: dict[tuple, tuple[tuple, Transition, Transition]] = {}
-    queue = deque([start])
-    # per state pair, the transitions out of both (each once) and the index
-    # pairs, first out of p1 and second out of p2, that one event can take
-    # together with the same label
-    joint: dict[tuple, tuple[tuple[Transition, ...], list[tuple[int, int]]]] = {}
-    explored = steps = 0
+    scale = constant_scale(cea)
+    checked = sorted({z for tr in cea.delta for z, _ in tr.guard})
+    index = {z: k for k, z in enumerate(checked, 2)}
+    n = len(checked) + 2
+    ceilings = [0] * n  # each clock's largest constant: the high end, else the low
+    for tr in cea.delta:
+        for z, iv in tr.guard:
+            c = _scaled(iv.low if iv.high is None else iv.high, scale)
+            ceilings[index[z]] = max(ceilings[index[z]], c)
+    if 4 * n * (max(ceilings) + 1) >= _INF:  # a finite bound could reach _INF
+        return SyncResult("unknown")
+    limits = _limits(ceilings)
+    # the delay clock (bit 1) is always set, and reset by every transition
+    start = _step([_LE0] * (n * n), n, 0, limits, 2)
+    nodes = [(cea.initial, cea.initial, 2, start, None)]  # and each one's parent
+    passed = {nodes[0][:3]: [start]}
+    # per state pair, the transitions out of both (each once), the index pairs
+    # (first out of p1, second out of p2) one event can take with the same
+    # label, and each transition's clocks checked, bounds and clocks reset
+    joint: dict[tuple, tuple[tuple[Transition, ...], list[tuple[int, int]], list]] = {}
+    boxes: dict[int, tuple] = {}  # the last three, per transition
+    queue, explored = deque([0]), 0
     while queue:
-        config = queue.popleft()
+        k = queue.popleft()
         explored += 1
         if explored > cap:
             return SyncResult("unknown", explored=explored)
-        p1, p2, region = config
+        p1, p2, init, zone, _ = nodes[k]
         if (p1, p2) not in joint:
             out1 = cea.out(p1)
             trs = out1 if p1 == p2 else out1 + cea.out(p2)
             first = 0 if p1 == p2 else len(out1)
-            candidates = itertools.product(range(len(out1)), range(first, len(trs)))
-            joint[p1, p2] = trs, compatible_pairs(trs, candidates)
-        trs, pairs = joint[p1, p2]
+            pairs = compatible_pairs(trs, product(range(len(out1)), range(first, len(trs))))
+            for tr in trs:
+                if pairs and id(tr) not in boxes:
+                    resets = sum(1 << index[z] for z in tr.resets if z in index)
+                    boxes[id(tr)] = (*_box(tr.guard, index, scale), resets | 2)
+            joint[p1, p2] = trs, pairs, [boxes.get(id(tr)) for tr in trs]
+        trs, pairs, info = joint[p1, p2]
         if not pairs:
             continue
-        for succ in time_successors(region, ceilings):
-            steps += 1
-            if steps > cap:
-                return SyncResult("unknown", explored=explored)
-            nu = _sample(succ, scale)
-            holds = [guard_sat(nu, tr.guard) for tr in trs]
-            for i, j in pairs:
-                if not (holds[i] and holds[j]):
-                    continue
-                t1, t2 = trs[i], trs[j]
-                if t1.resets != t2.resets:
-                    return SyncResult(
-                        "no", witness=_witness(parents, config, t1, t2), explored=explored
-                    )
-                nxt = (t1.target, t2.target, reset_region(succ, t1.resets))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    parents[nxt] = (config, t1, t2)
-                    queue.append(nxt)
+        elapsed = _elapse(zone, n)
+        tight: dict[int, list[int] | None] = {}  # each transition's guard, met once
+        for i, j in pairs:
+            for t in (i, j):
+                if t not in tight:
+                    mask, bounds, _ = info[t]
+                    tight[t] = _guarded(elapsed, n, bounds) if mask & ~init == 0 else None
+            if tight[i] is None or tight[j] is None:
+                continue
+            t1, t2 = trs[i], trs[j]
+            _, bounds, resets = info[j]
+            both = _guarded(tight[i], n, bounds)
+            if both is None:
+                continue
+            if t1.resets != t2.resets:  # the witness: both runs, back to the start
+                steps = [(t1, t2)]
+                while nodes[k][4] is not None:
+                    k, u1, u2 = nodes[k][4]
+                    steps.append((u1, u2))
+                run1, run2 = zip(*reversed(steps))
+                return SyncResult("no", witness=(list(run1), list(run2)), explored=explored)
+            reached = init | resets
+            nxt = _step(both, n, resets, limits, reached)
+            key = (t1.target, t2.target, reached)
+            seen = passed.setdefault(key, [])
+            if any(all(map(int.__le__, nxt, old)) for old in seen):
+                continue  # subsumed by a zone already found
+            seen.append(nxt)
+            nodes.append((*key, nxt, (k, t1, t2)))
+            queue.append(len(nodes) - 1)
     return SyncResult("yes", explored=explored)
-
-
-def _witness(parents, config, t1: Transition, t2: Transition):
-    run1 = [t1]
-    run2 = [t2]
-    while config in parents:
-        config, u1, u2 = parents[config]
-        run1.append(u1)
-        run2.append(u2)
-    run1.reverse()
-    run2.reverse()
-    return run1, run2

@@ -190,6 +190,21 @@ def test_check_sync_cap_gives_unknown(capsys, tmp_path, query_file):
     assert json.loads(out)["verdict"] == "unknown"
 
 
+def test_check_sync_answers_a_large_window_quickly(capsys, tmp_path):
+    query = tmp_path / "wide.tcel"
+    query.write_text("(A ;[0,60] B) within [0,3600]\n", encoding="utf-8")
+    auto = tmp_path / "a.json"
+    code, _, err = _run(
+        capsys, ["compile", "--query", str(query), "--windowed", "-o", str(auto)]
+    )
+    assert code == 0, err
+    start = time.perf_counter()
+    code, out, _ = _run(capsys, ["check-sync", "--automaton", str(auto)])
+    assert code == 0
+    assert json.loads(out)["verdict"] == "yes"
+    assert time.perf_counter() - start < 1.0
+
+
 # -- exit codes ---------------------------------------------------------------
 
 

@@ -34,7 +34,6 @@ from tcer.model import (
     union_ce,
 )
 from tcer.parser import Token
-from tcer.regions import Region
 
 
 # -- rationals and intervals -------------------------------------------------
@@ -470,11 +469,6 @@ _CEA_FIELDS = st.tuples(
     st.lists(_TRANSITION_FIELDS.map(lambda f: Transition(*f)), max_size=3).map(tuple),
     st.just(0), st.frozensets(st.sampled_from([0, 1])),
 )
-_REGION_FIELDS = st.tuples(
-    st.lists(st.tuples(st.sampled_from("xy"), st.integers(-1, 3)), max_size=2).map(tuple),
-    st.frozensets(st.sampled_from("xy")),
-    st.lists(st.frozensets(st.sampled_from("xy"), min_size=1), max_size=2).map(tuple),
-)
 
 # Every immutable value class, grouped with the classes that take the same
 # fields: (field names, field values, classes).
@@ -521,7 +515,6 @@ _VALUE_CLASSES = [
         st.tuples(_SMALL, _predicates(1), st.none() | _SMALL, _LABELS, st.booleans(), _SMALL),
         [_Trans],
     ),
-    (("ints", "zero", "groups"), _REGION_FIELDS, [Region]),
     (
         ("etype", "attrs"),
         st.tuples(st.sampled_from("AB"), st.dictionaries(st.just("x"), _SMALL)),

@@ -1,8 +1,7 @@
-"""Clock regions and the synchronous-reset decision procedure."""
+"""Zones and the synchronous-reset decision procedure."""
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from fractions import Fraction
@@ -10,130 +9,189 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tcer.cea import TRUE, TimedCea, Transition, advance, clock_guard, guard_meet, guard_sat, reset
+from tcer.cea import (
+    TRUE,
+    TimedCea,
+    Transition,
+    advance,
+    clock_guard,
+    guard_meet,
+    guard_sat,
+    reset,
+)
 from tcer.compiler import compile_windowed
 from tcer.model import TrueP, TypeIs
 from tcer.parser import parse_query
 from tcer.regions import (
-    EMPTY_REGION,
-    Region,
-    SyncResult,
-    _TOP,
-    _sample,
+    _INF,
+    _box,
+    _elapse,
+    _guarded,
+    _limits,
+    _step,
     check_sync,
-    region_successor,
-    reset_region,
-    time_successors,
 )
 
 from conftest import make_t1, random_sync_cea
 
-
-def guard_holds(region: Region, gamma, scale: int) -> bool:
-    """Whether every valuation in the region satisfies the guard.
-
-    Every constant of the guard, times ``scale``, must be an integer no
-    larger than the ceiling of its clock.  Then each atom is constant on the
-    region, so one valuation in it decides the guard.  A clock the region
-    does not initialize fails.
-    """
-    return guard_sat(_sample(region, scale), gamma)
+# A DBM over the reference clock 0, the delay clock 1, and ``x`` and ``y``
+_INDEX = {"x": 2, "y": 3}
+_N = 4
 
 
-# -- region mechanics ---------------------------------------------------------
+def contains(zone, values) -> bool:
+    """Whether the zone holds the valuation ``values``, one value per DBM
+    clock, where None (an uninitialized clock) is left unchecked."""
+    for i, vi in enumerate(values):
+        for j, vj in enumerate(values):
+            b = zone[i * _N + j]
+            if vi is None or vj is None or b >= _INF:
+                continue
+            c, non_strict = divmod(b, 2)
+            if vi - vj > c or (vi - vj == c and not non_strict):
+                return False
+    return True
 
 
-def test_successor_advances_fraction_then_integer():
-    ceil = {"z": 3}
-    r0 = reset_region(EMPTY_REGION, frozenset({"z"}))
-    assert guard_holds(r0, clock_guard("z", "=", 0), 1)
-    r1 = region_successor(r0, ceil)
-    assert guard_holds(r1, guard_meet(clock_guard("z", ">", 0), clock_guard("z", "<", 1)), 1)
-    r2 = region_successor(r1, ceil)
-    assert guard_holds(r2, clock_guard("z", "=", 1), 1)
+def meets(zone, guard) -> bool:
+    """Whether some valuation in the zone passes the guard."""
+    _, bounds = _box(guard, _INDEX, 1)
+    return _guarded(list(zone), _N, bounds) is not None
 
 
-def test_successor_saturates_above_the_ceiling():
-    ceil = {"z": 1}
-    region = reset_region(EMPTY_REGION, frozenset({"z"}))
-    for _ in range(4):
-        region = region_successor(region, ceil)
-    assert guard_holds(region, clock_guard("z", ">", 1), 1)
-    assert region_successor(region, ceil) == region
+def start_zone(ceilings):
+    """The zone before the first event, for clock ceilings ``(M_x, M_y)``."""
+    limits = _limits([0, 0, *ceilings])
+    return _step([1] * _N * _N, _N, 0, limits, 0b10), limits
 
 
-def test_time_successors_cover_all_later_regions():
-    ceil = {"z": 2}
-    r0 = reset_region(EMPTY_REGION, frozenset({"z"}))
-    succ = list(time_successors(r0, ceil))
-    # strictly positive delay: (0,1), 1, (1,2), 2, (2,inf)
-    assert len(succ) == 5
-    assert not any(guard_holds(s, clock_guard("z", "=", 0), 1) for s in succ)
-    assert any(guard_holds(s, clock_guard("z", "=", 2), 1) for s in succ)
+# -- zone mechanics -----------------------------------------------------------
 
 
 def test_reset_zeroes_only_the_given_clocks():
-    ceil = {"x": 1, "y": 1}
-    region = reset_region(EMPTY_REGION, frozenset({"x", "y"}))
-    region = region_successor(region, ceil)  # both in (0,1)
-    region = reset_region(region, frozenset({"x"}))
-    assert guard_holds(region, clock_guard("x", "=", 0), 1)
-    assert guard_holds(region, guard_meet(clock_guard("y", ">", 0), clock_guard("y", "<", 1)), 1)
+    zone, limits = start_zone((1, 1))
+    zone = _step(_elapse(zone, _N), _N, 0b1110, limits, 0b1110)
+    zone = _elapse(zone, _N)  # both in (0, inf), equal
+    zone = _step(zone, _N, 0b110, limits, 0b1110)
+    assert meets(zone, clock_guard("x", "=", 0))
+    assert not meets(zone, clock_guard("x", ">", 0))
+    assert not meets(zone, clock_guard("y", "=", 0))
+    assert contains(zone, [0, 0, 0, Fraction(1, 2)])
+
+
+def test_successor_saturates_above_the_ceiling():
+    zone, limits = start_zone((1, 1))
+    y_is_one = _box(clock_guard("y", "=", 1), _INDEX, 1)[1]
+    zone = _step(_elapse(zone, _N), _N, 0b1110, limits, 0b1110)
+    zones = []
+    for _ in range(4):  # each round, x grows by 1 and y is reset at 1
+        zone = _step(_guarded(_elapse(zone, _N), _N, y_is_one), _N, 0b1010, limits, 0b1110)
+        zones.append(zone)
+    assert meets(zones[0], clock_guard("x", "=", 1))
+    # from x = 2 on, the zone is widened to x > 1, and the rounds keep it
+    assert not meets(zones[1], clock_guard("x", "<=", 1))
+    assert zones[1] == zones[2] == zones[3]
+
+
+def test_strict_bounds_stay_strict():
+    zone, limits = start_zone((1, 1))
+    zone = _elapse(_step(_elapse(zone, _N), _N, 0b1110, limits, 0b1110), _N)
+    # x and y were reset together, so they stay equal
+    y_is_one = clock_guard("y", "=", 1)
+    assert meets(zone, guard_meet(clock_guard("x", ">=", 1), y_is_one))
+    assert not meets(zone, guard_meet(clock_guard("x", ">", 1), y_is_one))
+    assert meets(zone, guard_meet(clock_guard("x", "<=", 1), y_is_one))
+    assert not meets(zone, guard_meet(clock_guard("x", "<", 1), y_is_one))
 
 
 def test_uninitialized_clock_satisfies_no_guard():
-    region = reset_region(EMPTY_REGION, frozenset({"x"}))
-    assert not guard_holds(region, clock_guard("y", ">=", 0), 1)
-    assert guard_holds(region, TRUE, 1)
+    # the pair conflicts wherever ``z`` is set, but no reset precedes it
+    z_set = clock_guard("z", ">=", 0)
+    assert check_sync(_conflict_automaton(guard1=z_set, guard2=z_set)).verdict == "yes"
+    zone, limits = start_zone((2, 2))
+    zone = _step(_elapse(zone, _N), _N, 0b110, limits, 0b110)
+    # ``x`` was reset and ``y`` not: the zone keeps no bound on ``y``
+    assert all(zone[3 * _N + j] == _INF for j in range(_N) if j != 3)
 
 
-def region_of(nu, ceilings) -> Region:
-    """The region of a concrete valuation, straight from its definition."""
-    ints, zero, fracs = {}, set(), {}
-    for z, v in nu.items():
-        if v > ceilings[z]:
-            ints[z] = _TOP
-            continue
-        ints[z] = math.floor(v)
-        if v == ints[z]:
-            zero.add(z)
-        else:
-            fracs.setdefault(v - ints[z], set()).add(z)
-    return Region(
-        ints=tuple(sorted(ints.items())),
-        zero=frozenset(zero),
-        groups=tuple(frozenset(fracs[f]) for f in sorted(fracs)),
-    )
-
-
-_RUN_STEP = st.one_of(
-    st.tuples(st.just("reset"), st.sets(st.sampled_from(["x", "y"]), min_size=1)),
-    st.tuples(st.just("delay"), st.integers(1, 20).map(lambda k: Fraction(k, 4))),
+_RUN_STEP = st.tuples(
+    st.integers(1, 20).map(lambda k: Fraction(k, 4)),
+    st.sets(st.sampled_from(["x", "y"])),
 )
 
 
 @given(
-    ceilings=st.dictionaries(st.sampled_from(["x", "y"]), st.integers(0, 3), min_size=1),
+    ceilings=st.tuples(st.integers(0, 3), st.integers(0, 3)),
     run=st.lists(_RUN_STEP, max_size=12),
 )
-def test_regions_agree_with_concrete_valuations(ceilings, run):
-    nu = {}
-    for kind, arg in run:
-        region = region_of(nu, ceilings)
-        if kind == "reset":
-            clocks = frozenset(arg) & set(ceilings)
-            nu = reset(nu, clocks)
-            assert reset_region(region, clocks) == region_of(nu, ceilings)
-        else:
-            nu = advance(nu, arg)
-            assert region_of(nu, ceilings) in time_successors(region, ceilings)
-        region = region_of(nu, ceilings)
-        for z, ceiling in ceilings.items():
+def test_zones_contain_concrete_valuations(ceilings, run):
+    """Along random positive delays and resets, the concrete valuation stays
+    in the symbolic zone, and every atomic guard up to the ceilings that the
+    valuation passes meets the zone."""
+    zone, limits = start_zone(ceilings)
+    nu, init = {}, 0b10
+    for delay, clocks in run:
+        nu = advance(nu, delay)
+        zone = _elapse(zone, _N)
+        assert contains(zone, [0, delay, nu.get("x"), nu.get("y")])
+        for z, ceiling in zip(("x", "y"), ceilings):
             for op in ("=", "<", "<=", ">=", ">"):
                 for c in range(ceiling + 1):
                     atom = clock_guard(z, op, c)
-                    if atom is not None:  # ``z < 0`` is no guard: no value passes it
-                        assert guard_holds(region, atom, 1) == guard_sat(nu, atom)
+                    if atom is not None and guard_sat(nu, atom):
+                        assert meets(zone, atom)
+        nu = reset(nu, clocks)
+        resets = sum(1 << _INDEX[z] for z in clocks) | 0b10
+        init |= resets
+        zone = _step(zone, _N, resets, limits, init)
+        assert contains(zone, [0, 0, nu.get("x"), nu.get("y")])
+
+
+def valuations_runs_reach(last, top) -> list[dict]:
+    """The valuations that runs reach right after a positive delay, where
+    ``last[z]`` is the step that last reset clock ``z``.  Clocks reset at
+    one step are equal, a clock reset earlier is strictly larger, and every
+    set clock is positive, which is all the runs' delays fix.  Listed on
+    quarters up to ``top + 2``, enough to meet every box of two clocks with
+    integer constants up to ``top`` that some run meets."""
+    grid = [Fraction(k, 4) for k in range(1, 4 * top + 9)]
+    out = []
+    for vx in grid if "x" in last else [None]:
+        for vy in grid if "y" in last else [None]:
+            if vx is not None and vy is not None:
+                order = (last["x"] > last["y"]) - (last["x"] < last["y"])
+                if order != (vy > vx) - (vy < vx):
+                    continue
+            out.append({z: v for z, v in (("x", vx), ("y", vy)) if v is not None})
+    return out
+
+
+_ATOM = st.tuples(st.sampled_from(["=", "<", "<=", ">=", ">"]), st.integers(0, 3))
+
+
+@given(
+    ceilings=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    run=st.lists(st.sets(st.sampled_from(["x", "y"])), max_size=8),
+    atoms=st.lists(st.tuples(_ATOM, _ATOM), min_size=1, max_size=12),
+)
+def test_widened_zones_meet_exactly_the_boxes_some_run_reaches(ceilings, run, atoms):
+    """``Extra_M`` adds valuations, but no box with constants up to the
+    ceilings meets the widened zone unless some run reaches the box."""
+    zone, limits = start_zone(ceilings)
+    last, init = {}, 0b10
+    for step, clocks in enumerate(run):
+        zone = _elapse(zone, _N)
+        reached = valuations_runs_reach(last, max(ceilings))
+        for pair in atoms:
+            box = TRUE
+            for z, ceiling, (op, c) in zip(("x", "y"), ceilings, pair):
+                if z in last and c <= ceiling and clock_guard(z, op, c) is not None:
+                    box = guard_meet(box, clock_guard(z, op, c))
+            assert meets(zone, box) == any(guard_sat(nu, box) for nu in reached)
+        last.update((z, step) for z in clocks)
+        resets = sum(1 << _INDEX[z] for z in clocks) | 0b10
+        init |= resets
+        zone = _step(zone, _N, resets, limits, init)
 
 
 # -- the decision procedure ---------------------------------------------------
@@ -242,10 +300,43 @@ def test_cap_yields_unknown():
     assert result.verdict == "unknown"
 
 
-def test_cap_bounds_the_region_steps_of_a_large_constant():
-    cea = compile_windowed(parse_query("(A ;[0,100000] B)"))
+def test_large_constants_answer_yes_in_under_a_second():
+    for text in ("(A ;[0,100000] B)", "(A ;[0,60] B) within [0,3600]"):
+        cea = compile_windowed(parse_query(text))
+        start = time.perf_counter()
+        assert check_sync(cea).verdict == "yes"
+        assert time.perf_counter() - start < 1.0
+
+
+def _two_late_b_transitions(c):
+    """After ``A`` resets ``z``, two ``B`` transitions, both guarded
+    ``z > c``, one resetting ``z`` and one not."""
+    late = clock_guard("z", ">", c)
+    return TimedCea(
+        states=frozenset({0, 1, 2, 3}),
+        vars=frozenset(),
+        clocks=frozenset({"z"}),
+        delta=(
+            Transition(0, TypeIs("A"), TRUE, frozenset(), frozenset({"z"}), 1),
+            Transition(1, TypeIs("B"), late, frozenset(), frozenset({"z"}), 2),
+            Transition(1, TypeIs("B"), late, frozenset(), frozenset(), 3),
+        ),
+        initial=0,
+        finals=frozenset({2, 3}),
+    )
+
+
+def test_a_constant_too_large_for_the_bounds_answers_unknown():
+    assert check_sync(_two_late_b_transitions(2**40)).verdict == "no"
+    for c in (2**61, 2**62, 10**999):
+        assert check_sync(_two_late_b_transitions(c)).verdict == "unknown"
+
+
+def test_many_independent_predicates_stay_fast():
+    # twenty filters on distinct attributes: 2**20 combinations of truth
+    # values, of which each state pair only ever needs its own few
+    text = " ; ".join(f"(A as X{i} filter X{i}[a{i} < 1])" for i in range(20))
+    cea = compile_windowed(parse_query(text))
     start = time.perf_counter()
-    result = check_sync(cea, cap=10)
-    assert result.verdict == "unknown"
-    assert result.explored <= 10
+    assert check_sync(cea).verdict == "yes"
     assert time.perf_counter() - start < 1.0
