@@ -5,7 +5,9 @@ A guard is a box: a tuple of ``(clock, model.Interval)`` pairs, one per
 clock it checks, in the order the clocks were first checked.  The empty box
 is true.  A clock that a box checks fails it while uninitialized, so a box
 keeps a ``[0, inf)`` entry for a clock it checks but does not bound.  A
-disjunction of guards is several transitions.
+disjunction of guards is several transitions, made disjoint one way by
+``determinize`` and the automaton loader alike: ``guard_cuts`` cuts the
+valuations into cells, and ``join_cells`` joins the covered cells back.
 """
 
 from __future__ import annotations
@@ -153,26 +155,16 @@ def guard_cuts(guards: Iterable[Guard]) -> list[list[tuple[str, Interval]]]:
     return cuts
 
 
-def simplify_boxes(boxes: Sequence[Guard]) -> list[Guard]:
-    """The same union in as few boxes as joins find: boxes equal on all
-    clocks but one, whose intervals there join into one, are joined, and a
-    box that another covers is dropped.  Given two or more boxes, each comes
-    out with its clocks sorted."""
-    if len(boxes) < 2:
-        return list(boxes)
-    work = list(dict.fromkeys(tuple(sorted(b)) for b in boxes))
-    clocks = sorted({z for b in work for z, _ in b})
-    while True:
-        count = len(work)
-        for z in clocks:
-            work = _join_along(work, z)
-        kept: list[Guard] = []
-        for b in work:
-            if not any(guard_covers(o, b) for o in kept):
-                kept = [o for o in kept if not guard_covers(b, o)] + [b]
-        work = kept
-        if len(work) == count:
-            return work
+def join_cells(cells: Sequence[Guard]) -> list[Guard]:
+    """The union of pairwise disjoint cells of one partition (``guard_cuts``)
+    as disjoint boxes: one sweep per clock, in clock order, joins the boxes
+    equal on all clocks but that one whose intervals on it join into one.
+    A later sweep cannot enable a join along an earlier clock, so a second
+    ``join_cells`` gives the same boxes, perhaps in another order."""
+    boxes = list(cells)
+    for z in sorted({z for b in boxes for z, _ in b}):
+        boxes = _join_along(boxes, z)
+    return boxes
 
 
 def _join_along(boxes: list[Guard], z: str) -> list[Guard]:
@@ -514,20 +506,13 @@ def guard_from_json(doc, where: str) -> tuple[list[Guard], frozenset[str]]:
     transition each, and the clocks the tree mentions.  The boxes are
     pairwise disjoint, and each checks every mentioned clock: an
     uninitialized clock fails the whole guard, even under ``or``.  They are
-    built bottom-up and simplified at every node; a tree that needs more
-    than ``MAX_GUARD_BOXES`` boxes at a node, or more than its cube of
-    cells to make its boxes disjoint, is refused."""
+    built bottom-up and made disjoint at every node (``_disjoint``); a tree
+    that needs more than ``MAX_GUARD_BOXES`` disjoint boxes at a node, or
+    more than its cube of cells to make them, is refused."""
     boxes, mentioned = _guard_boxes(doc, where, 0)
     boxes = [
         b + tuple((z, FULL_INTERVAL) for z in sorted(mentioned - guard_clocks(b))) for b in boxes
     ]
-    if len(boxes) > 1:
-        # cut into cells and rejoined, as ``determinize`` joins its cells
-        cuts = guard_cuts(boxes)
-        if math.prod(map(len, cuts)) > MAX_GUARD_BOXES**3:
-            raise AutomatonFormatError(f"{where}: more than {MAX_GUARD_BOXES**3} cells")
-        cells = itertools.product(*cuts)
-        boxes = simplify_boxes([c for c in cells if any(guard_covers(b, c) for b in boxes)])
     return boxes, frozenset(mentioned)
 
 
@@ -550,10 +535,28 @@ def _guard_boxes(doc, where: str, depth: int) -> tuple[list[Guard], set[str]]:
         boxes = left + right
     else:
         boxes = [m for a in left for b in right if (m := guard_meet(a, b)) is not None]
-    boxes = simplify_boxes(boxes)
+    boxes = _disjoint(boxes, where)
     if len(boxes) > MAX_GUARD_BOXES:
         raise AutomatonFormatError(f"{where}: more than {MAX_GUARD_BOXES} boxes")
     return boxes, left_clocks | right_clocks
+
+
+def _disjoint(boxes: list[Guard], where: str) -> list[Guard]:
+    """The union of two or more boxes as disjoint boxes, each checking
+    every clock some box checks: the cells of their cuts that some box
+    covers, joined as ``determinize`` joins its cells."""
+    if len(boxes) < 2:
+        return boxes
+    cuts = guard_cuts(boxes)
+    if math.prod(map(len, cuts)) > MAX_GUARD_BOXES**3:
+        raise AutomatonFormatError(f"{where}: more than {MAX_GUARD_BOXES**3} cells")
+    covered = set()
+    for b in boxes:
+        box = dict(b)
+        # each clock's pieces inside the box: their product is its cells
+        inside = [[(z, iv) for z, iv in ps if z not in box or box[z].covers(iv)] for ps in cuts]
+        covered.update(itertools.product(*inside))
+    return join_cells([c for c in itertools.product(*cuts) if c in covered])
 
 
 def cea_to_json(cea: TimedCea) -> dict:

@@ -216,6 +216,13 @@ def load_automaton(path: str) -> TimedCea:
     return cea_from_json(doc)
 
 
+def save_automaton(cea: TimedCea, path: str) -> None:
+    """Write the automaton as ``load_automaton`` reads it."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(cea_to_json(cea), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 REFUSALS = (NotWindowed, SyncResetViolation, NotStreamable)
 
 
@@ -263,9 +270,7 @@ def cmd_compile(args) -> int:
     except NotWindowed as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(cea_to_json(cea), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_automaton(cea, args.output)
     return 0
 
 
@@ -276,9 +281,7 @@ def cmd_determinize(args) -> int:
     except SyncResetViolation as exc:
         print(f"resets are not synchronous: {exc}", file=sys.stderr)
         return 1
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(cea_to_json(det), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_automaton(det, args.output)
     return 0
 
 

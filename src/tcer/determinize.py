@@ -11,8 +11,9 @@ a unique target subset and — thanks to synchronous resets — a unique reset
 set.
 
 The cells equal in everything but the guard are joined again by
-``cea.simplify_boxes``, and each box it leaves is one transition, so
-determinizing a monotonic automaton yields a monotonic automaton.
+``cea.join_cells``, one sweep per clock, and each box it leaves is one
+transition, so determinizing a monotonic automaton yields a monotonic
+automaton.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .cea import (
     guard_clocks,
     guard_covers,
     guard_cuts,
+    join_cells,
     reachable,
-    simplify_boxes,
 )
 from .model import Not, Predicate, event_cells, pred_and
 
@@ -190,11 +191,12 @@ def determinize(cea: TimedCea) -> TimedCea:
     delta = []
     for (source_key, _, label, resets, target_key), (p_s, cells) in grouped.items():
         # every checked clock is initialized here, so trivial intervals can
-        # be dropped without changing the meaning; drop them again after
-        # the last simplify, whose joins can rebuild [0, inf)
-        boxes = simplify_boxes(_drop_trivial(simplify_boxes(cells)))
+        # be dropped without changing the meaning
         source, target = state_name[source_key], state_name[target_key]
-        delta += [Transition(source, p_s, box, label, resets, target) for box in _drop_trivial(boxes)]
+        delta += [
+            Transition(source, p_s, box, label, resets, target)
+            for box in _drop_trivial(join_cells(cells))
+        ]
     finals = frozenset(state_name[s] for s in seen if s[0] & cea.finals)
     delta = _prune_dead_transitions(delta, finals)
     initial = state_name[start]

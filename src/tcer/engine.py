@@ -31,17 +31,17 @@ Veanes): the engine collects the distinct atoms (``TypeIs``, ``Basic``) of
 its transitions' predicates, and per event finds their truth vector, each
 atom decided once.  The type tests' part is looked up by the event type.
 The part of the atoms on one attribute is constant on each class of its
-values that ``model.event_cells`` uses (each constant, each gap around the
-number constants, any other string, anything else), so it is looked up by
-the value's class, found by bisection among the number constants.  Every
-predicate is a Boolean combination of its atoms, so the vector decides
-which transitions fire; ``cells`` memoizes, per vector, each state's fired
-transitions.  The memo is filled lazily: on the first event with a new
-vector, ``sat`` decides each transition on that event.  It holds at most one
-entry per cell of the atoms, ``len(model.event_cells(atoms))``, a bound set
-by the automaton, and ``sat`` runs at most that many times ``|Δ|`` over a
-whole stream.  The memo, the atoms and the prepared transitions depend on
-the automaton alone, so the first engine over an automaton keeps them on it
+values that ``model.event_cells`` uses (``model._classes``), so it is
+decided once on each class's witness and looked up by the value's class,
+found by bisection among the number constants.  Every predicate is a
+Boolean combination of its atoms, so the vector decides which transitions
+fire; ``cells`` memoizes, per vector, each state's fired transitions.  The
+memo is filled lazily: on the first event with a new vector, ``sat``
+decides each transition on that event.  It holds at most one entry per cell
+of the atoms, ``len(model.event_cells(atoms))``, a bound set by the
+automaton, and ``sat`` runs at most that many times ``|Δ|`` over a whole
+stream.  The memo, the atoms and the prepared transitions depend on the
+automaton alone, so the first engine over an automaton keeps them on it
 (``_Dispatch``) and every later engine over it starts from them.
 
 Attribute values are compared in units, as clocks compare ticks: an
@@ -49,10 +49,12 @@ attribute that the atoms read is counted in ``1/S`` units, ``S =
 DECIMAL_SCALE · lcm`` of the denominators of its number constants, so its
 constants are ints, and so is every value with at most nine decimal places;
 any other value is an exact ``Fraction`` of units.  ``feed`` converts the
-attributes the atoms read from the event; ``step`` takes them already
-converted, from a reader such as the CLI's that reads them straight from
-their digits.  Only numbers (not booleans, NaN or infinities) satisfy a
-number comparison and only strings a string comparison, as in ``sat``.
+time and the attributes the atoms read with ``model.to_units``; ``step``
+takes them already converted, from a reader such as the CLI's that reads
+them straight from their digits, and rebuilds an event from them only on
+the first event of a cell, for ``sat``.  Only numbers (not booleans, NaN or
+infinities) satisfy a number comparison and only strings a string
+comparison, as in ``sat``.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from typing import Iterator, Optional
 from .caecs import Caecs, Node, enumerate_node
 from .cea import TimedCea, constant_scale, guard_clocks, is_deterministic, is_monotonic
 from .model import (
-    COMPARISONS,
     Basic,
     ComplexEvent,
     Event,
@@ -73,7 +74,8 @@ from .model import (
     TypeIs,
     Value,
     _atoms,
-    rat,
+    _classes,
+    _compare,
     sat,
     to_units,
 )
@@ -136,40 +138,27 @@ def _prepare(cea: TimedCea, scale: int) -> tuple[list[_Trans], Optional[str], st
 
 class _Field:
     """The cells of one attribute: the truth vector of the atoms that read it,
-    for each class of its values in units.  The classes are each number
-    constant, each gap below, between and above them, each string constant,
-    any other string, and any other value (absent, null, boolean), which
+    for each class of its values in units (``model._classes``), each class
+    decided on its witness.  Any other value (absent, null, boolean)
     satisfies none of the atoms."""
 
     __slots__ = ("attr", "numbers", "at_number", "at_string", "other_string", "nothing")
 
     def __init__(self, attr: str, atoms: list[Basic], scale: int):
-        tests = []
-        numbers, strings = set(), set()
-        for a in atoms:
-            c = a.value
-            if isinstance(c, str):
-                strings.add(c)
-            else:
-                c = c.numerator * (scale // c.denominator)  # the scale is a multiple of c's denominator
-                numbers.add(c)
-            tests.append((COMPARISONS[a.op], c))
-
-        def vector(v) -> tuple[bool, ...]:
-            return tuple([isinstance(v, str) == isinstance(c, str) and op(v, c) for op, c in tests])
-
-        numbers, strings = sorted(numbers), sorted(strings)
-        # class 2i: below numbers[i] (above them all for i = len(numbers));
-        # class 2i + 1: numbers[i]
-        below = [numbers[0] - 1] if numbers else [0]
-        below += [Fraction(x + y, 2) for x, y in zip(numbers, numbers[1:])]
-        below += [numbers[-1] + 1] if numbers else []
+        # each number constant in units, an int: the scale is a multiple of
+        # its denominator
+        tests = [
+            (a.op, a.value if isinstance(a.value, str) else to_units(a.value, scale)) for a in atoms
+        ]
+        self.numbers, witnesses, strings, other = _classes({c for _, c in tests})
+        vectors = [
+            tuple([_compare(v, op, c) for op, c in tests]) for v in (*witnesses, *strings, other)
+        ]
         self.attr = attr
-        self.numbers = numbers
-        self.at_number = [vector(v) for pair in zip(below, numbers) for v in pair] + [vector(below[-1])]
-        self.at_string = {c: vector(c) for c in strings}
-        self.other_string = vector("".join(strings) + "_")  # longer than every constant
         self.nothing = (False,) * len(tests)
+        self.at_number = vectors[: len(witnesses)] or [self.nothing]
+        self.at_string = dict(zip(strings, vectors[len(witnesses):]))
+        self.other_string = vectors[-1]
 
 
 class _Dispatch:
@@ -240,43 +229,28 @@ class StreamingEngine:
         """Consume one stream element, timed in seconds; return this
         position's matches.  A time is read by ``model.rat``, so a float is
         the decimal it prints as, and a bool raises ``TypeError``."""
-        n, d = rat(time).as_integer_ratio()
-        q, r = divmod(self.scale, d)
-        ticks = n * q if r == 0 else Fraction(n * self.scale, d)
         attrs = event.attrs
         values = {}
-        # the kinds the default reader gives, Fraction and int, inline: a call
-        # costs about as much as the conversion
         for attr, scale in self.reads.items():
             value = attrs.get(attr)
-            kind = value.__class__
-            if kind is Fraction:
-                n, d = value.as_integer_ratio()
-                q, r = divmod(scale, d)
-                values[attr] = n * q if r == 0 else Fraction(n * scale, d)
-            elif kind is int:
-                values[attr] = value * scale
+            if isinstance(value, (int, Fraction)) and value.__class__ is not bool or (
+                isinstance(value, float) and isfinite(value)
+            ):
+                values[attr] = to_units(value, scale)
             elif isinstance(value, str):
                 values[attr] = value
-            elif isinstance(value, (int, Fraction, float)) and kind is not bool:
-                if not isinstance(value, float) or isfinite(value):
-                    values[attr] = to_units(value, scale)
-        return self.step(event.etype, values, ticks, event)
+        return self.step(event.etype, values, to_units(time, self.scale))
 
-    def step(
-        self, etype: str, values: dict, ticks: Rational, event: Optional[Event] = None
-    ) -> list[ComplexEvent]:
+    def step(self, etype: str, values: dict, ticks: Rational) -> list[ComplexEvent]:
         """``feed``, with the time in ticks and the attributes that the atoms
         read in units (``reads``); an absent, null or boolean value is left
-        out.  ``event`` is the element itself, when the caller has it."""
+        out."""
         if ticks <= self.last_time:
             raise ValueError("timestamps must be positive and increase strictly")
         cell = self.cell(etype, values)
         fired = self.cells.get(cell)
         if fired is None:
-            if event is None:
-                event = self._event(etype, values)
-            fired = self.cells[cell] = self._fire(event)
+            fired = self.cells[cell] = self._fire(self._event(etype, values))
         self.last_time = ticks
         self.position += 1
         j = self.position

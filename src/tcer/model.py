@@ -73,14 +73,17 @@ def to_units(value: Union[int, str, Fraction], scale: int) -> Union[int, Fractio
     reads it; any other value goes through ``rat`` and raises as it does."""
     if value.__class__ is int:
         return value * scale
-    plain = _PLAIN_DECIMAL.fullmatch(value) if isinstance(value, str) else None
-    if plain is not None and len(value) <= MAX_DIGITS:
-        whole, frac = plain.groups()
-        if frac is None:
-            return int(whole) * scale
-        n, d = int(whole + frac), 10 ** len(frac)
+    if value.__class__ is Fraction:
+        n, d = value.as_integer_ratio()
     else:
-        n, d = rat(value).as_integer_ratio()
+        plain = _PLAIN_DECIMAL.fullmatch(value) if isinstance(value, str) else None
+        if plain is not None and len(value) <= MAX_DIGITS:
+            whole, frac = plain.groups()
+            if frac is None:
+                return int(whole) * scale
+            n, d = int(whole + frac), 10 ** len(frac)
+        else:
+            n, d = rat(value).as_integer_ratio()
     q, r = divmod(scale, d)
     return n * q if r == 0 else Fraction(n * scale, d)
 
@@ -503,9 +506,10 @@ def pred_and(*preds: Predicate) -> Predicate:
 # it with: each constant, each gap between neighbouring numbers, below and
 # above them all, every other string, and absence (a boolean, like absence,
 # satisfies no Basic).  So fixing the fields one at a time, each to one
-# witness per class, reaches every cell.  After each field its atoms fold to
-# truth values and equal remainders are kept once, so a conjunction over many
-# attributes costs time linear in them, not their witnesses' product.
+# witness per class (``_classes``), reaches every cell.  After each field its
+# atoms fold to truth values and equal remainders are kept once, so a
+# conjunction over many attributes costs time linear in them, not their
+# witnesses' product.
 
 
 def _atoms(pred: Predicate) -> list[Union[TypeIs, Basic]]:
@@ -525,16 +529,26 @@ def _atoms(pred: Predicate) -> list[Union[TypeIs, Basic]]:
     return atoms
 
 
-def _witnesses(constants: set[AttrValue]) -> list[Optional[AttrValue]]:
-    """One value (or absence) from each class of a field with these constants."""
-    numbers = sorted(v for v in constants if not isinstance(v, str))
-    # longer than every string constant, so equal to none of them
-    unlike = "".join(sorted(v for v in constants if isinstance(v, str))) + "_"
-    witnesses: list[Optional[AttrValue]] = [None, *constants, unlike]
+def _classes(constants: set[AttrValue]) -> tuple[list, list, list[str], str]:
+    """The classes of a field's values on which its atoms, over these
+    constants, are constant: the number constants, sorted; a witness of each
+    number class in bisection order (class ``2i`` is the gap below
+    ``numbers[i]``, or above them all, and class ``2i + 1`` is
+    ``numbers[i]``), none if there are no numbers; the string constants; and
+    a witness of every other string.  Absence, and any other kind of value,
+    satisfies no atom."""
+    numbers, strings = [], []
+    for v in constants:
+        (strings if isinstance(v, str) else numbers).append(v)
+    numbers.sort()
+    strings.sort()
+    witnesses = []
     if numbers:
-        witnesses += [numbers[0] - 1, numbers[-1] + 1]
-        witnesses += [Fraction(x + y, 2) for x, y in zip(numbers, numbers[1:])]
-    return witnesses
+        witnesses.append(numbers[0] - 1)
+        for x, y in zip(numbers, numbers[1:]):
+            witnesses += (x, Fraction(x + y, 2))
+        witnesses += (numbers[-1], numbers[-1] + 1)
+    return numbers, witnesses, strings, "".join(strings) + "_"
 
 
 def _fold(pred: Union[Predicate, bool], field: Optional[str], value) -> Union[Predicate, bool]:
@@ -579,9 +593,10 @@ def event_cells(preds: Sequence[Predicate]) -> set[tuple[bool, ...]]:
     fields = [(None, types), *sorted(constants.items())]
     remainders: set[tuple] = {tuple(preds)}
     for field, values in fields:
+        _, witnesses, strings, other = _classes(values)
         remainders = {
             tuple(_fold(p, field, value) for p in rest)
-            for value in _witnesses(values)
+            for value in (None, *witnesses, *strings, other)
             for rest in remainders
         }
     return remainders

@@ -271,12 +271,8 @@ class _Parser:
             if self.at("symbol", "=") or self.at("symbol", "=="):
                 self.take()
             else:
-                tok = self.peek()
-                raise ParseError(
-                    "expected '=' after 'type'",
-                    tok.line if tok else 1,
-                    tok.col if tok else 1,
-                )
+                tok = self.peek() or self.tokens[-1]
+                raise ParseError("expected '=' after 'type'", tok.line, tok.col)
             return TypeIs(self.expect("ident").text)
         attr = self.expect("ident").text
         tok = self.peek()

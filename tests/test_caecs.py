@@ -332,3 +332,17 @@ def test_union_keeps_a_child_gate_that_no_gadget_changes(cs):
 def test_union_requires_equal_anchors(cs):
     with pytest.raises(AssertionError):
         cs.union(cs.new_bottom(1, F(1)), cs.new_bottom(2, F(2)))
+
+
+def test_union_puts_the_better_of_two_right_parts_first(cs):
+    """Both operands are unions, and the first one's right child has the
+    worse anchor: the two right parts swap, so every node down the result's
+    right spine checks, and the union denotes both operands."""
+    first = cs.ul_merge([cs.new_bottom(1, F(10)), cs.new_bottom(2, F(5))])
+    second = cs.ul_merge([cs.new_bottom(3, F(10)), cs.new_bottom(4, F(8))])
+    node = cs.union(first, second)
+    assert node_semantics(cs, node) == node_semantics(cs, first) | node_semantics(cs, second)
+    spine = node
+    while isinstance(spine, Union):
+        cs.check(spine)
+        spine = spine.right

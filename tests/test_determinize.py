@@ -27,7 +27,7 @@ from tcer.cea import (
     guard_sat,
     is_deterministic,
     is_monotonic,
-    simplify_boxes,
+    join_cells,
 )
 from tcer.compiler import compile_windowed
 from tcer.determinize import SyncResetViolation, determinize
@@ -50,7 +50,7 @@ def test_the_package_leaves_the_determinize_module_importable():
 
 def test_simplify_guard_rejoins_adjacent_intervals():
     boxes = [_conjunction([("z", "<=", 2)]), _conjunction([("z", ">", 2), ("z", "<=", 5)])]
-    assert simplify_boxes(boxes) == [clock_guard("z", "<=", 5)]
+    assert join_cells(boxes) == [clock_guard("z", "<=", 5)]
 
 
 def test_split_disjunctions_keeps_clock_mention():
@@ -254,6 +254,42 @@ def test_guard_types_partition_valuations(conjunctions, xv, yv):
         ivs = [iv for g in guards for z, iv in g if z == pieces[0][0]]
         ends = {0} | {iv.low for iv in ivs} | {iv.high for iv in ivs if iv.high is not None}
         assert len(pieces) <= 2 * len(ends)
+
+
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["x", "y", "w"]),
+                st.sampled_from(["=", "<", "<=", ">=", ">"]),
+                st.integers(0, 4),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        max_size=4,
+    ),
+    st.data(),
+)
+def test_join_cells_joins_kept_cells_into_disjoint_boxes(conjunctions, data):
+    """Any subset of the cells of random boxes on at most three clocks
+    joins into pairwise disjoint boxes that hold exactly on the kept cells,
+    at every valuation of a grid that meets every cell, and joining those
+    boxes again gives the same boxes (perhaps in another order)."""
+    guards = [g for g in map(_conjunction, conjunctions) if g is not None]
+    cells = list(itertools.product(*guard_cuts(guards)))
+    kept = [cell for cell in cells if data.draw(st.booleans())]
+    boxes = join_cells(kept)
+    for a, b in itertools.combinations(boxes, 2):
+        assert guard_meet(a, b) is None
+    clocks = sorted({z for cell in cells for z, _ in cell})
+    grid = [Fraction(n, 2) for n in range(11)]
+    for values in itertools.product(grid, repeat=len(clocks)):
+        nu = dict(zip(clocks, values))
+        inside = any(guard_sat(nu, cell) for cell in kept)
+        assert sum(guard_sat(nu, box) for box in boxes) == inside
+    again = join_cells(boxes)
+    assert len(again) == len(boxes) and set(again) == set(boxes)
 
 
 def _alternatives(k: int) -> str:

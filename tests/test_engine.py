@@ -177,6 +177,25 @@ def test_rejects_initial_transition_without_reset_of_checked_clock():
         StreamingEngine(cea)
 
 
+def test_a_guarded_transition_out_of_the_initial_state_never_fires():
+    """No clock is set before a run starts, so a guard out of the initial
+    state fails; the engine leaves that transition out and agrees with the
+    run oracle, which reads the uninitialized clock."""
+    cea = _one(
+        [
+            Transition(0, TypeIs("A"), TRUE, frozenset({"X"}), frozenset({"z"}), 1),
+            Transition(0, TypeIs("B"), clock_guard("z", "<=", 2), frozenset({"X"}), frozenset({"z"}), 2),
+            Transition(1, TypeIs("B"), clock_guard("z", "<=", 2), frozenset({"X"}), frozenset(), 2),
+        ]
+    )
+    engine = StreamingEngine(cea)
+    assert [tr.pred for tr in engine.out[0]] == [TypeIs("A")]
+    stream = random_stream(random.Random(7), 12)
+    for _, e, t in stream.pairs():
+        assert frozenset(engine.feed(e, t)) == eval_cea_at(cea, stream, engine.position, cap=12)
+    assert eval_cea_oracle(cea, stream, cap=12)
+
+
 # -- setup cost as predicates multiply ---------------------------------------
 
 
@@ -575,7 +594,7 @@ def _chain(preds) -> TimedCea:
 def _fed(engine: StreamingEngine, event: Event):
     """The ``(etype, values)`` that ``feed`` hands to ``step`` for the event."""
     seen = []
-    engine.step = lambda etype, values, ticks, event: seen.append((etype, values))
+    engine.step = lambda etype, values, ticks: seen.append((etype, values))
     try:
         engine.feed(event, 1)
     finally:
@@ -685,7 +704,7 @@ def _cell_counts(text: str, events, through_lines: bool, monkeypatch):
     engine = StreamingEngine(determinize(compile_windowed(parse_query(text))), debug=False)
     engine._types = _CountingDict(engine._types)
     step = engine.step
-    engine.step = lambda etype, values, ticks, event=None: step(etype, _CountingDict(values), ticks, event)
+    engine.step = lambda etype, values, ticks: step(etype, _CountingDict(values), ticks)
     if through_lines:
         items = read_stream((stream_line(event, ts) for event, ts in events), engine)
         run = engine.step

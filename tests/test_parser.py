@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from tcer import cel
-from tcer.model import Basic, Interval
+from tcer.model import And, Basic, Interval, Not, TrueP, TypeIs
 from tcer.parser import ParseError, parse_query, pretty
 from tcer.randgen import random_formula
 
@@ -115,6 +115,41 @@ def test_parse_error_reports_position():
     with pytest.raises(ParseError) as err:
         parse_query("A ;; B")
     assert "line" in str(err.value) or "column" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, pred",
+    [
+        ("not x < 3", Not(Basic("x", "<", 3))),
+        ("!x >= 1.5", Not(Basic("x", ">=", Fraction(3, 2)))),
+        ("!(x < 3 and x > 1)", Not(And(Basic("x", "<", 3), Basic("x", ">", 1)))),
+        ("not ! x = 3", Not(Not(Basic("x", "==", 3)))),
+        ("(type = B)", TypeIs("B")),
+        ("type == B and (true)", And(TypeIs("B"), TrueP())),
+        ('x = 3 and x != "s"', And(Basic("x", "==", 3), Basic("x", "!=", "s"))),
+    ],
+)
+def test_predicate_syntax_parses_and_round_trips(text, pred):
+    phi = parse_query(f"A as X filter X[{text}]")
+    assert phi == cel.Filter(cel.As(cel.EventType("A"), "X"), "X", pred)
+    assert parse_query(pretty(phi)) == phi
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("A as X filter X[type < B]", "expected '=' after 'type' (line 1, column 22)"),
+        ("A as X filter X[type", "expected '=' after 'type' (line 1, column 17)"),
+        ("A as X filter X[x 3]", "expected comparison operator, found '3' (line 1, column 19)"),
+        ("A as X filter X[x", "expected comparison operator (line 1, column 17)"),
+        ("A as X filter X[x <]", "expected constant, found ']' (line 1, column 20)"),
+        ("A as X filter X[x <", "expected constant (line 1, column 19)"),
+    ],
+)
+def test_predicate_syntax_errors_name_what_is_missing(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_query(text)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("seed", range(60))
