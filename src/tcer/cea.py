@@ -506,9 +506,9 @@ def guard_from_json(doc, where: str) -> tuple[list[Guard], frozenset[str]]:
     transition each, and the clocks the tree mentions.  The boxes are
     pairwise disjoint, and each checks every mentioned clock: an
     uninitialized clock fails the whole guard, even under ``or``.  They are
-    built bottom-up and made disjoint at every node (``_disjoint``); a tree
-    that needs more than ``MAX_GUARD_BOXES`` disjoint boxes at a node, or
-    more than its cube of cells to make them, is refused."""
+    built bottom-up; the root, and a node with more than ``MAX_GUARD_BOXES``
+    boxes, are made disjoint (``_disjoint``), and refused if that needs more
+    than ``MAX_GUARD_BOXES`` boxes or more than their cube of cells."""
     boxes, mentioned = _guard_boxes(doc, where, 0)
     boxes = [
         b + tuple((z, FULL_INTERVAL) for z in sorted(mentioned - guard_clocks(b))) for b in boxes
@@ -535,7 +535,8 @@ def _guard_boxes(doc, where: str, depth: int) -> tuple[list[Guard], set[str]]:
         boxes = left + right
     else:
         boxes = [m for a in left for b in right if (m := guard_meet(a, b)) is not None]
-    boxes = _disjoint(boxes, where)
+    if depth == 0 or len(boxes) > MAX_GUARD_BOXES:
+        boxes = _disjoint(boxes, where)
     if len(boxes) > MAX_GUARD_BOXES:
         raise AutomatonFormatError(f"{where}: more than {MAX_GUARD_BOXES} boxes")
     return boxes, left_clocks | right_clocks

@@ -2,10 +2,10 @@
 
 Streams are JSON Lines, one event per line:
 ``{"type": "H", "attrs": {"temp": 45}, "ts": "2.5"}``.
-Timestamps and numeric attributes are parsed as exact decimal rationals.
-A streaming run reads each line for its engine instead: the timestamp and
-only the attributes the query's predicates read, in the engine's int units,
-each number read from its digits; the other attributes are only checked.
+One parser reads every line (``read_stream``), each number from its digits:
+as an exact rational for the library and the oracle engines, or, for a
+streaming run, the timestamp and only the attributes the query's predicates
+read, in the engine's int units; the other attributes are only checked.
 
 ``run`` prints each match as a JSON line as soon as it is produced, in
 ``(end, start, bindings)`` order, with ``pos`` the match's end, so the three
@@ -34,6 +34,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from json.decoder import WHITESPACE
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Optional
 
@@ -42,7 +43,9 @@ from .cel import classify, eval_cel_oracle
 from .compiler import NotWindowed, compile_cel, compile_windowed
 from .determinize import SyncResetViolation, determinize
 from .engine import NotStreamable, StreamingEngine
-from .model import MAX_DIGITS, ComplexEvent, Event, TimedStream, format_rat, rat, to_units
+from .model import (
+    MAX_DIGITS, ComplexEvent, DecimalText, Event, TimedStream, format_rat, number_text, to_units
+)
 from .parser import ParseError, parse_query, pretty
 
 
@@ -51,36 +54,59 @@ class StreamFormatError(Exception):
 
 
 def _int_text(text: str) -> int:
-    """``parse_int`` for both readers: an integer past ``MAX_DIGITS`` is
-    refused as ``rat`` refuses a decimal."""
+    """``parse_int`` for the reader: past ``MAX_DIGITS``, refused as by ``rat``."""
     if len(text) > MAX_DIGITS:
         raise ValueError(f"number longer than {MAX_DIGITS} digits")
     return int(text)
 
 
-# One decoder for every line: ``json.loads`` with ``parse_float`` builds a
-# new one per call.
-_EVENT_DECODER = json.JSONDecoder(parse_float=rat, parse_int=_int_text)
+# the one decoder (``json.loads`` with a hook would build one per call)
+_decode = json.JSONDecoder(parse_float=number_text, parse_int=_int_text).raw_decode
+_KINDS = (str, DecimalText, int, Fraction)
 
 
-def parse_stream_line(line: str, lineno: int) -> tuple[Event, Fraction]:
+def _parse(line: str, lineno: int, reads: Optional[dict], scale: int):
+    """A stripped stream line's ``(etype, values, time)``, the time in units
+    of ``1/scale``.  Every attribute is checked.  With an engine's ``reads``,
+    ``values`` holds only those it names, a number in the units it gives;
+    without, every attribute, a number exact.  Only the latter keeps nulls
+    and booleans."""
     try:
-        obj = _EVENT_DECODER.decode(line)
+        obj, end = _decode(line)
     except (ValueError, RecursionError) as exc:
+        raise StreamFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+    if end != len(line):  # the error ``json.loads`` raises
+        exc = json.JSONDecodeError("Extra data", line, WHITESPACE.match(line, end).end())
         raise StreamFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
     try:
         etype = obj["type"]
         attrs = obj.get("attrs", {})
-        ts = rat(obj["ts"])
+        time = to_units(obj["ts"], scale)
     except (KeyError, TypeError, ValueError) as exc:
+        if obj.__class__ is DecimalText:  # a line that is one decimal, named as in exponent form
+            exc = TypeError("'Fraction' object is not subscriptable")
         raise StreamFormatError(f"line {lineno}: bad event object: {exc}") from exc
-    if not isinstance(etype, str) or not isinstance(attrs, dict):
+    if etype.__class__ is not str or attrs.__class__ is not dict:
         raise StreamFormatError(f"line {lineno}: bad event object")
+    # without an engine the converted numbers replace their text in place
+    values = attrs if reads is None else {}
     for name, value in attrs.items():
-        if value is not None and not isinstance(value, (str, int, Fraction)):
+        kind = value.__class__
+        if kind in _KINDS:
+            units = 1 if reads is None else reads.get(name)
+            if units is not None:
+                values[name] = value if kind is str else to_units(value, units)
+        elif value is not None and kind is not bool:
             raise StreamFormatError(
                 f"line {lineno}: attribute {name!r} is not a number, string, boolean or null"
             )
+    return etype, values, time
+
+
+def parse_stream_line(line: str, lineno: int) -> tuple[Event, int | Fraction]:
+    """The line's event and timestamp, each number exact: an int when it is
+    whole, else a ``Fraction``."""
+    etype, attrs, ts = _parse(line.strip(), lineno, None, 1)
     return Event(etype, attrs), ts
 
 
@@ -102,91 +128,26 @@ def _json_value(value) -> str:
     return json.dumps(value)  # an int, a bool or None
 
 
-class _Decimal(str):
-    """A JSON number's text, in plain decimal form within ``MAX_DIGITS``."""
-
-    __slots__ = ()
-
-
-def _number_text(text: str):
-    """``parse_float`` for the engine's reader: a plain decimal within
-    ``MAX_DIGITS`` stays its text, and any other form is read by ``rat``, so
-    the decoder refuses a number past ``MAX_DIGITS``, read or not, as the
-    default reader's does."""
-    if len(text) > MAX_DIGITS or "e" in text or "E" in text:
-        return rat(text)
-    return _Decimal(text)
-
-
-_TEXT_DECODER = json.JSONDecoder(parse_float=_number_text, parse_int=_int_text)
-
-
 def read_stream(fh, engine: Optional[StreamingEngine] = None):
     """Yield (event, timestamp) pairs, enforcing positive, strictly
-    increasing time.
-
-    Given a streaming engine, yield its ``step``'s ``(etype, values,
-    ticks)`` instead: the timestamp in the engine's ticks, and only the
-    attributes its atoms read, in units (``engine.reads``), each number read
-    from its digits; a string stays a string, and a null or a boolean is left
-    out.  The other attributes are only checked, for their kind and, through
-    the decoder, for ``MAX_DIGITS``.  Every bad line raises what the default
-    reader raises for it."""
-    if engine is not None:
-        yield from _read_units(fh, engine)
-        return
+    increasing time.  Given a streaming engine, yield its ``step``'s
+    ``(etype, values, ticks)`` instead, ``values`` holding only what it
+    reads (``engine.reads``).  Both go through ``_parse``, so a bad line
+    raises the same error with or without an engine."""
+    reads, scale = (None, 1) if engine is None else (engine.reads, engine.scale)
     last = 0
     for lineno, line in enumerate(fh, start=1):
         line = line.strip()
         if not line:
             continue
-        event, ts = parse_stream_line(line, lineno)
-        if ts <= last:
-            raise _time_error(lineno, ts, last)
-        last = ts
-        yield event, ts
-
-
-def _time_error(lineno: int, ts: Fraction, last: Fraction) -> StreamFormatError:
-    return StreamFormatError(
-        f"line {lineno}: timestamp {format_rat(ts)} is not above "
-        f"{format_rat(last)}; timestamps must be positive and increase"
-    )
-
-
-def _read_units(fh, engine: StreamingEngine):
-    """``read_stream`` for the engine.  A line it finds bad goes to
-    ``parse_stream_line``, which raises the default reader's error for it."""
-    decode, scale, reads = _TEXT_DECODER.raw_decode, engine.scale, engine.reads
-    last = 0
-    for lineno, line in enumerate(fh, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj, end = decode(line)
-            etype = obj["type"]
-            attrs = obj.get("attrs", {})
-            ticks = to_units(obj["ts"], scale)
-        except (KeyError, TypeError, ValueError, RecursionError):
-            parse_stream_line(line, lineno)
-            raise
-        # a stripped line is one JSON value when the value ends the line
-        if end != len(line) or etype.__class__ is not str or not isinstance(attrs, dict):
-            parse_stream_line(line, lineno)
-        values = {}
-        for name, value in attrs.items():
-            if value is None or value.__class__ is bool:
-                continue
-            if not isinstance(value, (str, int, Fraction)):
-                parse_stream_line(line, lineno)
-            units = reads.get(name)
-            if units is not None:
-                values[name] = value if value.__class__ is str else to_units(value, units)
-        if ticks <= last:
-            raise _time_error(lineno, Fraction(ticks, scale), Fraction(last, scale))
-        last = ticks
-        yield etype, values, ticks
+        etype, values, time = _parse(line, lineno, reads, scale)
+        if time <= last:
+            raise StreamFormatError(
+                f"line {lineno}: timestamp {format_rat(Fraction(time, scale))} is not above "
+                f"{format_rat(Fraction(last, scale))}; timestamps must be positive and increase"
+            )
+        last = time
+        yield (Event(etype, values), time) if engine is None else (etype, values, time)
 
 
 def ce_sort_key(ce: ComplexEvent):

@@ -66,26 +66,44 @@ def rat(value: Union[int, str, Fraction]) -> Fraction:
     return Fraction(value)
 
 
+class DecimalText(str):
+    """A number's text in plain decimal form within ``MAX_DIGITS``, which
+    ``to_units`` reads without matching it."""
+
+    __slots__ = ()
+
+
+def number_text(text: str) -> Union[DecimalText, Fraction]:
+    """``parse_float`` for a JSON decoder: a plain decimal within
+    ``MAX_DIGITS`` stays its text, and any other form is read by ``rat``, so
+    the decoder refuses a number past ``MAX_DIGITS`` wherever it stands."""
+    if len(text) > MAX_DIGITS or "e" in text or "E" in text:
+        return rat(text)
+    return DecimalText(text)
+
+
 def to_units(value: Union[int, str, Fraction], scale: int) -> Union[int, Fraction]:
     """``rat(value)`` counted in units of ``1/scale``, exactly: an int when
     the count is whole, else a ``Fraction``.  An int is multiplied, and a
-    plain decimal string is read from its digits, as ``rat``'s fast path
-    reads it; any other value goes through ``rat`` and raises as it does."""
-    if value.__class__ is int:
+    plain decimal string is read from its digits, a ``DecimalText`` without
+    a match; any other value goes through ``rat`` and raises as it does."""
+    kind = type(value)
+    if kind is int:
         return value * scale
-    if value.__class__ is Fraction:
+    if kind is Fraction:
         n, d = value.as_integer_ratio()
+    elif kind is DecimalText or (
+        isinstance(value, str) and len(value) <= MAX_DIGITS and _PLAIN_DECIMAL.fullmatch(value)
+    ):
+        whole, _, frac = value.partition(".")
+        n, d = int(whole + frac), 10 ** len(frac)
     else:
-        plain = _PLAIN_DECIMAL.fullmatch(value) if isinstance(value, str) else None
-        if plain is not None and len(value) <= MAX_DIGITS:
-            whole, frac = plain.groups()
-            if frac is None:
-                return int(whole) * scale
-            n, d = int(whole + frac), 10 ** len(frac)
-        else:
-            n, d = rat(value).as_integer_ratio()
+        n, d = rat(value).as_integer_ratio()
     q, r = divmod(scale, d)
-    return n * q if r == 0 else Fraction(n * scale, d)
+    if r == 0:
+        return n * q
+    n *= scale
+    return Fraction(n, d) if n % d else n // d
 
 
 # ---------------------------------------------------------------------------

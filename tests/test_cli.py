@@ -85,6 +85,54 @@ def test_bad_stream_lines(line):
         parse_stream_line(line, 7)
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        pytest.param(
+            ['{"type": "A", "ts": 1'],
+            "line 1: invalid JSON: Expecting ',' delimiter: line 1 column 22 (char 21)",
+            id="invalid-json",
+        ),
+        pytest.param(
+            ['{"type": "A", "ts": 1}  x'],
+            "line 1: invalid JSON: Extra data: line 1 column 25 (char 24)",
+            id="extra-data",
+        ),
+        pytest.param(['{"ts": 1}'], "line 1: bad event object: 'type'", id="missing-type"),
+        pytest.param(
+            ['{"type": "A", "ts": "x"}'],
+            "line 1: bad event object: Invalid literal for Fraction: 'x'",
+            id="bad-ts",
+        ),
+        pytest.param(
+            ['{"type": "A", "attrs": {"y": [1]}, "ts": 1}'],
+            "line 1: attribute 'y' is not a number, string, boolean or null",
+            id="list-attribute",
+        ),
+        pytest.param(
+            ['{"type": "A", "attrs": {"y": 0.' + "1" * MAX_DIGITS + '}, "ts": 1}'],
+            f"line 1: invalid JSON: number longer than {MAX_DIGITS} digits",
+            id="long-unread-number",
+        ),
+        pytest.param(
+            ['{"type": "A", "ts": 2}', '{"type": "A", "ts": "1.5"}'],
+            "line 2: timestamp 1.5 is not above 2; timestamps must be positive and increase",
+            id="time-not-increasing",
+        ),
+        pytest.param(
+            ["1.5"], "line 1: bad event object: 'Fraction' object is not subscriptable", id="one-number"
+        ),
+    ],
+)
+def test_a_bad_line_raises_one_message_with_or_without_an_engine(lines, message):
+    """The query reads ``x``; ``y`` is only checked."""
+    engine = cli.streaming_engine(parse_query("A as X filter X[x < 2.5]"))
+    for reader in (read_stream(lines), read_stream(lines, engine)):
+        with pytest.raises(StreamFormatError) as caught:
+            list(reader)
+        assert str(caught.value) == message
+
+
 # -- three engines agree on the reference query -------------------------------
 
 
@@ -911,15 +959,15 @@ def test_the_engine_reader_agrees_with_the_default_reader_on_fuzzed_streams(quer
 
 
 def test_diff_test_streams_each_case_through_the_engine_reader(capsys, monkeypatch):
-    """A reader that loses the attributes is caught: the line-by-line run
-    of a streamed case disagrees with the oracle."""
-    read_units = cli._read_units
+    """A parser that loses the attributes an engine reads is caught: the
+    line-by-line run of a streamed case disagrees with the oracle."""
+    parse = cli._parse
 
-    def lossy(fh, engine):
-        for etype, _, ticks in read_units(fh, engine):
-            yield etype, {}, ticks
+    def lossy(line, lineno, reads, scale):
+        etype, values, time = parse(line, lineno, reads, scale)
+        return etype, values if reads is None else {}, time
 
-    monkeypatch.setattr(cli, "_read_units", lossy)
+    monkeypatch.setattr(cli, "_parse", lossy)
     code, _, err = _run(capsys, ["diff-test", "--seed", "1", "--cases", "200", "--max-stream", "8"])
     assert code == 1
     assert "streaming engine disagrees on stream lines for" in err

@@ -8,7 +8,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from tcer import cel
 from tcer.cea import TRUE, TimedCea, Transition, clock_guard
@@ -19,6 +19,7 @@ from tcer.model import (
     And,
     Basic,
     ComplexEvent,
+    DecimalText,
     Event,
     Interval,
     MAX_DIGITS,
@@ -28,6 +29,7 @@ from tcer.model import (
     TypeIs,
     event_cells,
     project_ce,
+    number_text,
     rat,
     sat,
     to_units,
@@ -116,9 +118,18 @@ def test_rat_agrees_with_fraction_on_every_string(text):
         st.sampled_from(_ODD_NUMBERS),
         st.integers(-10**12, 10**12),
         st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 1000)),
+        # a JSON number's text as the stream decoder hands it over
+        st.from_regex(
+            r"-?(0|[1-9][0-9]{0,12})(\.[0-9]{1,12})?([eE][-+]?[0-9]{1,2})?", fullmatch=True
+        ).map(number_text),
     ),
     st.sampled_from([1, 10**9, 3 * 10**9, 7 * 10**10]),
 )
+@example("2.50", 2)
+@example("2.0", 1)
+@example("-0.0", 1)
+@example("1.0000000000", 10**9)
+@example(DecimalText("-0.0"), 1)
 def test_to_units_counts_what_rat_reads(value, scale):
     """``rat(value) · scale`` exactly, an int when it is whole, or the error
     ``rat`` raises."""
