@@ -6,12 +6,14 @@ clock it checks, in the order the clocks were first checked.  The empty box
 is true.  A clock that a box checks fails it while uninitialized, so a box
 keeps a ``[0, inf)`` entry for a clock it checks but does not bound.  A
 disjunction of guards is several transitions, made disjoint one way by
-``determinize`` and the automaton loader alike: ``guard_cuts`` cuts the
-valuations into cells, and ``join_cells`` joins the covered cells back.
+``determinize`` and the automaton loader alike: ``guard_types`` cuts the
+valuations into cells (``guard_cuts``) and groups them by the guards that
+cover them, and ``join_cells`` joins the kept cells back into boxes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -63,12 +65,6 @@ def guard_meet(g: Guard, h: Guard) -> Optional[Guard]:
     return tuple(box.items())
 
 
-def guard_covers(g: Guard, h: Guard) -> bool:
-    """Does every valuation that passes ``h`` pass ``g``?"""
-    inner = dict(h)
-    return all(z in inner and iv.covers(inner[z]) for z, iv in g)
-
-
 def guard_clocks(g: Guard) -> frozenset[str]:
     return frozenset([z for z, _ in g])
 
@@ -76,14 +72,9 @@ def guard_clocks(g: Guard) -> frozenset[str]:
 def guard_sat(nu: ClockValuation, g: Guard) -> bool:
     """A valuation passes a guard only if it initializes every clock the
     guard checks."""
-    for z, (low, high, low_closed, high_closed) in g:
+    for z, iv in g:
         v = nu.get(z)
-        if v is None:
-            return False
-        # a clock is never negative, so a closed low end at 0 always holds
-        if (low or not low_closed) and (v < low if low_closed else v <= low):
-            return False
-        if high is not None and (v > high if high_closed else v >= high):
+        if v is None or not iv.contains(v):
             return False
     return True
 
@@ -128,31 +119,53 @@ def constant_scale(cea: TimedCea) -> int:
 # --- guard cells: the partition determinization splits valuations by ------
 
 
-def guard_cuts(guards: Iterable[Guard]) -> list[list[tuple[str, Interval]]]:
+def guard_cuts(guards: Sequence[Guard]) -> list[list[tuple[tuple[str, Interval], int]]]:
     """For each clock the guards check, in clock order, ``[0, inf)`` cut at
-    every end of the guards' intervals on it, with neighbouring pieces that
-    lie in the same intervals joined again.  Each piece lies inside or
-    outside each interval, so a cell, one piece per clock (a box), lies
-    inside or outside each guard, and the cells partition the valuations."""
-    by_clock: dict[str, set[Interval]] = {}
-    for g in guards:
+    every end of their intervals on it into pieces ``(clock, interval)``,
+    each with the mask of the guards that cover it (bit ``i`` for
+    ``guards[i]``, set on every piece of a clock it does not check), and
+    neighbouring pieces with one mask joined again.  A cell, one piece per
+    clock (a box), lies inside or outside each guard, and the cells
+    partition the valuations.  Before the join, an interval is a run of
+    points ``ends[n]`` and the gaps after them, so its bit flips at the run's
+    ends."""
+    by_clock: dict[str, list[tuple[Interval, int]]] = {}
+    for i, g in enumerate(guards):
         for z, iv in g:
-            by_clock.setdefault(z, set()).add(iv)
+            by_clock.setdefault(z, []).append((iv, 1 << i))
     cuts = []
     for z, ivs in sorted(by_clock.items()):
-        ends = sorted({Fraction(0)} | {iv.low for iv in ivs} | {iv.high for iv in ivs} - {None})
-        pieces: list[tuple[str, Interval]] = []
-        last = None
-        for a, b in zip(ends, ends[1:] + [None]):
-            for piece in (Interval._make((a, a, True, True)), Interval._make((a, b, False, False))):
-                inside = [iv.covers(piece) for iv in ivs]
-                if inside == last:
-                    pieces[-1] = (z, pieces[-1][1].join(piece))
-                else:
-                    pieces.append((z, piece))
-                    last = inside
+        ends = sorted({Fraction(0)} | {e for iv, _ in ivs for e in (iv.low, iv.high)} - {None})
+        at = {e: 2 * n for n, e in enumerate(ends)}
+        flips = [0] * (2 * len(ends) + 1)
+        mask = (1 << len(guards)) - 1
+        for iv, bit in ivs:
+            mask ^= bit
+            flips[at[iv.low] + (not iv.low_closed)] ^= bit
+            flips[-1 if iv.high is None else at[iv.high] + iv.high_closed] ^= bit
+        pieces: list[tuple[tuple[str, Interval], int]] = []
+        for n, (a, b) in enumerate(zip(ends, ends[1:] + [None])):
+            for j, ends_of_piece in enumerate([(a, a, True, True), (a, b, False, False)]):
+                mask ^= flips[2 * n + j]
+                piece = Interval._make(ends_of_piece)
+                if pieces and pieces[-1][1] == mask:
+                    piece = pieces.pop()[0][1].join(piece)
+                pieces.append(((z, piece), mask))
         cuts.append(pieces)
     return cuts
+
+
+def guard_types(cuts: list, k: int) -> list[tuple[int, list[Guard]]]:
+    """The cells of ``cuts``, the ``guard_cuts`` of ``k`` guards, grouped by
+    the guards that cover them, each group with its mask (the meet of its
+    pieces' masks), in the order of ``(True, False)^k`` over the guards: by
+    the mask's bits from the first guard's on, set first.  A group's cells
+    come in product order."""
+    groups: dict[int, list[Guard]] = {}
+    for cell in itertools.product(*cuts):
+        mask = functools.reduce(int.__and__, [m for _, m in cell], (1 << k) - 1)
+        groups.setdefault(mask, []).append(tuple([piece for piece, _ in cell]))
+    return sorted(groups.items(), key=lambda group: f"{group[0]:0{k}b}"[::-1], reverse=True)
 
 
 def join_cells(cells: Sequence[Guard]) -> list[Guard]:
@@ -497,67 +510,82 @@ def guard_to_json(g: Guard):
     return tree or {"kind": "true"}
 
 
-# The boxes one guard of an automaton file may need, at any node of its tree
+# The boxes one guard of an automaton file may load as, and the entries the
+# cells of a guard that is not a conjunction may hold: a piece per clock and
+# a bit per atom of ``guard_types``
 MAX_GUARD_BOXES = 16
+MAX_GUARD_ENTRIES = 2**20
 
 
 def guard_from_json(doc, where: str) -> tuple[list[Guard], frozenset[str]]:
     """The boxes of a ``true``/``false``/``cmp``/``and``/``or`` tree, one
-    transition each, and the clocks the tree mentions.  The boxes are
-    pairwise disjoint, and each checks every mentioned clock: an
-    uninitialized clock fails the whole guard, even under ``or``.  They are
-    built bottom-up; the root, and a node with more than ``MAX_GUARD_BOXES``
-    boxes, are made disjoint (``_disjoint``), and refused if that needs more
-    than ``MAX_GUARD_BOXES`` boxes or more than their cube of cells."""
-    boxes, mentioned = _guard_boxes(doc, where, 0)
-    boxes = [
-        b + tuple((z, FULL_INTERVAL) for z in sorted(mentioned - guard_clocks(b))) for b in boxes
-    ]
-    return boxes, frozenset(mentioned)
+    transition each, and the clocks it mentions: the meet of its comparisons
+    for a conjunction (at most one box), else the tree decided once per type
+    of cell (``guard_types``) of its comparisons and of ``[0, inf)`` on each
+    mentioned clock, and the cells where it holds joined (``join_cells``).
+    So the boxes are disjoint, and each checks every mentioned clock, in
+    order of first mention: an unset clock fails the guard, even under
+    ``or``."""
+    leaves: dict[Guard, int] = {}
+    clocks: dict[str, int] = {}
+    tree = _guard_tree(doc, where, 0, leaves, clocks)
+    for z in clocks:
+        leaves.setdefault(((z, FULL_INTERVAL),), len(leaves))
+    if _is_conjunction(tree):
+        # it holds where all its comparisons do, unless it has a ``false``
+        boxes = [TRUE] if _holds(tree, -1) else []
+        for leaf in leaves:
+            boxes = [m for b in boxes if (m := guard_meet(b, leaf)) is not None]
+    else:
+        cuts = guard_cuts(list(leaves))
+        if math.prod(map(len, cuts)) * (len(clocks) + len(leaves)) > MAX_GUARD_ENTRIES:
+            raise AutomatonFormatError(f"{where}: more than {MAX_GUARD_ENTRIES} cell entries")
+        types = guard_types(cuts, len(leaves))
+        boxes = join_cells([c for mask, cells in types if _holds(tree, mask) for c in cells])
+        if len(boxes) > MAX_GUARD_BOXES:
+            raise AutomatonFormatError(f"{where}: more than {MAX_GUARD_BOXES} boxes")
+    return [tuple(sorted(b, key=lambda pair: clocks[pair[0]])) for b in boxes], frozenset(clocks)
 
 
-def _guard_boxes(doc, where: str, depth: int) -> tuple[list[Guard], set[str]]:
+def _guard_tree(doc, where: str, depth: int, leaves: dict, clocks: dict):
+    """A checked guard tree: ``(kind, left, right)`` for ``and``/``or``, a
+    bool for ``true``/``false``, and ``1 << i`` for a comparison whose box is
+    the ``i``-th of ``leaves`` (False when no value passes it); ``clocks``
+    numbers the clocks the tree mentions in order of first mention."""
     if depth > MAX_QUERY_DEPTH:
         raise AutomatonFormatError(f"{where}: nested deeper than {MAX_QUERY_DEPTH}")
     kind = _field(doc, "kind", str, where)
     if kind in ("true", "false"):
-        return ([TRUE] if kind == "true" else []), set()
+        return kind == "true"
     if kind == "cmp":
         clock = _field(doc, "clock", str, where)
         constant = model.rat(_field(doc, "constant", str, where))
         g = clock_guard(clock, _field(doc, "op", str, where), constant)
-        return ([] if g is None else [g]), {clock}
+        clocks.setdefault(clock, len(clocks))
+        return False if g is None else 1 << leaves.setdefault(g, len(leaves))
     if kind not in ("and", "or"):
         raise AutomatonFormatError(f"{where}: unknown guard kind {kind!r}")
-    left, left_clocks = _guard_boxes(doc.get("left"), where, depth + 1)
-    right, right_clocks = _guard_boxes(doc.get("right"), where, depth + 1)
-    if kind == "or":
-        boxes = left + right
-    else:
-        boxes = [m for a in left for b in right if (m := guard_meet(a, b)) is not None]
-    if depth == 0 or len(boxes) > MAX_GUARD_BOXES:
-        boxes = _disjoint(boxes, where)
-    if len(boxes) > MAX_GUARD_BOXES:
-        raise AutomatonFormatError(f"{where}: more than {MAX_GUARD_BOXES} boxes")
-    return boxes, left_clocks | right_clocks
+    left = _guard_tree(doc.get("left"), where, depth + 1, leaves, clocks)
+    return kind, left, _guard_tree(doc.get("right"), where, depth + 1, leaves, clocks)
 
 
-def _disjoint(boxes: list[Guard], where: str) -> list[Guard]:
-    """The union of two or more boxes as disjoint boxes, each checking
-    every clock some box checks: the cells of their cuts that some box
-    covers, joined as ``determinize`` joins its cells."""
-    if len(boxes) < 2:
-        return boxes
-    cuts = guard_cuts(boxes)
-    if math.prod(map(len, cuts)) > MAX_GUARD_BOXES**3:
-        raise AutomatonFormatError(f"{where}: more than {MAX_GUARD_BOXES**3} cells")
-    covered = set()
-    for b in boxes:
-        box = dict(b)
-        # each clock's pieces inside the box: their product is its cells
-        inside = [[(z, iv) for z, iv in ps if z not in box or box[z].covers(iv)] for ps in cuts]
-        covered.update(itertools.product(*inside))
-    return join_cells([c for c in itertools.product(*cuts) if c in covered])
+def _is_conjunction(tree) -> bool:
+    return not isinstance(tree, tuple) or (
+        tree[0] == "and" and _is_conjunction(tree[1]) and _is_conjunction(tree[2])
+    )
+
+
+def _holds(tree, mask: int) -> bool:
+    """Does the tree hold on the cells that the comparisons in ``mask``
+    cover?"""
+    if isinstance(tree, bool):
+        return tree
+    if isinstance(tree, int):
+        return mask & tree != 0
+    kind, left, right = tree
+    if kind == "and":
+        return _holds(left, mask) and _holds(right, mask)
+    return _holds(left, mask) or _holds(right, mask)
 
 
 def cea_to_json(cea: TimedCea) -> dict:

@@ -283,7 +283,7 @@ def _within_wrap(b: _Build, interval: Interval, z_n: str, fresh: _Fresh) -> _Bui
             tr = Transition(tr.source, tr.pred, tr.guard, tr.label, tr.resets | {z_n}, tr.target)
             if tr.target not in b.finals:
                 delta.append(tr)
-            elif interval.contains_zero():
+            elif interval.contains(0):
                 # single-event matches are possible only when 0 lies in the window
                 delta.append(_retarget(tr, q_f))
         else:

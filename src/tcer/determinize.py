@@ -6,8 +6,9 @@ Each source-state subset is split along two partitions: predicate cells
 cell is one piece of ``[0, inf)`` per clock that the outgoing guards check,
 cut at every end of their intervals on it (``cea.guard_cuts``), so it lies
 inside or outside each guard and the number of pieces per clock is linear
-in the guards.  The cell then has a unique set of matching transitions, so
-a unique target subset and — thanks to synchronous resets — a unique reset
+in the guards.  ``cea.guard_types`` groups the cells by the guards that
+cover them.  A cell then has a unique set of matching transitions, so a
+unique target subset and — thanks to synchronous resets — a unique reset
 set.
 
 The cells equal in everything but the guard are joined again by
@@ -18,7 +19,6 @@ automaton.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .cea import (
@@ -27,8 +27,8 @@ from .cea import (
     TimedCea,
     Transition,
     guard_clocks,
-    guard_covers,
     guard_cuts,
+    guard_types,
     join_cells,
     reachable,
 )
@@ -136,21 +136,18 @@ def determinize(cea: TimedCea) -> TimedCea:
         ]
         if not out:
             continue
-        preds = _dedup([tr.pred for tr in out])
-        guards = _dedup([tr.guard for tr in out if tr.guard])
-        labels = _dedup([tr.label for tr in out])
-        # the subset's transitions by label, each with the index of its
-        # predicate and of its guard (None for true), in the order of ``out``
-        by_label: dict[frozenset, list] = {label: [] for label in labels}
+        preds = list(dict.fromkeys([tr.pred for tr in out]))
+        guards = list(dict.fromkeys([tr.guard for tr in out]))
+        pred_at = {p: i for i, p in enumerate(preds)}
+        guard_bit = {g: 1 << i for i, g in enumerate(guards)}
+        # the subset's transitions by label, in the order of ``out``, each
+        # with the index of its predicate and the bit of its guard
+        by_label: dict[frozenset, list] = {}
         for tr in out:
-            gi = guards.index(tr.guard) if tr.guard else None
-            by_label[tr.label].append((tr, preds.index(tr.pred), gi))
+            by_label.setdefault(tr.label, []).append((tr, pred_at[tr.pred], guard_bit[tr.guard]))
         # the guard cells, by the guards that hold on them, in the order of
         # the product (True, False)^k; the same for every predicate cell
-        by_bits: dict[tuple[bool, ...], list[Guard]] = {}
-        for cell in itertools.product(*guard_cuts(guards)):
-            by_bits.setdefault(tuple([guard_covers(g, cell) for g in guards]), []).append(cell)
-        guard_types = sorted(by_bits.items(), key=lambda item: [not b for b in item[0]])
+        groups = guard_types(guard_cuts(guards), len(guards))
         # the events' cells, in the order of the product (True, False)^k
         for s_bits in sorted(event_cells(preds), key=lambda b: [not x for x in b]):
             chosen = [p for p, b in zip(preds, s_bits) if b]
@@ -161,12 +158,12 @@ def determinize(cea: TimedCea) -> TimedCea:
             )
             # per label, the transitions whose predicate holds in the cell
             live = [
-                (label, [(tr, gi) for tr, pi, gi in by_label[label] if s_bits[pi]])
-                for label in labels
+                (label, [(tr, bit) for tr, pi, bit in trs if s_bits[pi]])
+                for label, trs in by_label.items()
             ]
-            for g_bits, cells in guard_types:
+            for mask, cells in groups:
                 for label, candidates in live:
-                    matching = [tr for tr, gi in candidates if gi is None or g_bits[gi]]
+                    matching = [tr for tr, bit in candidates if mask & bit]
                     if not matching:
                         continue
                     resets = matching[0].resets
@@ -234,11 +231,3 @@ def _name_states(keys) -> dict[tuple, tuple]:
             for key in group:
                 names[key] = base + (tuple(sorted(key[1])),)
     return names
-
-
-def _dedup(items: list) -> list:
-    out = []
-    for item in items:
-        if item not in out:
-            out.append(item)
-    return out

@@ -188,30 +188,11 @@ class Interval(namedtuple("Interval", "low high low_closed high_closed")):
             hi, hc = hi1, hc1
         return self._make((lo1, hi, lc1, hc))
 
-    def covers(self, other: "Interval") -> bool:
-        """Does ``other`` lie inside this interval?"""
-        lo1, hi1, lc1, hc1 = self
-        lo2, hi2, lc2, hc2 = other
-        if (lo2 <= lo1) if lc2 and not lc1 else (lo2 < lo1):
-            return False
-        if hi1 is None:
-            return True
-        return hi2 is not None and ((hi2 <= hi1) if hc1 or not hc2 else (hi2 < hi1))
-
     def contains(self, value: Fraction) -> bool:
-        if self.low_closed:
-            if value < self.low:
-                return False
-        elif value <= self.low:
-            return False
-        if self.high is None:
-            return True
-        if self.high_closed:
-            return value <= self.high
-        return value < self.high
-
-    def contains_zero(self) -> bool:
-        return self.contains(Fraction(0))
+        low, high, low_closed, high_closed = self
+        return (low <= value if low_closed else low < value) and (
+            high is None or (value <= high if high_closed else value < high)
+        )
 
     def __str__(self) -> str:
         lo = "[" if self.low_closed else "("

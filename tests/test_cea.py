@@ -23,6 +23,7 @@ from tcer.cea import (
     guard_meet,
     guard_sat,
     guard_size,
+    guard_to_json,
     is_deterministic,
     is_monotonic,
     reset,
@@ -58,6 +59,25 @@ def test_uninitialized_clock_fails_even_under_or():
     assert mentioned == {"x", "z"}
     assert boxes == [(("x", FULL_INTERVAL), ("z", FULL_INTERVAL))]
     assert not any(guard_sat(nu, box) for box in boxes)
+
+
+def test_a_written_box_reloads_with_its_clocks_in_order():
+    """A box written with ``y`` first reloads as the same box, and a
+    disjunction's boxes check their clocks in order of first mention."""
+    g = guard_meet(clock_guard("y", ">", 2), guard_meet(clock_guard("x", "<=", 3), clock_guard("w", ">=", 0)))
+    assert guard_from_json(guard_to_json(g), "guard") == ([g], {"x", "y", "w"})
+    doc = {"kind": "or", "left": _cmp("y", "<", 1), "right": _cmp("x", ">", 2)}
+    boxes, _ = guard_from_json(doc, "guard")
+    assert [[z for z, _ in box] for box in boxes] == [["y", "x"]] * 2
+
+
+@pytest.mark.parametrize("clocks", [9, 24])
+@pytest.mark.parametrize("interval", [Interval(0, 5), Interval(1, 2, False, True)])
+def test_a_written_box_on_many_clocks_reloads_as_itself(clocks, interval):
+    """A conjunction is not cut into cells, so a box the tools write loads
+    as itself however many clocks it checks (2^24 cells, if it were cut)."""
+    g = tuple((f"z{i}", interval) for i in range(clocks))
+    assert guard_from_json(guard_to_json(g), "guard") == ([g], {z for z, _ in g})
 
 
 def test_guard_size_counts_comparisons():

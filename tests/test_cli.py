@@ -28,7 +28,7 @@ from tcer.cli import (
     stream_line,
     StreamFormatError,
 )
-from tcer.cea import MAX_GUARD_BOXES
+from tcer.cea import MAX_GUARD_BOXES, MAX_GUARD_ENTRIES
 from tcer.model import MAX_DIGITS, Basic, ComplexEvent, Event, format_rat, rat
 from tcer.parser import MAX_QUERY_DEPTH, parse_query, pretty
 from tcer.randgen import random_stream
@@ -908,27 +908,19 @@ def test_an_integer_past_max_digits_exits_3_as_its_fraction_does(capsys, tmp_pat
 
 @pytest.mark.parametrize("clocks", [1, 25])
 def test_a_50_level_and_of_or_guard_determinizes_in_seconds_or_exits_3(capsys, tmp_path, clocks):
-    """An ``and`` of 25 ``or``s, 50 levels deep.  On one clock its boxes
-    stay two at every node, and ``determinize`` writes two transitions for
-    it; on 25 clocks its full DNF would be 2^25 boxes, and the file exits 3
-    naming the transition."""
+    """An ``and`` of 25 ``or``s, 50 levels deep.  On one clock it loads as
+    two boxes, and ``determinize`` writes two transitions for it; on 25
+    clocks its cells would be 3^25, and the file exits 3 naming the
+    transition."""
     names = [f"z{i}" for i in range(clocks)]
     guard = {"kind": "true"}
     for i in range(25):
         z = names[i % clocks]
         either = {"kind": "or", "left": _clock_cmp(z, "<=", "1"), "right": _clock_cmp(z, ">=", "2")}
         guard = {"kind": "and", "left": either, "right": guard}
-    true = {"kind": "true"}
-    doc = {
-        "states": ["0", "1", "2"], "vars": ["X"], "clocks": names, "initial": 0, "finals": [2],
-        "transitions": [
-            {"source": 0, "pred": true, "guard": true, "label": ["X"], "resets": names, "target": 1},
-            {"source": 1, "pred": true, "guard": guard, "label": ["X"], "resets": [], "target": 2},
-        ],
-    }
     out = tmp_path / "d.json"
     start = time.perf_counter()
-    path = _automaton(tmp_path, json.dumps(doc))
+    path = _automaton(tmp_path, json.dumps(_guarded(names, guard)))
     code, _, err = _run(capsys, ["determinize", "--automaton", path, "-o", str(out)])
     assert time.perf_counter() - start < 10
     if clocks == 1:
@@ -936,11 +928,73 @@ def test_a_50_level_and_of_or_guard_determinizes_in_seconds_or_exits_3(capsys, t
         assert len(json.loads(out.read_text(encoding="utf-8"))["transitions"]) == 3
     else:
         assert code == 3
-        assert f"transitions[1].guard: more than {MAX_GUARD_BOXES} boxes" in err
+        assert f"transitions[1].guard: more than {MAX_GUARD_ENTRIES} cell entries" in err
 
 
 def _clock_cmp(clock: str, op: str, constant: str) -> dict:
     return {"kind": "cmp", "clock": clock, "op": op, "constant": constant}
+
+
+def _or(guards: list[dict]) -> dict:
+    out = {"kind": "false"}
+    for g in guards:
+        out = {"kind": "or", "left": g, "right": out}
+    return out
+
+
+def _and(guards: list[dict]) -> dict:
+    out = {"kind": "true"}
+    for g in guards:
+        out = {"kind": "and", "left": g, "right": out}
+    return out
+
+
+_XYZ = ["x", "y", "z"]
+_SIXTEEN = [f"z{i:02d}" for i in range(16)]
+
+
+@pytest.mark.parametrize(
+    "clocks, guard, refusal",
+    [
+        (
+            _XYZ,
+            _or([_and([_clock_cmp(z, "<=", str(10 + i)) for z in _XYZ]) for i in range(40)]),
+            f"more than {MAX_GUARD_ENTRIES} cell entries",
+        ),
+        (
+            _SIXTEEN,
+            _or([_clock_cmp(z, ">", "0") for z in _SIXTEEN]),
+            f"more than {MAX_GUARD_ENTRIES} cell entries",
+        ),
+        (["x"], _or([_clock_cmp("x", "=", str(i)) for i in range(17)]), f"more than {MAX_GUARD_BOXES} boxes"),
+    ],
+    ids=["nested-boxes", "sixteen-clocks", "seventeen-points"],
+)
+def test_a_guard_past_a_cap_exits_3_within_a_second(capsys, tmp_path, clocks, guard, refusal):
+    """Refused, naming the transition: 40 nested boxes on three clocks (41^3
+    cells of 126 entries) and an ``or`` of 16 clocks each above 0 (2^16
+    cells of 48 entries), which would take seconds to decide and join,
+    before the cells are made; an ``or`` of 17 points, which loads as 17
+    boxes, after."""
+    path = _automaton(tmp_path, json.dumps(_guarded(clocks, guard)))
+    start = time.perf_counter()
+    code, _, err = _run(capsys, ["determinize", "--automaton", path, "-o", str(tmp_path / "d.json")])
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert err == f"transitions[1].guard: {refusal}\n"
+
+
+def _guarded(clocks: list[str], guard: dict) -> dict:
+    """An automaton file: a transition that resets ``clocks``, then one
+    under ``guard``."""
+    true = {"kind": "true"}
+    return {
+        "states": ["0", "1", "2"], "vars": ["X"], "clocks": clocks, "initial": 0, "finals": [2],
+        "transitions": [
+            {"source": 0, "pred": true, "guard": true, "label": ["X"], "resets": clocks, "target": 1},
+            {"source": 1, "pred": true, "guard": guard, "label": ["X"], "resets": [], "target": 2},
+        ],
+    }
 
 
 @FUZZ

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from tcer.cea import (
     TRUE,
+    AutomatonFormatError,
     TimedCea,
     Transition,
     cea_from_json,
@@ -20,11 +21,11 @@ from tcer.cea import (
     clock_guard,
     eval_cea_oracle,
     guard_clocks,
-    guard_covers,
     guard_cuts,
     guard_from_json,
     guard_meet,
     guard_sat,
+    guard_types,
     is_deterministic,
     is_monotonic,
     join_cells,
@@ -177,16 +178,17 @@ def test_conflicting_resets_are_reported():
 
 @given(st.integers(0, 6), st.data())
 def test_predicate_types_partition_events(v, data):
-    from tcer.determinize import _dedup
     from tcer.model import Basic, Event, Not, event_cells, pred_and
     import itertools
 
-    preds = _dedup(
-        [
-            Basic("x", data.draw(st.sampled_from(["<", "<=", ">", ">="])), c)
-            for c in data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
-        ]
-        + [TypeIs(data.draw(st.sampled_from(["A", "B"])))]
+    preds = list(
+        dict.fromkeys(
+            [
+                Basic("x", data.draw(st.sampled_from(["<", "<=", ">", ">="])), c)
+                for c in data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+            ]
+            + [TypeIs(data.draw(st.sampled_from(["A", "B"])))]
+        )
     )
     event = Event(data.draw(st.sampled_from(["A", "B"])), {"x": v})
     holding = 0
@@ -220,6 +222,11 @@ def _conjunction(atoms):
     return g
 
 
+def _cells(guards) -> list:
+    """The cells of the guards' cuts, in product order."""
+    return list(itertools.product(*[[piece for piece, _ in ps] for ps in guard_cuts(guards)]))
+
+
 def _sample(cell) -> dict:
     """One valuation in a cell: each piece's closed low end, else a point
     just above its open one."""
@@ -238,20 +245,26 @@ def _sample(cell) -> dict:
     st.fractions(min_value=0, max_value=7),
 )
 def test_guard_types_partition_valuations(conjunctions, xv, yv):
-    """The guard cells partition the valuations, and a guard covers a cell
-    exactly when it passes the cell's sample."""
+    """The guard cells partition the valuations, and ``guard_types`` groups
+    them, in product order, by the guards that pass each cell's sample, in
+    the order of (True, False)^k."""
     guards = [g for g in map(_conjunction, conjunctions) if g is not None]
-    cells = list(itertools.product(*guard_cuts(guards)))
+    cells = _cells(guards)
     nu = {"x": xv, "y": yv}
     assert sum(guard_sat(nu, cell) for cell in cells) == 1
-    for cell in cells:
-        sample = _sample(cell)
-        assert guard_sat(sample, cell)
-        for g in guards:
-            assert guard_covers(g, cell) == guard_sat(sample, g)
+    types = guard_types(guard_cuts(guards), len(guards))
+    bits = [tuple(bool(mask >> i & 1) for i in range(len(guards))) for mask, _ in types]
+    assert bits == sorted(set(bits), key=lambda b: [not x for x in b])
+    assert sorted([c for _, group in types for c in group], key=cells.index) == cells
+    for b, (_, group) in zip(bits, types):
+        assert group == [cell for cell in cells if cell in group]
+        for cell in group:
+            sample = _sample(cell)
+            assert guard_sat(sample, cell)
+            assert b == tuple(guard_sat(sample, g) for g in guards)
     # the pieces of a clock are at most two per distinct end
     for pieces in guard_cuts(guards):
-        ivs = [iv for g in guards for z, iv in g if z == pieces[0][0]]
+        ivs = [iv for g in guards for z, iv in g if z == pieces[0][0][0]]
         ends = {0} | {iv.low for iv in ivs} | {iv.high for iv in ivs if iv.high is not None}
         assert len(pieces) <= 2 * len(ends)
 
@@ -277,7 +290,7 @@ def test_join_cells_joins_kept_cells_into_disjoint_boxes(conjunctions, data):
     at every valuation of a grid that meets every cell, and joining those
     boxes again gives the same boxes (perhaps in another order)."""
     guards = [g for g in map(_conjunction, conjunctions) if g is not None]
-    cells = list(itertools.product(*guard_cuts(guards)))
+    cells = _cells(guards)
     kept = [cell for cell in cells if data.draw(st.booleans())]
     boxes = join_cells(kept)
     for a, b in itertools.combinations(boxes, 2):
@@ -363,6 +376,67 @@ def test_guard_trees_load_as_disjoint_boxes(doc, data):
     values = [None] + [Fraction(n, 2) for n in range(15)]
     nu = {z: v for z in ("x", "y") if (v := data.draw(st.sampled_from(values))) is not None}
     assert sum(guard_sat(nu, box) for box in boxes) == _tree_sat(nu, doc)
+
+
+def _shapes(kind: str, trees: list) -> list[dict]:
+    """The ``kind`` of the trees as a left-deep, a right-deep and a
+    balanced tree."""
+
+    def node(left, right):
+        return {"kind": kind, "left": left, "right": right}
+
+    def balanced(ts):
+        if len(ts) == 1:
+            return ts[0]
+        return node(balanced(ts[: len(ts) // 2]), balanced(ts[len(ts) // 2 :]))
+
+    left, right = trees[0], trees[-1]
+    for t in trees[1:]:
+        left = node(left, t)
+    for t in trees[-2::-1]:
+        right = node(t, right)
+    return [left, right, balanced(trees)]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(["and", "or"]), st.lists(_CLOCK_TREES, min_size=2, max_size=5))
+def test_a_guard_loads_the_same_however_its_and_or_is_associated(kind, trees):
+    """The same subtrees under a left-deep, a right-deep and a balanced
+    ``and``/``or`` load as the same boxes, or are refused with the same
+    message: they mention the same comparisons and clocks in the same
+    order, and mean the same."""
+    loads = [_load(doc) for doc in _shapes(kind, trees)]
+    assert loads[0] == loads[1] == loads[2]
+
+
+@settings(deadline=None)
+@given(_CLOCK_TREES)
+def test_a_guard_loads_as_its_or_with_false_does(doc):
+    """A conjunction loads as the meet of its comparisons, uncut; under an
+    ``or`` with ``false`` it is decided on cells, and loads the same."""
+    assert _load(doc) == _load({"kind": "or", "left": doc, "right": {"kind": "false"}})
+
+
+def _load(doc):
+    """The guard's boxes and clocks, or the message it is refused with."""
+    try:
+        return guard_from_json(doc, "guard")
+    except AutomatonFormatError as e:
+        return str(e)
+
+
+def test_an_or_of_nested_boxes_on_three_clocks_loads_as_the_largest_box():
+    """``x, y, z <= 10 + i`` for i = 0..15, or-ed: the boxes nest, so the
+    guard is one box, though its comparisons cut 17^3 cells."""
+    guard = {"kind": "false"}
+    for i in range(16):
+        box = {"kind": "true"}
+        for z in "zyx":
+            box = {"kind": "and", "left": _cmp(z, "<=", 10 + i), "right": box}
+        guard = {"kind": "or", "left": box, "right": guard}
+    boxes, clocks = guard_from_json(guard, "guard")
+    assert clocks == {"x", "y", "z"}
+    assert boxes == [tuple((z, Interval(0, 25)) for z in "xyz")]
 
 
 def _or_joined(doc: dict) -> dict:
