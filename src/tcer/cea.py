@@ -6,9 +6,11 @@ clock it checks, in the order the clocks were first checked.  The empty box
 is true.  A clock that a box checks fails it while uninitialized, so a box
 keeps a ``[0, inf)`` entry for a clock it checks but does not bound.  A
 disjunction of guards is several transitions, made disjoint one way by
-``determinize`` and the automaton loader alike: ``guard_types`` cuts the
-valuations into cells (``guard_cuts``) and groups them by the guards that
-cover them, and ``join_cells`` joins the kept cells back into boxes.
+``determinize`` and the automaton loader alike: ``guard_cuts`` cuts each
+clock's values into numbered pieces, a cell is one piece number per clock,
+``guard_types`` groups the cells by the guards that cover them, and
+``join_cells`` joins the kept cells back into boxes along runs of
+consecutive pieces.
 """
 
 from __future__ import annotations
@@ -119,16 +121,16 @@ def constant_scale(cea: TimedCea) -> int:
 # --- guard cells: the partition determinization splits valuations by ------
 
 
-def guard_cuts(guards: Sequence[Guard]) -> list[list[tuple[tuple[str, Interval], int]]]:
-    """For each clock the guards check, in clock order, ``[0, inf)`` cut at
-    every end of their intervals on it into pieces ``(clock, interval)``,
-    each with the mask of the guards that cover it (bit ``i`` for
-    ``guards[i]``, set on every piece of a clock it does not check), and
-    neighbouring pieces with one mask joined again.  A cell, one piece per
-    clock (a box), lies inside or outside each guard, and the cells
-    partition the valuations.  Before the join, an interval is a run of
-    points ``ends[n]`` and the gaps after them, so its bit flips at the run's
-    ends."""
+def guard_cuts(guards: Sequence[Guard]) -> list[tuple[str, list[tuple[Interval, int]]]]:
+    """For each clock the guards check, in clock order, the clock and
+    ``[0, inf)`` cut at every end of their intervals on it into numbered
+    pieces ``(interval, mask)``, in order, the mask holding the guards that
+    cover the piece (bit ``i`` for ``guards[i]``, set on every piece of a
+    clock it does not check), and neighbouring pieces with one mask joined
+    again.  A cell, one piece number per clock, lies inside or outside each
+    guard, and the cells partition the valuations.  Before the join, an
+    interval is a run of points ``ends[n]`` and the gaps after them, so its
+    bit flips at the run's ends."""
     by_clock: dict[str, list[tuple[Interval, int]]] = {}
     for i, g in enumerate(guards):
         for z, iv in g:
@@ -143,64 +145,64 @@ def guard_cuts(guards: Sequence[Guard]) -> list[list[tuple[tuple[str, Interval],
             mask ^= bit
             flips[at[iv.low] + (not iv.low_closed)] ^= bit
             flips[-1 if iv.high is None else at[iv.high] + iv.high_closed] ^= bit
-        pieces: list[tuple[tuple[str, Interval], int]] = []
+        pieces: list[tuple[Interval, int]] = []
         for n, (a, b) in enumerate(zip(ends, ends[1:] + [None])):
             for j, ends_of_piece in enumerate([(a, a, True, True), (a, b, False, False)]):
                 mask ^= flips[2 * n + j]
                 piece = Interval._make(ends_of_piece)
                 if pieces and pieces[-1][1] == mask:
-                    piece = pieces.pop()[0][1].join(piece)
-                pieces.append(((z, piece), mask))
-        cuts.append(pieces)
+                    piece = _span(pieces.pop()[0], piece)
+                pieces.append((piece, mask))
+        cuts.append((z, pieces))
     return cuts
 
 
-def guard_types(cuts: list, k: int) -> list[tuple[int, list[Guard]]]:
+def _span(first: Interval, last: Interval) -> Interval:
+    """The union of the pieces of one cut from ``first`` to ``last``."""
+    return Interval._make((first.low, last.high, first.low_closed, last.high_closed))
+
+
+def guard_types(cuts: list, k: int) -> list[tuple[int, list[tuple[int, ...]]]]:
     """The cells of ``cuts``, the ``guard_cuts`` of ``k`` guards, grouped by
     the guards that cover them, each group with its mask (the meet of its
     pieces' masks), in the order of ``(True, False)^k`` over the guards: by
     the mask's bits from the first guard's on, set first.  A group's cells
     come in product order."""
-    groups: dict[int, list[Guard]] = {}
-    for cell in itertools.product(*cuts):
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    numbered = [list(enumerate(m for _, m in pieces)) for _, pieces in cuts]
+    for cell in itertools.product(*numbered):
         mask = functools.reduce(int.__and__, [m for _, m in cell], (1 << k) - 1)
-        groups.setdefault(mask, []).append(tuple([piece for piece, _ in cell]))
+        groups.setdefault(mask, []).append(tuple([n for n, _ in cell]))
     return sorted(groups.items(), key=lambda group: f"{group[0]:0{k}b}"[::-1], reverse=True)
 
 
-def join_cells(cells: Sequence[Guard]) -> list[Guard]:
-    """The union of pairwise disjoint cells of one partition (``guard_cuts``)
-    as disjoint boxes: one sweep per clock, in clock order, joins the boxes
-    equal on all clocks but that one whose intervals on it join into one.
-    A later sweep cannot enable a join along an earlier clock, so a second
-    ``join_cells`` gives the same boxes, perhaps in another order."""
-    boxes = list(cells)
-    for z in sorted({z for b in boxes for z, _ in b}):
-        boxes = _join_along(boxes, z)
-    return boxes
-
-
-def _join_along(boxes: list[Guard], z: str) -> list[Guard]:
-    """The boxes, those equal on all clocks but ``z`` joined wherever their
-    intervals on ``z`` join: sorted by low end, each joins the one before."""
-    out, runs = [], {}
-    for b in boxes:
-        i = next((i for i, (y, _) in enumerate(b) if y == z), None)
-        if i is None:
-            out.append(b)
-        else:
-            runs.setdefault((b[:i], b[i + 1:]), []).append(b[i][1])
-    for (head, tail), ivs in runs.items():
-        ivs.sort(key=lambda iv: (iv.low, not iv.low_closed))
-        joined = [ivs[0]]
-        for iv in ivs[1:]:
-            both = joined[-1].join(iv)
-            if both is None:
-                joined.append(iv)
-            else:
-                joined[-1] = both
-        out.extend(head + ((z, iv),) + tail for iv in joined)
-    return out
+def join_cells(cuts: list, cells: Iterable[tuple[int, ...]]) -> list[Guard]:
+    """The union of cells of ``cuts`` (``guard_cuts``) as disjoint boxes.
+    One sweep per clock, in clock order, keys each box by its spans of piece
+    numbers on the other clocks and joins its spans on that clock wherever
+    they are consecutive: the pieces of a clock are disjoint and in order,
+    so those are the spans whose union is one interval.  A later sweep
+    cannot enable a join along an earlier clock, so no two boxes left join
+    into one.  Each span becomes an interval once, at the end."""
+    boxes = [tuple([(n, n) for n in cell]) for cell in cells]
+    for j in range(len(cuts)):
+        runs: dict[tuple, list[tuple[int, int]]] = {}
+        for b in boxes:
+            runs.setdefault(b[:j] + b[j + 1:], []).append(b[j])
+        boxes = []
+        for others, spans in runs.items():
+            spans.sort()
+            joined = spans[:1]
+            for low, high in spans[1:]:
+                if low == joined[-1][1] + 1:
+                    joined[-1] = (joined[-1][0], high)
+                else:
+                    joined.append((low, high))
+            boxes.extend(others[:j] + (span,) + others[j:] for span in joined)
+    return [
+        tuple([(z, _span(ps[low][0], ps[high][0])) for (z, ps), (low, high) in zip(cuts, box)])
+        for box in boxes
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +455,13 @@ def _state_key(state: State) -> str:
     return repr(state)
 
 
+def _state_order(state: State) -> tuple:
+    """Tuple states first, then ints by value, then strings."""
+    if isinstance(state, int):
+        return 1, state
+    return (2, state) if isinstance(state, str) else (0, repr(state))
+
+
 def pred_to_json(pred: Predicate):
     if isinstance(pred, model.TrueP):
         return {"kind": "true"}
@@ -538,10 +547,10 @@ def guard_from_json(doc, where: str) -> tuple[list[Guard], frozenset[str]]:
             boxes = [m for b in boxes if (m := guard_meet(b, leaf)) is not None]
     else:
         cuts = guard_cuts(list(leaves))
-        if math.prod(map(len, cuts)) * (len(clocks) + len(leaves)) > MAX_GUARD_ENTRIES:
+        if math.prod(len(ps) for _, ps in cuts) * (len(clocks) + len(leaves)) > MAX_GUARD_ENTRIES:
             raise AutomatonFormatError(f"{where}: more than {MAX_GUARD_ENTRIES} cell entries")
         types = guard_types(cuts, len(leaves))
-        boxes = join_cells([c for mask, cells in types if _holds(tree, mask) for c in cells])
+        boxes = join_cells(cuts, [c for mask, cs in types if _holds(tree, mask) for c in cs])
         if len(boxes) > MAX_GUARD_BOXES:
             raise AutomatonFormatError(f"{where}: more than {MAX_GUARD_BOXES} boxes")
     return [tuple(sorted(b, key=lambda pair: clocks[pair[0]])) for b in boxes], frozenset(clocks)
@@ -589,7 +598,7 @@ def _holds(tree, mask: int) -> bool:
 
 
 def cea_to_json(cea: TimedCea) -> dict:
-    states = sorted(cea.states, key=_state_key)
+    states = sorted(cea.states, key=_state_order)
     index = {q: i for i, q in enumerate(states)}
     return {
         "states": [_state_key(q) for q in states],

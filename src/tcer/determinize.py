@@ -3,18 +3,18 @@
 Each source-state subset is split along two partitions: predicate cells
 (which subset of the outgoing predicates the event satisfies, among those
 ``model.event_cells`` finds some event to give) and guard cells.  A guard
-cell is one piece of ``[0, inf)`` per clock that the outgoing guards check,
-cut at every end of their intervals on it (``cea.guard_cuts``), so it lies
-inside or outside each guard and the number of pieces per clock is linear
-in the guards.  ``cea.guard_types`` groups the cells by the guards that
-cover them.  A cell then has a unique set of matching transitions, so a
-unique target subset and — thanks to synchronous resets — a unique reset
-set.
+cell is one numbered piece of ``[0, inf)`` per clock that the outgoing
+guards check, cut at every end of their intervals on it
+(``cea.guard_cuts``), so it lies inside or outside each guard and the
+number of pieces per clock is linear in the guards.  ``cea.guard_types``
+groups the cells by the guards that cover them.  A cell then has a unique
+set of matching transitions, so a unique target subset and — thanks to
+synchronous resets — a unique reset set.
 
 The cells equal in everything but the guard are joined again by
-``cea.join_cells``, one sweep per clock, and each box it leaves is one
-transition, so determinizing a monotonic automaton yields a monotonic
-automaton.
+``cea.join_cells`` on the subset's cuts, one sweep per clock along runs of
+consecutive pieces, and each box it leaves is one transition, so
+determinizing a monotonic automaton yields a monotonic automaton.
 """
 
 from __future__ import annotations
@@ -39,11 +39,8 @@ class SyncResetViolation(Exception):
     """Raised when a determinization cell matches transitions with different
     reset sets; carries the offending pair as a witness."""
 
-    def __init__(self, subset, pred, guard, label, t1: Transition, t2: Transition):
+    def __init__(self, subset, t1: Transition, t2: Transition):
         self.subset = subset
-        self.pred = pred
-        self.guard = guard
-        self.label = label
         self.pair = (t1, t2)
         super().__init__(
             f"conflicting resets {sorted(t1.resets)} vs {sorted(t2.resets)} "
@@ -123,8 +120,8 @@ def determinize(cea: TimedCea) -> TimedCea:
     worklist = [start]
     # cells that differ only in their guard are joined: they are collected
     # per (source, predicate cell, label, resets, target), with the cell's
-    # predicate
-    grouped: dict[tuple, tuple[Predicate, list[Guard]]] = {}
+    # predicate and the source's guard cuts
+    grouped: dict[tuple, tuple[Predicate, list, list[tuple[int, ...]]]] = {}
     while worklist:
         source_key = worklist.pop()
         subset, dom = source_key
@@ -147,7 +144,8 @@ def determinize(cea: TimedCea) -> TimedCea:
             by_label.setdefault(tr.label, []).append((tr, pred_at[tr.pred], guard_bit[tr.guard]))
         # the guard cells, by the guards that hold on them, in the order of
         # the product (True, False)^k; the same for every predicate cell
-        groups = guard_types(guard_cuts(guards), len(guards))
+        cuts = guard_cuts(guards)
+        groups = guard_types(cuts, len(guards))
         # the events' cells, in the order of the product (True, False)^k
         for s_bits in sorted(event_cells(preds), key=lambda b: [not x for x in b]):
             chosen = [p for p, b in zip(preds, s_bits) if b]
@@ -169,9 +167,7 @@ def determinize(cea: TimedCea) -> TimedCea:
                     resets = matching[0].resets
                     for tr in matching[1:]:
                         if tr.resets != resets:
-                            raise SyncResetViolation(
-                                subset, p_s, cells[0], label, matching[0], tr
-                            )
+                            raise SyncResetViolation(subset, matching[0], tr)
                     target_key = (
                         frozenset(tr.target for tr in matching),
                         dom | resets,
@@ -179,20 +175,20 @@ def determinize(cea: TimedCea) -> TimedCea:
                     # ``p_s`` is a function of the source and ``s_bits``,
                     # which are cheaper to hash
                     key = (source_key, s_bits, label, resets, target_key)
-                    grouped.setdefault(key, (p_s, []))[1].extend(cells)
+                    grouped.setdefault(key, (p_s, cuts, []))[2].extend(cells)
                     if target_key not in seen:
                         seen.add(target_key)
                         worklist.append(target_key)
 
     state_name = _name_states(seen)
     delta = []
-    for (source_key, _, label, resets, target_key), (p_s, cells) in grouped.items():
+    for (source_key, _, label, resets, target_key), (p_s, cuts, cells) in grouped.items():
         # every checked clock is initialized here, so trivial intervals can
         # be dropped without changing the meaning
         source, target = state_name[source_key], state_name[target_key]
         delta += [
             Transition(source, p_s, box, label, resets, target)
-            for box in _drop_trivial(join_cells(cells))
+            for box in _drop_trivial(join_cells(cuts, cells))
         ]
     finals = frozenset(state_name[s] for s in seen if s[0] & cea.finals)
     delta = _prune_dead_transitions(delta, finals)

@@ -172,22 +172,6 @@ class Interval(namedtuple("Interval", "low high low_closed high_closed")):
             return None
         return self._make((lo, hi, lc, hc))
 
-    def join(self, other: "Interval") -> Optional["Interval"]:
-        """The union, when it is an interval; else None."""
-        lo1, hi1, lc1, hc1 = self
-        lo2, hi2, lc2, hc2 = other
-        if (lo2 <= lo1) if lc2 else (lo2 < lo1):  # put the lower (or closed) low end first
-            lo1, hi1, lc1, hc1, lo2, hi2, lc2, hc2 = lo2, hi2, lc2, hc2, lo1, hi1, lc1, hc1
-        if hi1 is not None and ((hi1 < lo2) if hc1 or lc2 else (hi1 <= lo2)):
-            return None  # a gap between them
-        if hi1 is None or hi2 is None:
-            hi, hc = None, False
-        elif (hi2 >= hi1) if hc2 else (hi2 > hi1):
-            hi, hc = hi2, hc2
-        else:
-            hi, hc = hi1, hc1
-        return self._make((lo1, hi, lc1, hc))
-
     def contains(self, value: Fraction) -> bool:
         low, high, low_closed, high_closed = self
         return (low <= value if low_closed else low < value) and (

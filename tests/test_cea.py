@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tcer.cea import (
     FULL_INTERVAL,
@@ -245,6 +246,27 @@ def test_json_round_trip(seed):
     stream = random_stream(rng, 6)
     assert eval_cea_oracle(back, stream) == eval_cea_oracle(cea, stream)
     assert back.clocks == cea.clocks and back.finals == cea.finals
+
+
+def test_states_are_written_tuples_first_then_ints_by_value_then_strings():
+    states = [("a", 1), 2, 10, "q"]
+    delta = [
+        Transition(p, TrueP(), TRUE, frozenset(), frozenset(), q)
+        for p, q in zip(states, states[1:])
+    ]
+    cea = TimedCea(frozenset(states), frozenset(), frozenset(), tuple(delta), 10, frozenset({"q"}))
+    doc = cea_to_json(cea)
+    assert doc["states"] == ["('a', 1)", "2", "10", "q"]
+    assert doc["initial"] == 2 and doc["finals"] == [3]
+
+
+@given(st.integers(11, 31), st.randoms(use_true_random=False))
+def test_a_reloaded_automaton_writes_back_as_itself(n_states, rng):
+    """A loaded automaton's states are the ints 0 to n-1; it is written
+    with them in that order, also past 10 states, so it reloads as itself."""
+    cea = random_sync_cea(rng, n_states)
+    loaded = cea_from_json(json.loads(json.dumps(cea_to_json(cea))))
+    assert cea_from_json(cea_to_json(loaded)) == loaded
 
 
 def test_json_round_trip_preserves_fractions(t1):

@@ -50,8 +50,12 @@ def test_the_package_leaves_the_determinize_module_importable():
 
 
 def test_simplify_guard_rejoins_adjacent_intervals():
-    boxes = [_conjunction([("z", "<=", 2)]), _conjunction([("z", ">", 2), ("z", "<=", 5)])]
-    assert join_cells(boxes) == [clock_guard("z", "<=", 5)]
+    guards = [_conjunction([("z", "<=", 2)]), _conjunction([("z", ">", 2), ("z", "<=", 5)])]
+    cuts = guard_cuts(guards)
+    assert [_box(cuts, cell) for cell in _cells(cuts)] == [
+        guards[0], guards[1], clock_guard("z", ">", 5)
+    ]
+    assert join_cells(cuts, [(0,), (1,)]) == [clock_guard("z", "<=", 5)]
 
 
 def test_split_disjunctions_keeps_clock_mention():
@@ -222,16 +226,21 @@ def _conjunction(atoms):
     return g
 
 
-def _cells(guards) -> list:
-    """The cells of the guards' cuts, in product order."""
-    return list(itertools.product(*[[piece for piece, _ in ps] for ps in guard_cuts(guards)]))
+def _cells(cuts) -> list:
+    """The numbered cells of ``guard_cuts``, in product order."""
+    return list(itertools.product(*[range(len(pieces)) for _, pieces in cuts]))
 
 
-def _sample(cell) -> dict:
-    """One valuation in a cell: each piece's closed low end, else a point
+def _box(cuts, cell):
+    """The box of a numbered cell: its piece on each clock."""
+    return tuple((z, pieces[n][0]) for (z, pieces), n in zip(cuts, cell))
+
+
+def _sample(box) -> dict:
+    """One valuation in a box: each interval's closed low end, else a point
     just above its open one."""
     nu = {}
-    for z, iv in cell:
+    for z, iv in box:
         if iv.low_closed:
             nu[z] = iv.low
         else:
@@ -249,22 +258,26 @@ def test_guard_types_partition_valuations(conjunctions, xv, yv):
     them, in product order, by the guards that pass each cell's sample, in
     the order of (True, False)^k."""
     guards = [g for g in map(_conjunction, conjunctions) if g is not None]
-    cells = _cells(guards)
+    cuts = guard_cuts(guards)
+    cells = _cells(cuts)
     nu = {"x": xv, "y": yv}
-    assert sum(guard_sat(nu, cell) for cell in cells) == 1
-    types = guard_types(guard_cuts(guards), len(guards))
+    assert sum(guard_sat(nu, _box(cuts, cell)) for cell in cells) == 1
+    types = guard_types(cuts, len(guards))
     bits = [tuple(bool(mask >> i & 1) for i in range(len(guards))) for mask, _ in types]
     assert bits == sorted(set(bits), key=lambda b: [not x for x in b])
     assert sorted([c for _, group in types for c in group], key=cells.index) == cells
     for b, (_, group) in zip(bits, types):
         assert group == [cell for cell in cells if cell in group]
         for cell in group:
-            sample = _sample(cell)
-            assert guard_sat(sample, cell)
+            box = _box(cuts, cell)
+            sample = _sample(box)
+            assert guard_sat(sample, box)
             assert b == tuple(guard_sat(sample, g) for g in guards)
-    # the pieces of a clock are at most two per distinct end
-    for pieces in guard_cuts(guards):
-        ivs = [iv for g in guards for z, iv in g if z == pieces[0][0][0]]
+    # a clock's pieces come in order, at most two per distinct end
+    for z, pieces in cuts:
+        for (a, _), (b, _) in zip(pieces, pieces[1:]):
+            assert a.high is not None and a.high <= b.low
+        ivs = [iv for g in guards for y, iv in g if y == z]
         ends = {0} | {iv.low for iv in ivs} | {iv.high for iv in ivs if iv.high is not None}
         assert len(pieces) <= 2 * len(ends)
 
@@ -285,24 +298,27 @@ def test_guard_types_partition_valuations(conjunctions, xv, yv):
     st.data(),
 )
 def test_join_cells_joins_kept_cells_into_disjoint_boxes(conjunctions, data):
-    """Any subset of the cells of random boxes on at most three clocks
-    joins into pairwise disjoint boxes that hold exactly on the kept cells,
-    at every valuation of a grid that meets every cell, and joining those
-    boxes again gives the same boxes (perhaps in another order)."""
+    """Any subset of the numbered cells of random boxes on at most three
+    clocks joins into pairwise disjoint boxes that hold exactly on the kept
+    cells, at every valuation of a grid that meets every cell, and no two of
+    those boxes differ on one clock only, where they touch."""
     guards = [g for g in map(_conjunction, conjunctions) if g is not None]
-    cells = _cells(guards)
-    kept = [cell for cell in cells if data.draw(st.booleans())]
-    boxes = join_cells(kept)
+    cuts = guard_cuts(guards)
+    kept = [cell for cell in _cells(cuts) if data.draw(st.booleans())]
+    boxes = join_cells(cuts, kept)
     for a, b in itertools.combinations(boxes, 2):
         assert guard_meet(a, b) is None
-    clocks = sorted({z for cell in cells for z, _ in cell})
+        apart = [(x, y) for (_, x), (_, y) in zip(a, b) if x != y]
+        if len(apart) == 1:
+            x, y = sorted(apart[0], key=lambda iv: (iv.low, not iv.low_closed))
+            assert x.high != y.low or x.high_closed == y.low_closed
+    kept_boxes = [_box(cuts, cell) for cell in kept]
+    clocks = [z for z, _ in cuts]
     grid = [Fraction(n, 2) for n in range(11)]
     for values in itertools.product(grid, repeat=len(clocks)):
         nu = dict(zip(clocks, values))
-        inside = any(guard_sat(nu, cell) for cell in kept)
+        inside = any(guard_sat(nu, cell) for cell in kept_boxes)
         assert sum(guard_sat(nu, box) for box in boxes) == inside
-    again = join_cells(boxes)
-    assert len(again) == len(boxes) and set(again) == set(boxes)
 
 
 def _alternatives(k: int) -> str:
