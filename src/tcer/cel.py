@@ -294,8 +294,19 @@ def _sem(
     return result
 
 
-def _gap_ok(c1: ComplexEvent, c2: ComplexEvent, s: TimedStream, interval: Interval) -> bool:
-    return interval.contains(s.time(c2.start) - s.time(c1.end))
+def _joinable(
+    c1: ComplexEvent,
+    c2: ComplexEvent,
+    s: TimedStream,
+    contiguous: bool,
+    interval: Interval | None,
+) -> bool:
+    """May ``c2`` follow ``c1`` in a sequencing or an iteration step?  It
+    starts right after ``c1`` ends when contiguous, and after it otherwise,
+    and the time gap between them lies in the interval of a timed form."""
+    if (c1.end + 1 != c2.start) if contiguous else (c1.end >= c2.start):
+        return False
+    return interval is None or interval.contains(s.time(c2.start) - s.time(c1.end))
 
 
 def _iterate(
@@ -311,16 +322,10 @@ def _iterate(
         fresh: set[ComplexEvent] = set()
         for c2 in frontier:
             for c1 in base:
-                if contiguous:
-                    if c1.end + 1 != c2.start:
-                        continue
-                elif c1.end >= c2.start:
-                    continue
-                if interval is not None and not _gap_ok(c1, c2, s, interval):
-                    continue
-                joined = union_ce(c1, c2)
-                if joined not in acc:
-                    fresh.add(joined)
+                if _joinable(c1, c2, s, contiguous, interval):
+                    joined = union_ce(c1, c2)
+                    if joined not in acc:
+                        fresh.add(joined)
         acc.update(fresh)
         frontier = fresh
     return frozenset(acc)
@@ -353,18 +358,12 @@ def _sem_uncached(phi, s, memo):
     if isinstance(phi, (Seq, ContigSeq, TimedSeq, TimedContigSeq)):
         contiguous = isinstance(phi, (ContigSeq, TimedContigSeq))
         interval = phi.interval if isinstance(phi, (TimedSeq, TimedContigSeq)) else None
-        out = set()
-        for c1 in _sem(phi.left, s, memo):
-            for c2 in _sem(phi.right, s, memo):
-                if contiguous:
-                    if c1.end + 1 != c2.start:
-                        continue
-                elif c1.end >= c2.start:
-                    continue
-                if interval is not None and not _gap_ok(c1, c2, s, interval):
-                    continue
-                out.add(union_ce(c1, c2))
-        return out
+        return {
+            union_ce(c1, c2)
+            for c1 in _sem(phi.left, s, memo)
+            for c2 in _sem(phi.right, s, memo)
+            if _joinable(c1, c2, s, contiguous, interval)
+        }
     if isinstance(phi, (Plus, ContigPlus, TimedIter, TimedContigIter)):
         contiguous = isinstance(phi, (ContigPlus, TimedContigIter))
         interval = phi.interval if isinstance(phi, (TimedIter, TimedContigIter)) else None

@@ -396,7 +396,8 @@ class Basic(Value):
     def __str__(self) -> str:
         v = self.value
         if isinstance(v, str):
-            rendered = f"'{v}'"
+            # the query syntax has no escapes: quote with the mark the string lacks
+            rendered = f'"{v}"' if "'" in v else f"'{v}'"
         elif isinstance(v, Fraction):
             rendered = format_rat(v)
         else:

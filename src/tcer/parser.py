@@ -10,6 +10,10 @@ Grammar sketch (loosest to tightest binding)::
     postfix  := primary ("AS" X | "FILTER" spec | "+" interval? | "(+)" interval?)*
     primary  := "(" expr ")" | "pi" "{" X,... "}" "(" expr ")" | EVENTTYPE
 
+Two tables, ``_SEQUENCES`` and ``_ITERATIONS``, map each sequencing and
+iteration symbol to its untimed and its timed class; the parser and
+``pretty`` both read them.
+
 Interval literals are ``[a,b]``, ``(a,b]``, ``[a,inf)`` etc., or the
 comparison shorthands ``<= c``, ``< c``, ``>= c``, ``> c``, ``= c``.
 ``FILTER (X[p] and Y[q])`` desugars to nested single-variable filters.
@@ -23,16 +27,30 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Optional
+from typing import NoReturn, Optional
 
 from . import cel
-from .model import And, Basic, Interval, Not, Predicate, TrueP, TypeIs, Value, format_rat, rat
+from .model import COMPARISONS, And, Basic, Interval, Not, Predicate, TrueP, TypeIs, Value
+from .model import format_rat, rat
 
 # At the default recursion limit of 1000 the parser overflows at about 165
 # nested parentheses (six frames each), determinize and the oracles at a
 # tree height of about 495, and classify, the compilers and pretty at about
 # 990; 100 leaves room for the caller's own frames.
 MAX_QUERY_DEPTH = 100
+
+# Each sequencing and iteration symbol, with its untimed and its timed form;
+# an interval after the symbol picks the timed one.
+_SEQUENCES = {";": (cel.Seq, cel.TimedSeq), ":": (cel.ContigSeq, cel.TimedContigSeq)}
+_ITERATIONS = {"+": (cel.Plus, cel.TimedIter), "(+)": (cel.ContigPlus, cel.TimedContigIter)}
+
+# The symbol that prints each binary, iteration and window operator, before
+# the interval of a timed form; a word needs a space before its interval.
+_SYMBOLS = {cls: sym for sym, pair in {**_SEQUENCES, **_ITERATIONS}.items() for cls in pair}
+_SYMBOLS.update({cel.Or: "OR", cel.And: "AND", cel.Within: "WITHIN "})
+
+# The comparison shorthands for an interval: ``<= c`` is ``[0,c]`` and so on.
+_SHORTHANDS = ("<=", "<", ">=", ">", "=", "==")
 
 _KEYWORDS = {"as", "filter", "or", "and", "within", "pi", "not", "true", "type", "inf"}
 
@@ -110,124 +128,117 @@ class _Parser:
         idx = self.pos + offset
         return self.tokens[idx] if idx < len(self.tokens) else None
 
-    def at(self, kind: str, text: Optional[str] = None, offset: int = 0) -> bool:
+    def at(self, kind: str, *texts: str, offset: int = 0) -> bool:
+        """Is the next token (or the one ``offset`` after it) of this kind,
+        and, when ``texts`` are given, one of them?"""
         tok = self.peek(offset)
-        return tok is not None and tok.kind == kind and (text is None or tok.text == text)
+        return tok is not None and tok.kind == kind and (not texts or tok.text in texts)
 
-    def take(self) -> Token:
+    def accept(self, kind: str, *texts: str) -> Optional[Token]:
+        """Take the next token when ``at(kind, *texts)``; else None."""
         tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else Token("", "", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.col)
+        if tok is None or tok.kind != kind or (texts and tok.text not in texts):
+            return None
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
+    def operator(self, table: dict[str, tuple[type, type]]) -> Optional[tuple[type, type]]:
+        """Take the next token when it is a symbol of ``table``, and return
+        its untimed and timed forms; else None."""
         tok = self.peek()
-        if tok is None or tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            if tok is None:
-                last = self.tokens[-1] if self.tokens else Token("", "", 1, 1)
-                raise ParseError(f"expected {want!r}, found end of input", last.line, last.col)
-            raise ParseError(f"expected {want!r}, found {tok.text!r}", tok.line, tok.col)
-        return self.take()
+        if tok is None or tok.kind != "symbol" or tok.text not in table:
+            return None
+        self.pos += 1
+        return table[tok.text]
+
+    def expect(self, kind: str, text: Optional[str] = None) -> Token:
+        tok = self.accept(kind) if text is None else self.accept(kind, text)
+        if tok is None:
+            self.found(repr(kind if text is None else text), ", found end of input")
+        return tok
+
+    def fail(self, message: str, tok: Optional[Token] = None) -> NoReturn:
+        """Raise at ``tok``, by default the next token, or at the last token
+        once the input has ended (inside ``except``, without its context)."""
+        tok = tok or self.peek() or self.tokens[-1]
+        raise ParseError(message, tok.line, tok.col) from None
+
+    def found(self, want: str, at_end: str = "") -> NoReturn:
+        """Raise "expected <want>, found <the next token>", or
+        "expected <want><at_end>" once the input has ended."""
+        tok = self.peek()
+        self.fail(f"expected {want}" + (at_end if tok is None else f", found {tok.text!r}"))
 
     # --- grammar ---
 
     def expr(self) -> cel.CelFormula:
         node = self.or_expr()
-        while self.at("keyword", "within"):
-            self.take()
+        while self.accept("keyword", "within"):
             node = cel.Within(node, self.interval())
         return node
 
     def or_expr(self) -> cel.CelFormula:
         node = self.and_expr()
-        while self.at("keyword", "or"):
-            self.take()
+        while self.accept("keyword", "or"):
             node = cel.Or(node, self.and_expr())
         return node
 
     def and_expr(self) -> cel.CelFormula:
         node = self.seq_expr()
-        while self.at("keyword", "and"):
-            self.take()
+        while self.accept("keyword", "and"):
             node = cel.And(node, self.seq_expr())
         return node
 
     def seq_expr(self) -> cel.CelFormula:
         node = self.postfix()
-        while self.at("symbol", ";") or self.at("symbol", ":"):
-            contiguous = self.take().text == ":"
+        while (forms := self.operator(_SEQUENCES)) is not None:
+            plain, timed = forms
             interval = self.maybe_interval()
             rhs = self.postfix()
-            if interval is None:
-                node = cel.ContigSeq(node, rhs) if contiguous else cel.Seq(node, rhs)
-            elif contiguous:
-                node = cel.TimedContigSeq(node, interval, rhs)
-            else:
-                node = cel.TimedSeq(node, interval, rhs)
+            node = plain(node, rhs) if interval is None else timed(node, interval, rhs)
         return node
 
     def postfix(self) -> cel.CelFormula:
         node = self.primary()
         while True:
-            if self.at("keyword", "as"):
-                self.take()
+            if self.accept("keyword", "as"):
                 node = cel.As(node, self.expect("ident").text)
-            elif self.at("keyword", "filter"):
-                self.take()
+            elif self.accept("keyword", "filter"):
                 node = self.filter_spec(node)
-            elif self.at("symbol", "+"):
-                self.take()
+            elif (forms := self.operator(_ITERATIONS)) is not None:
+                plain, timed = forms
                 interval = self.maybe_interval()
-                node = cel.Plus(node) if interval is None else cel.TimedIter(node, interval)
-            elif self.at("symbol", "(+)"):
-                self.take()
-                interval = self.maybe_interval()
-                node = (
-                    cel.ContigPlus(node)
-                    if interval is None
-                    else cel.TimedContigIter(node, interval)
-                )
+                node = plain(node) if interval is None else timed(node, interval)
             else:
                 return node
 
     def primary(self) -> cel.CelFormula:
-        if self.at("symbol", "("):
-            self.take()
+        if self.accept("symbol", "("):
             node = self.expr()
             self.expect("symbol", ")")
             return node
-        if self.at("keyword", "pi"):
-            self.take()
+        if self.accept("keyword", "pi"):
             self.expect("symbol", "{")
             names = []
             if not self.at("symbol", "}"):
                 names.append(self.expect("ident").text)
-                while self.at("symbol", ","):
-                    self.take()
+                while self.accept("symbol", ","):
                     names.append(self.expect("ident").text)
             self.expect("symbol", "}")
             self.expect("symbol", "(")
             node = self.expr()
             self.expect("symbol", ")")
             return cel.Project(frozenset(names), node)
-        tok = self.expect("ident")
-        return cel.EventType(tok.text)
+        return cel.EventType(self.expect("ident").text)
 
     def filter_spec(self, body: cel.CelFormula) -> cel.CelFormula:
         # either X[pred] directly, or a parenthesized conjunction of them
         if self.at("ident") and self.at("symbol", "[", offset=1):
-            var, pred = self.var_filter()
-            return cel.Filter(body, var, pred)
+            return cel.Filter(body, *self.var_filter())
         self.expect("symbol", "(")
-        var, pred = self.var_filter()
-        node = cel.Filter(body, var, pred)
-        while self.at("keyword", "and"):
-            self.take()
-            var, pred = self.var_filter()
-            node = cel.Filter(node, var, pred)
+        node = cel.Filter(body, *self.var_filter())
+        while self.accept("keyword", "and"):
+            node = cel.Filter(node, *self.var_filter())
         self.expect("symbol", ")")
         return node
 
@@ -242,15 +253,13 @@ class _Parser:
 
     def pred(self) -> Predicate:
         node = self.pred_term()
-        while self.at("keyword", "and"):
-            self.take()
+        while self.accept("keyword", "and"):
             node = And(node, self.pred_term())
         return node
 
     def pred_term(self) -> Predicate:
         negations = 0
-        while self.at("keyword", "not") or self.at("symbol", "!"):
-            self.take()
+        while self.accept("keyword", "not") or self.accept("symbol", "!"):
             negations += 1
         node = self.pred_atom()
         for _ in range(negations):
@@ -258,110 +267,72 @@ class _Parser:
         return node
 
     def pred_atom(self) -> Predicate:
-        if self.at("symbol", "("):
-            self.take()
+        if self.accept("symbol", "("):
             node = self.pred()
             self.expect("symbol", ")")
             return node
-        if self.at("keyword", "true"):
-            self.take()
+        if self.accept("keyword", "true"):
             return TrueP()
-        if self.at("keyword", "type"):
-            self.take()
-            if self.at("symbol", "=") or self.at("symbol", "=="):
-                self.take()
-            else:
-                tok = self.peek() or self.tokens[-1]
-                raise ParseError("expected '=' after 'type'", tok.line, tok.col)
+        if self.accept("keyword", "type"):
+            if not self.accept("symbol", "=", "=="):
+                self.fail("expected '=' after 'type'")
             return TypeIs(self.expect("ident").text)
         attr = self.expect("ident").text
-        tok = self.peek()
-        if tok is None or tok.kind != "symbol" or tok.text not in (
-            "<", "<=", ">", ">=", "==", "=", "!=",
-        ):
-            if tok is None:
-                last = self.tokens[-1]
-                raise ParseError("expected comparison operator", last.line, last.col)
-            raise ParseError(f"expected comparison operator, found {tok.text!r}", tok.line, tok.col)
-        op = self.take().text
-        if op == "=":
-            op = "=="
+        op = self.accept("symbol", *COMPARISONS)
+        if op is None:
+            self.found("comparison operator")
+        op = "==" if op.text == "=" else op.text
         if self.at("number"):
             value = self.number()
-            if value.denominator == 1:
-                value = int(value)
-            return Basic(attr, op, value)
-        if self.at("string"):
-            tok = self.take()
-            if op not in ("==", "!="):
-                raise ParseError(
-                    f"ordered comparison {op!r} needs a number constant", tok.line, tok.col
-                )
-            return Basic(attr, op, tok.text[1:-1])
-        tok = self.peek()
+            return Basic(attr, op, int(value) if value.denominator == 1 else value)
+        tok = self.accept("string")
         if tok is None:
-            last = self.tokens[-1]
-            raise ParseError("expected constant", last.line, last.col)
-        raise ParseError(f"expected constant, found {tok.text!r}", tok.line, tok.col)
+            self.found("constant")
+        if op not in ("==", "!="):
+            self.fail(f"ordered comparison {op!r} needs a number constant", tok)
+        return Basic(attr, op, tok.text[1:-1])
 
     # --- intervals ---
 
     def maybe_interval(self) -> Optional[Interval]:
-        if self.at("symbol", "[") or (
-            self.at("symbol", "(") and self._looks_like_open_interval()
-        ):
-            return self.interval()
-        if self.peek() is not None and self.at("symbol") and self.peek().text in (
-            "<=", "<", ">=", ">", "=", "==",
-        ):
-            return self.interval()
-        return None
-
-    def _looks_like_open_interval(self) -> bool:
         # "(" starts an interval only when a number follows and then a comma
-        return self.at("number", offset=1) and self.at("symbol", ",", offset=2)
+        if self.at("symbol", "(") and not (
+            self.at("number", offset=1) and self.at("symbol", ",", offset=2)
+        ):
+            return None
+        return self.interval() if self.at("symbol", "[", "(", *_SHORTHANDS) else None
 
     def number(self) -> Fraction:
         tok = self.expect("number")
         try:
             return rat(tok.text)
         except ValueError as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from None
+            self.fail(str(exc), tok)
 
     def interval(self) -> Interval:
-        tok = self.peek()
+        tok = self.accept("symbol", "[", "(", *_SHORTHANDS)
         if tok is None:
-            last = self.tokens[-1]
-            raise ParseError("expected interval", last.line, last.col)
-        if tok.kind == "symbol" and tok.text in ("<=", "<", ">=", ">", "=", "=="):
-            op = self.take().text
+            self.found("interval")
+        if tok.text in _SHORTHANDS:
             value = self.number()
-            iv = Interval.of(op, value)
+            iv = Interval.of(tok.text, value)
             if iv is None:
-                raise ParseError(f"empty interval: {op} {format_rat(value)}", tok.line, tok.col)
+                self.fail(f"empty interval: {tok.text} {format_rat(value)}", tok)
             return iv
-        if tok.kind == "symbol" and tok.text in ("[", "("):
-            low_closed = self.take().text == "["
-            low = self.number()
-            self.expect("symbol", ",")
-            if self.at("keyword", "inf"):
-                self.take()
-                high: Optional[Fraction] = None
-            else:
-                high = self.number()
-            closer = self.take()
-            if closer.kind != "symbol" or closer.text not in ("]", ")"):
-                raise ParseError(
-                    f"expected ']' or ')', found {closer.text!r}", closer.line, closer.col
-                )
-            high_closed = closer.text == "]"
-            if high is not None and high < low:
-                raise ParseError("malformed interval: low > high", tok.line, tok.col)
-            try:
-                return Interval(low, high, low_closed, high_closed)
-            except ValueError as exc:
-                raise ParseError(str(exc), tok.line, tok.col) from None
-        raise ParseError(f"expected interval, found {tok.text!r}", tok.line, tok.col)
+        low = self.number()
+        self.expect("symbol", ",")
+        high = None if self.accept("keyword", "inf") else self.number()
+        closer = self.accept("symbol", "]", ")")
+        if closer is None:
+            if self.peek() is None:
+                self.fail("unexpected end of input")
+            self.found("']' or ')'")
+        if high is not None and high < low:
+            self.fail("malformed interval: low > high", tok)
+        try:
+            return Interval(low, high, tok.text == "[", closer.text == "]")
+        except ValueError as exc:
+            self.fail(str(exc), tok)
 
 
 def parse_query(text: str) -> cel.CelFormula:
@@ -411,29 +382,13 @@ def pretty(phi: cel.CelFormula) -> str:
         return f"({pretty(phi.body)} AS {phi.var})"
     if isinstance(phi, cel.Filter):
         return f"({pretty(phi.body)} FILTER {phi.var}[{phi.pred}])"
-    if isinstance(phi, cel.Or):
-        return f"({pretty(phi.left)} OR {pretty(phi.right)})"
-    if isinstance(phi, cel.And):
-        return f"({pretty(phi.left)} AND {pretty(phi.right)})"
-    if isinstance(phi, cel.Seq):
-        return f"({pretty(phi.left)} ; {pretty(phi.right)})"
-    if isinstance(phi, cel.ContigSeq):
-        return f"({pretty(phi.left)} : {pretty(phi.right)})"
-    if isinstance(phi, cel.Plus):
-        return f"({pretty(phi.body)} +)"
-    if isinstance(phi, cel.ContigPlus):
-        return f"({pretty(phi.body)} (+))"
     if isinstance(phi, cel.Project):
         names = ", ".join(sorted(phi.vars))
         return f"pi {{{names}}} ({pretty(phi.body)})"
-    if isinstance(phi, cel.Within):
-        return f"({pretty(phi.body)} WITHIN {phi.interval})"
-    if isinstance(phi, cel.TimedSeq):
-        return f"({pretty(phi.left)} ;{phi.interval} {pretty(phi.right)})"
-    if isinstance(phi, cel.TimedContigSeq):
-        return f"({pretty(phi.left)} :{phi.interval} {pretty(phi.right)})"
-    if isinstance(phi, cel.TimedIter):
-        return f"({pretty(phi.body)} +{phi.interval})"
-    if isinstance(phi, cel.TimedContigIter):
-        return f"({pretty(phi.body)} (+){phi.interval})"
-    raise TypeError(f"not a formula: {phi!r}")
+    op = _SYMBOLS.get(type(phi))
+    if op is None:
+        raise TypeError(f"not a formula: {phi!r}")
+    op += str(getattr(phi, "interval", ""))
+    if hasattr(phi, "left"):
+        return f"({pretty(phi.left)} {op} {pretty(phi.right)})"
+    return f"({pretty(phi.body)} {op})"

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tcer import cel
 from tcer.model import And, Basic, Interval, Not, TrueP, TypeIs
@@ -127,6 +128,8 @@ def test_parse_error_reports_position():
         ("(type = B)", TypeIs("B")),
         ("type == B and (true)", And(TypeIs("B"), TrueP())),
         ('x = 3 and x != "s"', And(Basic("x", "==", 3), Basic("x", "!=", "s"))),
+        ('x == "it\'s"', Basic("x", "==", "it's")),
+        ("x != 'say \"hi\"'", Basic("x", "!=", 'say "hi"')),
     ],
 )
 def test_predicate_syntax_parses_and_round_trips(text, pred):
@@ -152,6 +155,31 @@ def test_predicate_syntax_errors_name_what_is_missing(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(A", "expected ')', found end of input (line 1, column 2)"),
+        ("A within [0,5", "unexpected end of input (line 1, column 13)"),
+        ("A within B", "expected interval, found 'B' (line 1, column 10)"),
+        ("A within", "expected interval (line 1, column 3)"),
+        ("A within [0,5,", "expected ']' or ')', found ',' (line 1, column 14)"),
+        ("A ;[3,1] B", "malformed interval: low > high (line 1, column 4)"),
+        ("A within (2,2)", "empty interval: open at the single point (line 1, column 10)"),
+        ("A B", "trailing input 'B' (line 1, column 3)"),
+        ("A as", "expected 'ident', found end of input (line 1, column 3)"),
+        ("pi {X (A)", "expected '}', found '(' (line 1, column 7)"),
+        (
+            "A filter X[x < 'c']",
+            "ordered comparison '<' needs a number constant (line 1, column 16)",
+        ),
+    ],
+)
+def test_parse_errors_name_what_is_wrong_and_where(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_query(text)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_pretty_round_trips(seed):
     rng = random.Random(seed)
@@ -163,3 +191,24 @@ def test_pretty_round_trips_reference_queries():
     for text in (PHI2_TEXT, "A ;[2,inf) B within [0,5]", "T"):
         phi = parse_query(text)
         assert parse_query(pretty(phi)) == phi
+
+
+# A string constant may hold either quote, but not both: the syntax has no escapes.
+_STRINGS = st.text("ab #'\"", max_size=5).filter(lambda v: not ("'" in v and '"' in v))
+
+_PREDICATES = st.recursive(
+    st.one_of(
+        st.builds(Basic, st.just("x"), st.sampled_from(["==", "!="]), _STRINGS),
+        st.builds(Basic, st.just("x"), st.sampled_from(["<", ">=", "=="]), st.integers(0, 4)),
+        st.just(TrueP()),
+        st.builds(TypeIs, st.sampled_from(["A", "B"])),
+    ),
+    lambda inner: st.one_of(st.builds(And, inner, inner), st.builds(Not, inner)),
+    max_leaves=4,
+)
+
+
+@given(st.integers(0, 10**6), st.integers(0, 3), _PREDICATES)
+def test_pretty_round_trips_filters_on_strings_with_either_quote(seed, depth, pred):
+    phi = cel.Filter(cel.As(random_formula(random.Random(seed), depth), "X"), "X", pred)
+    assert parse_query(pretty(phi)) == phi
