@@ -7,16 +7,19 @@ as an exact rational for the library and the oracle engines, or, for a
 streaming run, the timestamp and only the attributes the query's predicates
 read, in the engine's int units; the other attributes are only checked.
 
-``run`` prints each match as a JSON line as soon as it is produced, in
-``(end, start, bindings)`` order, with ``pos`` the match's end, so the three
-engines print the same bytes.  A match stores its variables in name order
-and each variable's positions sorted (``ComplexEvent.make``), and
-``match_json`` prints them as stored, the bytes ``json.dumps`` with sorted
-keys would give:
+``run`` prints each match as a JSON line, in ``(end, start, bindings)``
+order, with ``pos`` the match's end, so the three engines print the same
+bytes.  Each position's lines go out in one write once the position has
+been evaluated: under ``python -u`` or ``PYTHONUNBUFFERED=1`` each ``print``
+was two unbuffered writes, the line and its newline.  A match stores its
+variables in name order and each variable's positions sorted
+(``ComplexEvent.make``), and ``match_json`` prints them as stored, the bytes
+``json.dumps`` with sorted keys would give:
 ``{"bindings": {"X": [4]}, "end": 8, "pos": 8, "start": 4}``.
 The streaming engine reads one line at a time.  Its store of open runs can
 still grow with the stream, because a windowed query's runs past the window
-are not cut.  The oracle and automaton engines load the whole stream first.
+are not cut.  The oracle and automaton engines load the whole stream first,
+then write once per ``end`` position.
 A bad line after some matches ends the run with those matches printed.
 
 Exit codes: 0 ok, or stdout closed by its reader; 1 mismatch, violation, or
@@ -34,8 +37,10 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import groupby
 from json.decoder import WHITESPACE
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .cea import AutomatonFormatError, TimedCea, cea_from_json, cea_to_json, eval_cea_oracle
@@ -195,19 +200,25 @@ def streaming_engine(phi, debug: bool = False) -> StreamingEngine:
 
 def run_matches(engine: str, phi, fh) -> Iterable[Iterable[ComplexEvent]]:
     """The query's matches over a stream's lines, in groups in stream
-    order.  The streaming engine takes one line at a time, read for its
-    ``step``, and gives one group per event; the two oracle engines need
-    random access, so they load every event and give one group of all
-    matches."""
+    order, each group the matches that end at one position, sorted by
+    ``ce_sort_key``.  The streaming engine takes one line at a time, read
+    for its ``step``, and gives one group per event; the two oracle engines
+    need random access, so they load every event and give one group per
+    position that has matches."""
     if engine == "streaming":
         streaming = streaming_engine(phi)
         step = streaming.step
-        return (step(etype, values, ticks) for etype, values, ticks in read_stream(fh, streaming))
+        return (
+            sorted(step(etype, values, ticks), key=ce_sort_key)
+            for etype, values, ticks in read_stream(fh, streaming)
+        )
     stream = TimedStream(read_stream(fh))
     cap = max(len(stream), 1)
     if engine == "oracle":
-        return [eval_cel_oracle(phi, stream, cap=cap)]
-    return [eval_cea_oracle(compile_cel(phi), stream, cap=cap)]
+        found = eval_cel_oracle(phi, stream, cap=cap)
+    else:
+        found = eval_cea_oracle(compile_cel(phi), stream, cap=cap)
+    return [list(group) for _, group in groupby(sorted(found, key=ce_sort_key), key=attrgetter("end"))]
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +228,11 @@ def run_matches(engine: str, phi, fh) -> Iterable[Iterable[ComplexEvent]]:
 
 def cmd_run(args) -> int:
     phi = load_query(args.query)
+    write = sys.stdout.write
     with open(args.stream, encoding="utf-8") as fh:
         for found in run_matches(args.engine, phi, fh):
-            for ce in sorted(found, key=ce_sort_key):
-                print(match_json(ce, ce.end))
+            if found:  # one write per position: ``print`` is two when unbuffered
+                write("".join([match_json(ce, ce.end) + "\n" for ce in found]))
     return 0
 
 

@@ -379,7 +379,8 @@ class Basic(Value):
 
     Absent attributes never satisfy a Basic predicate, and neither do
     booleans or values of a different kind than the constant (string vs.
-    number).  A string constant takes only ``==`` and ``!=``.
+    number).  A string constant takes only ``==`` and ``!=``, and holds
+    ``'`` or ``"`` but not both, so that ``str`` gives query text.
     """
 
     __slots__ = ("attr", "op", "value")
@@ -387,8 +388,11 @@ class Basic(Value):
     def __init__(self, attr: str, op: str, value: AttrValue):
         if op not in ("<", "<=", ">", ">=", "==", "!="):
             raise ValueError(f"unknown comparison {op!r}")
-        if isinstance(value, str) and op not in ("==", "!="):
-            raise ValueError(f"ordered comparison {op!r} needs a number constant")
+        if isinstance(value, str):
+            if op not in ("==", "!="):
+                raise ValueError(f"ordered comparison {op!r} needs a number constant")
+            if "'" in value and '"' in value:  # the query syntax could not write it
+                raise ValueError(f"string constant {value!r} holds both quote marks")
         object.__setattr__(self, "attr", attr)
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "value", rat(value) if isinstance(value, float) else value)

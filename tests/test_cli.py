@@ -29,12 +29,14 @@ from tcer.cli import (
     StreamFormatError,
 )
 from tcer.cea import MAX_GUARD_BOXES, MAX_GUARD_ENTRIES
-from tcer.model import MAX_DIGITS, Basic, ComplexEvent, Event, format_rat, rat
+from tcer.cel import eval_cel_oracle
+from tcer.model import MAX_DIGITS, Basic, ComplexEvent, Event, TimedStream, format_rat, rat
 from tcer.parser import MAX_QUERY_DEPTH, parse_query, pretty
 from tcer.randgen import random_stream
 
 from conftest import PHI1P_TEXT, PHI2_TEXT, S0_ROWS, bench_stream, rewrite_ge40
 from test_cli_fuzz import FUZZ, ODD_NUMBERS, QUERIES, stream_lines
+from test_engine import FANOUT_TEXT
 
 
 @pytest.fixture
@@ -488,6 +490,49 @@ def test_engines_print_identical_bytes_on_a_longer_stream(capsys, tmp_path, quer
     assert len(keys) > 5 and keys == sorted(keys)
 
 
+class _CountingStdout:
+    """A stdout that keeps each ``write`` apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+# A and B events, the fan-out query matching each B with every A before it
+_FANOUT_TYPES = "AABABBAABAB"
+
+
+def _fanout_files(tmp_path, types: str = _FANOUT_TYPES) -> tuple[str, str]:
+    query, stream = tmp_path / "fanout.tcel", tmp_path / "fanout.jsonl"
+    query.write_text(FANOUT_TEXT + "\n", encoding="utf-8")
+    stream.write_text(
+        "".join(f'{{"type": "{t}", "ts": {i}}}\n' for i, t in enumerate(types, start=1)), encoding="utf-8"
+    )
+    return str(query), str(stream)
+
+
+@pytest.mark.parametrize("engine", ["oracle", "automaton", "streaming"])
+def test_run_writes_each_position_once(monkeypatch, tmp_path, engine):
+    query, stream = _fanout_files(tmp_path)
+    out = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["run", "--query", query, "--stream", stream, "--engine", engine]) == 0
+    with open(stream, encoding="utf-8") as fh:
+        found = eval_cel_oracle(parse_query(FANOUT_TEXT), TimedStream(read_stream(fh)))
+    expected = sorted(found, key=cli.ce_sort_key)
+    ends = sorted({ce.end for ce in expected})
+    assert len(ends) == _FANOUT_TYPES.count("B") and len(expected) > 2 * len(ends)
+    assert "".join(out.writes) == "".join(match_json(ce, ce.end) + "\n" for ce in expected)
+    assert len(out.writes) == len(ends)
+    assert [{json.loads(line)["end"] for line in w.splitlines()} for w in out.writes] == [{e} for e in ends]
+
+
 @pytest.mark.parametrize("engine", ["oracle", "automaton", "streaming"])
 def test_bad_last_line_prints_earlier_matches_then_exits_3(capsys, tmp_path, query_file, stream_file, engine):
     bad = tmp_path / "bad.jsonl"
@@ -516,7 +561,30 @@ def test_streaming_run_builds_no_timed_stream(capsys, monkeypatch, stream_file, 
     assert json.loads(out)["end"] == 8
 
 
-def test_closed_stdout_ends_quietly(tmp_path):
+def _cli_env(unbuffered: bool) -> dict:
+    """The environment for a ``python -m tcer.cli`` child, with
+    ``PYTHONUNBUFFERED`` set or unset."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def test_run_prints_the_same_bytes_unbuffered(tmp_path):
+    rng = random.Random(3)
+    query, stream = _fanout_files(tmp_path, "".join(rng.choice("AB") for _ in range(300)))
+    argv = [sys.executable, "-m", "tcer.cli", "run", "--query", query, "--stream", stream, "--engine", "streaming"]
+    outputs = [
+        subprocess.run(argv, env=_cli_env(unbuffered), capture_output=True, check=True, timeout=60).stdout
+        for unbuffered in (False, True)
+    ]
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) > 300
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_ends_quietly(tmp_path, unbuffered):
     query = tmp_path / "a.tcel"
     query.write_text("A\n", encoding="utf-8")
     stream = tmp_path / "many.jsonl"
@@ -524,7 +592,7 @@ def test_closed_stdout_ends_quietly(tmp_path):
         "".join(f'{{"type": "A", "ts": {i}}}\n' for i in range(1, 3001)), encoding="utf-8"
     )
     argv = [sys.executable, "-m", "tcer.cli", "run", "--query", str(query), "--stream", str(stream)]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env = _cli_env(unbuffered)
     proc = subprocess.Popen(
         argv + ["--engine", "streaming"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
     )
@@ -713,6 +781,14 @@ def test_automaton_with_ordered_string_comparison_exits_3(capsys, tmp_path, comm
         argv += ["-o", str(tmp_path / "d.json")]
     code, _, err = _run(capsys, argv)
     assert code == 3 and "transitions[1]" in err and "needs a number constant" in err
+
+
+def test_automaton_with_a_string_constant_holding_both_quotes_exits_3(capsys, tmp_path):
+    doc = _compiled(tmp_path, capsys)
+    doc["transitions"][1]["pred"] = {"kind": "basic", "attr": "x", "op": "==", "value": "a'b\"c"}
+    argv = ["determinize", "--automaton", _automaton(tmp_path, json.dumps(doc)), "-o", str(tmp_path / "d.json")]
+    code, _, err = _run(capsys, argv)
+    assert code == 3 and "transitions[1]" in err and "both quote marks" in err
 
 
 def test_automaton_predicate_depth_is_bounded(capsys, tmp_path):

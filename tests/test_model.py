@@ -166,6 +166,12 @@ def test_ordered_comparison_needs_a_number_constant(op):
         Basic("x", op, "a")
 
 
+def test_a_string_constant_holding_both_quotes_is_refused():
+    """The query syntax has no escapes, so ``str`` could not print it as text that parses back."""
+    with pytest.raises(ValueError, match="both quote marks"):
+        Basic("x", "==", "a'b\"c")
+
+
 def test_interval_membership_matches_bracket_notation():
     iv = Interval(Fraction(1), Fraction(3), low_closed=False, high_closed=True)
     assert not iv.contains(Fraction(1))
