@@ -404,25 +404,32 @@ def _run_output(start: int, end: int, labels: tuple) -> ComplexEvent:
 
 
 def compatible_pairs(
-    trs: Sequence[Transition], pairs: Iterable[tuple[int, int]]
+    trs: Sequence[Transition], pairs: Iterable[tuple[int, int]], memo: dict
 ) -> list[tuple[int, int]]:
     """The index pairs among ``pairs`` of same-labeled transitions whose
-    predicates one event satisfies together, decided on ``model.event_cells``."""
-    same = [(i, j) for i, j in pairs if trs[i].label == trs[j].label]
-    meet: set[tuple[int, int]] = set()
-    if same:
-        for cell in model.event_cells([tr.pred for tr in trs]):
-            held = [i for i, b in enumerate(cell) if b]
-            meet.update((i, j) for i in held for j in held)
-    return [pair for pair in same if pair in meet]
+    predicates one event satisfies together.  Each pair of predicates is
+    decided on its own ``model.event_cells`` once per ``memo``, a dict that
+    numbers each predicate it has seen and keeps each pair of numbers'
+    answer, so that a predicate is hashed once per call, not once per pair."""
+    number = [memo.setdefault(tr.pred, len(memo)) for tr in trs]
+    out = []
+    for i, j in pairs:
+        if trs[i].label == trs[j].label:
+            key = number[i], number[j]
+            both = memo.get(key)
+            if both is None:
+                both = memo[key] = (True, True) in model.event_cells((trs[i].pred, trs[j].pred))
+            if both:
+                out.append((i, j))
+    return out
 
 
 def deterministic_violations(cea: TimedCea) -> list[tuple[Transition, Transition]]:
     """Pairs of simultaneously fireable same-label transitions."""
-    violations = []
+    violations, memo = [], {}
     for state in cea.states:
         out = cea.out(state)
-        for i, j in compatible_pairs(out, itertools.combinations(range(len(out)), 2)):
+        for i, j in compatible_pairs(out, itertools.combinations(range(len(out)), 2), memo):
             if guard_meet(out[i].guard, out[j].guard) is not None:
                 violations.append((out[i], out[j]))
     return violations
@@ -542,7 +549,7 @@ def guard_from_json(doc, where: str) -> tuple[list[Guard], frozenset[str]]:
         leaves.setdefault(((z, FULL_INTERVAL),), len(leaves))
     if _is_conjunction(tree):
         # it holds where all its comparisons do, unless it has a ``false``
-        boxes = [TRUE] if _holds(tree, -1) else []
+        boxes = [TRUE] if _holds(tree, [1] * len(leaves), 1) else []
         for leaf in leaves:
             boxes = [m for b in boxes if (m := guard_meet(b, leaf)) is not None]
     else:
@@ -550,7 +557,13 @@ def guard_from_json(doc, where: str) -> tuple[list[Guard], frozenset[str]]:
         if math.prod(len(ps) for _, ps in cuts) * (len(clocks) + len(leaves)) > MAX_GUARD_ENTRIES:
             raise AutomatonFormatError(f"{where}: more than {MAX_GUARD_ENTRIES} cell entries")
         types = guard_types(cuts, len(leaves))
-        boxes = join_cells(cuts, [c for mask, cs in types if _holds(tree, mask) for c in cs])
+        # each comparison's set of types, bit ``t`` for ``types[t]``: the
+        # columns of the types' masks written in binary, last type first,
+        # under a leading 1 that keeps every row one wide
+        rows = [f"{mask | 1 << len(leaves):b}" for mask, _ in reversed(types)]
+        covers = [int("".join(column), 2) for column in list(zip(*rows))[:0:-1]]
+        holds = f"{_holds(tree, covers, (1 << len(types)) - 1):0{len(types)}b}"[::-1]
+        boxes = join_cells(cuts, [c for (_, cs), bit in zip(types, holds) if bit == "1" for c in cs])
         if len(boxes) > MAX_GUARD_BOXES:
             raise AutomatonFormatError(f"{where}: more than {MAX_GUARD_BOXES} boxes")
     return [tuple(sorted(b, key=lambda pair: clocks[pair[0]])) for b in boxes], frozenset(clocks)
@@ -558,8 +571,8 @@ def guard_from_json(doc, where: str) -> tuple[list[Guard], frozenset[str]]:
 
 def _guard_tree(doc, where: str, depth: int, leaves: dict, clocks: dict):
     """A checked guard tree: ``(kind, left, right)`` for ``and``/``or``, a
-    bool for ``true``/``false``, and ``1 << i`` for a comparison whose box is
-    the ``i``-th of ``leaves`` (False when no value passes it); ``clocks``
+    bool for ``true``/``false``, and ``i`` for a comparison whose box is the
+    ``i``-th of ``leaves`` (False when no value passes it); ``clocks``
     numbers the clocks the tree mentions in order of first mention."""
     if depth > MAX_QUERY_DEPTH:
         raise AutomatonFormatError(f"{where}: nested deeper than {MAX_QUERY_DEPTH}")
@@ -571,7 +584,7 @@ def _guard_tree(doc, where: str, depth: int, leaves: dict, clocks: dict):
         constant = model.rat(_field(doc, "constant", str, where))
         g = clock_guard(clock, _field(doc, "op", str, where), constant)
         clocks.setdefault(clock, len(clocks))
-        return False if g is None else 1 << leaves.setdefault(g, len(leaves))
+        return False if g is None else leaves.setdefault(g, len(leaves))
     if kind not in ("and", "or"):
         raise AutomatonFormatError(f"{where}: unknown guard kind {kind!r}")
     left = _guard_tree(doc.get("left"), where, depth + 1, leaves, clocks)
@@ -584,17 +597,17 @@ def _is_conjunction(tree) -> bool:
     )
 
 
-def _holds(tree, mask: int) -> bool:
-    """Does the tree hold on the cells that the comparisons in ``mask``
-    cover?"""
+def _holds(tree, covers: list[int], every: int) -> int:
+    """The set of cells, as bits, where the tree holds, in one walk: given
+    the set ``covers[i]`` of the ``i``-th comparison and the set ``every`` of
+    all cells, ``and`` is ``&`` and ``or`` is ``|``."""
     if isinstance(tree, bool):
-        return tree
+        return every if tree else 0
     if isinstance(tree, int):
-        return mask & tree != 0
+        return covers[tree]
     kind, left, right = tree
-    if kind == "and":
-        return _holds(left, mask) and _holds(right, mask)
-    return _holds(left, mask) or _holds(right, mask)
+    left, right = _holds(left, covers, every), _holds(right, covers, every)
+    return left & right if kind == "and" else left | right
 
 
 def cea_to_json(cea: TimedCea) -> dict:

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NoReturn, Optional
+from typing import NamedTuple, NoReturn, Optional
 
 from . import cel
-from .model import COMPARISONS, And, Basic, Interval, Not, Predicate, TrueP, TypeIs, Value
+from .model import COMPARISONS, And, Basic, Interval, Not, Predicate, TrueP, TypeIs
 from .model import format_rat, rat
 
 # At the default recursion limit of 1000 the parser overflows at about 165
@@ -69,14 +69,11 @@ _TOKEN_RE = re.compile(
 )
 
 
-class Token(Value):
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        object.__setattr__(self, "kind", kind)  # number | string | ident | keyword | symbol
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "col", col)
+class Token(NamedTuple):
+    kind: str  # number | string | ident | keyword | symbol
+    text: str
+    line: int
+    col: int
 
 
 class ParseError(Exception):

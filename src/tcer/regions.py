@@ -22,6 +22,13 @@ box, comparing one clock with constants up to ``M``, so it cannot tell
 apart valuations that agree up to ``M``; the widening adds no sequence of
 transitions (Behrmann, Bouyer, Larsen and Pelánek 2006).  So the search stays
 exact, and the number of zones does not grow with the constants.
+
+A zone is kept as a tuple, closed and canonical, and elapse, guard meet and
+step are pure functions of it; so each is computed once per distinct zone in
+one search, in memos that live for that search.  Which same-labeled
+transitions one event can take together is decided once per pair of
+predicates in one search, on ``model.event_cells`` over just the two
+(``cea.compatible_pairs``).
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ def _box(guard, index: dict[str, int], scale: int):
             bounds.append((0, k, -2 * low + low_closed))
         if high is not None:
             bounds.append((k, 0, 2 * _scaled(high, scale) + high_closed))
-    return mask, bounds
+    return mask, tuple(bounds)
 
 
 def _close(zone: list[int], n: int, pivots) -> None:
@@ -74,20 +81,20 @@ def _close(zone: list[int], n: int, pivots) -> None:
                         zone[p + q] = s
 
 
-def _guarded(zone: list[int], n: int, bounds) -> list[int] | None:
+def _guarded(zone, n: int, bounds) -> tuple[int, ...] | None:
     """The closed zone met with a guard's bounds, as a closed copy, or None
     when no valuation is left."""
-    zone = zone.copy()
+    zone = list(zone)
     for i, j, b in bounds:
         if b < zone[i * n + j]:
             if _add(zone[j * n + i], b) < _LE0:  # an infinite bound stays above 0
                 return None
             zone[i * n + j] = b
             _close(zone, n, (i, j))
-    return zone
+    return tuple(zone)
 
 
-def _elapse(zone, n: int) -> list[int]:
+def _elapse(zone, n: int) -> tuple[int, ...]:
     """The valuations a strictly positive delay reaches from the zone: ``up``,
     then ``delay > 0``."""
     zone = list(zone)
@@ -101,9 +108,10 @@ def _limits(ceilings: list[int]) -> tuple[list[int], list[int]]:
     return [2 * m + 1 for m in ceilings for _ in ceilings], [-2 * m for _ in ceilings for m in ceilings]
 
 
-def _step(zone: list[int], n: int, resets: int, limits, init: int) -> tuple[int, ...]:
-    """Reset the clocks in the bit mask ``resets`` (in place), free those
-    outside the mask ``init``, and widen by ``Extra_M`` within ``limits``."""
+def _step(zone, n: int, resets: int, limits, init: int) -> tuple[int, ...]:
+    """Reset the clocks in the bit mask ``resets``, free those outside the
+    mask ``init``, and widen by ``Extra_M`` within ``limits``."""
+    zone = list(zone)
     for k in range(1, n):
         if resets >> k & 1 or not init >> k & 1:
             zone[k * n : k * n + n] = zone[:n] if resets >> k & 1 else [_INF] * n
@@ -113,6 +121,19 @@ def _step(zone: list[int], n: int, resets: int, limits, init: int) -> tuple[int,
     if widened != zone:  # widening keeps the zone non-empty, but not closed
         _close(widened, n, range(n))
     return tuple(widened)
+
+
+class _Memo(dict):
+    """The results of a pure function, keyed by its argument tuple, each
+    computed on first lookup."""
+
+    def __init__(self, function):
+        super().__init__()
+        self.function = function
+
+    def __missing__(self, args):
+        self[args] = result = self.function(*args)
+        return result
 
 
 class SyncResult:
@@ -141,6 +162,10 @@ def check_sync(cea: TimedCea, cap: int = DEFAULT_SYNC_CAP) -> SyncResult:
     if 4 * n * (max(ceilings) + 1) >= _INF:  # a finite bound could reach _INF
         return SyncResult("unknown")
     limits = _limits(ceilings)
+    # each zone operation is pure, so it is computed once per distinct input
+    elapse = _Memo(lambda zone: _elapse(zone, n))
+    meet = _Memo(lambda zone, bounds: _guarded(zone, n, bounds))
+    step = _Memo(lambda zone, resets, init: _step(zone, n, resets, limits, init))
     # the delay clock (bit 1) is always set, and reset by every transition
     start = _step([_LE0] * (n * n), n, 0, limits, 2)
     nodes = [(cea.initial, cea.initial, 2, start, None)]  # and each one's parent
@@ -150,6 +175,7 @@ def check_sync(cea: TimedCea, cap: int = DEFAULT_SYNC_CAP) -> SyncResult:
     # label, and each transition's clocks checked, bounds and clocks reset
     joint: dict[tuple, tuple[tuple[Transition, ...], list[tuple[int, int]], list]] = {}
     boxes: dict[int, tuple] = {}  # the last three, per transition
+    compatible: dict = {}  # per predicate pair, whether one event satisfies both
     queue, explored = deque([0]), 0
     while queue:
         k = queue.popleft()
@@ -161,7 +187,7 @@ def check_sync(cea: TimedCea, cap: int = DEFAULT_SYNC_CAP) -> SyncResult:
             out1 = cea.out(p1)
             trs = out1 if p1 == p2 else out1 + cea.out(p2)
             first = 0 if p1 == p2 else len(out1)
-            pairs = compatible_pairs(trs, product(range(len(out1)), range(first, len(trs))))
+            pairs = compatible_pairs(trs, product(range(len(out1)), range(first, len(trs))), compatible)
             for tr in trs:
                 if pairs and id(tr) not in boxes:
                     resets = sum(1 << index[z] for z in tr.resets if z in index)
@@ -170,18 +196,18 @@ def check_sync(cea: TimedCea, cap: int = DEFAULT_SYNC_CAP) -> SyncResult:
         trs, pairs, info = joint[p1, p2]
         if not pairs:
             continue
-        elapsed = _elapse(zone, n)
-        tight: dict[int, list[int] | None] = {}  # each transition's guard, met once
+        elapsed = elapse[(zone,)]
+        tight: dict[int, tuple[int, ...] | None] = {}  # each transition's guard, met once
         for i, j in pairs:
             for t in (i, j):
                 if t not in tight:
                     mask, bounds, _ = info[t]
-                    tight[t] = _guarded(elapsed, n, bounds) if mask & ~init == 0 else None
+                    tight[t] = meet[elapsed, bounds] if mask & ~init == 0 else None
             if tight[i] is None or tight[j] is None:
                 continue
             t1, t2 = trs[i], trs[j]
             _, bounds, resets = info[j]
-            both = _guarded(tight[i], n, bounds)
+            both = meet[tight[i], bounds]
             if both is None:
                 continue
             if t1.resets != t2.resets:  # the witness: both runs, back to the start
@@ -192,7 +218,7 @@ def check_sync(cea: TimedCea, cap: int = DEFAULT_SYNC_CAP) -> SyncResult:
                 run1, run2 = zip(*reversed(steps))
                 return SyncResult("no", witness=(list(run1), list(run2)), explored=explored)
             reached = init | resets
-            nxt = _step(both, n, resets, limits, reached)
+            nxt = step[both, resets, reached]
             key = (t1.target, t2.target, reached)
             seen = passed.setdefault(key, [])
             if any(all(map(int.__le__, nxt, old)) for old in seen):

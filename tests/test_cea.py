@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from tcer.cea import (
     cea_from_json,
     cea_to_json,
     clock_guard,
+    compatible_pairs,
     eval_cea_oracle,
     format_guard,
     guard_from_json,
@@ -30,7 +32,18 @@ from tcer.cea import (
     reset,
     step,
 )
-from tcer.model import Basic, ComplexEvent, Event, Interval, TimedStream, TrueP, TypeIs
+from tcer.model import (
+    And,
+    Basic,
+    ComplexEvent,
+    Event,
+    Interval,
+    Not,
+    TimedStream,
+    TrueP,
+    TypeIs,
+    event_cells,
+)
 from tcer.randgen import random_stream
 
 from conftest import eval_cea_at, make_t1, random_sync_cea
@@ -163,6 +176,43 @@ def test_outputs_partition_by_end_position(s0, t1):
 
 
 # -- classifiers -------------------------------------------------------------
+
+
+_PREDICATES = st.recursive(
+    st.sampled_from([
+        TrueP(), TypeIs("A"), TypeIs("B"), Basic("x", "<", 1), Basic("x", ">=", 1),
+        Basic("x", "==", 0), Basic("y", "!=", "a"), Basic("y", "==", "a"),
+    ]),
+    lambda sub: st.builds(Not, sub) | st.builds(And, sub, sub),
+    max_leaves=4,
+)
+
+
+def _pairs_sharing_a_cell(trs, pairs):
+    """The reference: the same-labeled pairs among ``pairs`` that share a
+    cell of ``event_cells`` over every predicate of ``trs``."""
+    meet = set()
+    for cell in event_cells([tr.pred for tr in trs]):
+        held = [i for i, b in enumerate(cell) if b]
+        meet.update((i, j) for i in held for j in held)
+    return [(i, j) for i, j in pairs if trs[i].label == trs[j].label and (i, j) in meet]
+
+
+@given(
+    outs=st.lists(
+        st.tuples(_PREDICATES, st.frozensets(st.sampled_from("XY"), max_size=1)),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_compatible_pairs_are_the_pairs_sharing_a_cell_of_all_predicates(outs):
+    trs = [Transition(0, pred, TRUE, label, frozenset(), 0) for pred, label in outs]
+    pairs = list(itertools.product(range(len(trs)), repeat=2))
+    memo = {}
+    assert compatible_pairs(trs, pairs, memo) == _pairs_sharing_a_cell(trs, pairs)
+    # the memo, now full, answers for the same predicates in another order
+    again = trs[::-1]
+    assert compatible_pairs(again, pairs, memo) == _pairs_sharing_a_cell(again, pairs)
 
 
 def test_t1_is_not_deterministic_but_monotonic(t1):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -19,9 +20,10 @@ from tcer.cea import (
     guard_sat,
     reset,
 )
-from tcer.compiler import compile_windowed
+from tcer.compiler import NotWindowed, compile_cel, compile_windowed
 from tcer.model import TrueP, TypeIs
 from tcer.parser import parse_query
+from tcer.randgen import random_formula
 from tcer.regions import (
     _INF,
     _box,
@@ -340,3 +342,41 @@ def test_many_independent_predicates_stay_fast():
     start = time.perf_counter()
     assert check_sync(cea).verdict == "yes"
     assert time.perf_counter() - start < 1.0
+
+
+# -- pinned results -------------------------------------------------------------
+
+# The first 16 hex digits of the sha256 of ``_result_lines`` over each block
+# of 100 ``random_formula`` seeds, recorded before the search memoized its
+# zone operations and predicate pairs (498 "yes" and 102 "no" in all)
+_RESULT_DIGESTS = [
+    "93b10435c925b86b",
+    "2106a1735a598743",
+    "e2d9e3e72e9a4cc4",
+    "efe31756498bbd9b",
+    "bb704407906f0db1",
+    "eff46905953dcd21",
+]
+
+
+def _result_lines(seeds) -> str:
+    """Per seed, ``check_sync``'s verdict, explored count and witness runs
+    on the formula of depth ``1 + seed % 5``, compiled windowed where it is
+    windowed and by ``compile_cel`` otherwise."""
+    lines = []
+    for seed in seeds:
+        phi = random_formula(random.Random(seed), 1 + seed % 5)
+        try:
+            cea = compile_windowed(phi)
+        except NotWindowed:
+            cea = compile_cel(phi)
+        result = check_sync(cea)
+        runs = " | ".join(" ; ".join(map(str, run)) for run in result.witness or ())
+        lines.append(f"{seed} {result.verdict} {result.explored} {runs}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("block", range(len(_RESULT_DIGESTS)))
+def test_results_on_random_formulas_match_the_recorded_digest(block):
+    text = _result_lines(range(100 * block, 100 * block + 100))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == _RESULT_DIGESTS[block]
