@@ -5,7 +5,7 @@ from .cea import TimedCea, Transition, eval_cea_oracle, is_deterministic, is_mon
 from .cel import classify, eval_cel_oracle
 from .compiler import compile_cel, compile_windowed
 from .determinize import SyncResetViolation
-from .engine import NotStreamable, StreamingEngine, run_stream
+from .engine import NotStreamable, StreamingEngine
 from .model import ComplexEvent, Event, Interval, TimedStream, rat
 from .parser import parse_query, pretty
 
@@ -30,7 +30,6 @@ __all__ = [
     "parse_query",
     "pretty",
     "rat",
-    "run_stream",
 ]
 
 __version__ = "0.1.0"

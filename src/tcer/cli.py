@@ -8,7 +8,7 @@ streaming run, the timestamp and only the attributes the query's predicates
 read, in the engine's int units; the other attributes are only checked.
 
 ``run`` prints each match as a JSON line, in ``(end, start, bindings)``
-order, with ``pos`` the match's end, so the three engines print the same
+order, with ``pos`` the match's end, so the two engines print the same
 bytes.  Each position's lines go out in one write once the position has
 been evaluated: under ``python -u`` or ``PYTHONUNBUFFERED=1`` each ``print``
 was two unbuffered writes, the line and its newline.  A match stores its
@@ -18,8 +18,8 @@ variables in name order and each variable's positions sorted
 ``{"bindings": {"X": [4]}, "end": 8, "pos": 8, "start": 4}``.
 The streaming engine reads one line at a time.  Its store of open runs can
 still grow with the stream, because a windowed query's runs past the window
-are not cut.  The oracle and automaton engines load the whole stream first,
-then write once per ``end`` position.
+are not cut.  The oracle engine loads the whole stream first, then writes
+once per ``end`` position.
 A bad line after some matches ends the run with those matches printed.
 
 Exit codes: 0 ok, or stdout closed by its reader; 1 mismatch, violation, or
@@ -202,8 +202,8 @@ def run_matches(engine: str, phi, fh) -> Iterable[Iterable[ComplexEvent]]:
     """The query's matches over a stream's lines, in groups in stream
     order, each group the matches that end at one position, sorted by
     ``ce_sort_key``.  The streaming engine takes one line at a time, read
-    for its ``step``, and gives one group per event; the two oracle engines
-    need random access, so they load every event and give one group per
+    for its ``step``, and gives one group per event; the oracle engine
+    needs random access, so it loads every event and gives one group per
     position that has matches."""
     if engine == "streaming":
         streaming = streaming_engine(phi)
@@ -213,11 +213,7 @@ def run_matches(engine: str, phi, fh) -> Iterable[Iterable[ComplexEvent]]:
             for etype, values, ticks in read_stream(fh, streaming)
         )
     stream = TimedStream(read_stream(fh))
-    cap = max(len(stream), 1)
-    if engine == "oracle":
-        found = eval_cel_oracle(phi, stream, cap=cap)
-    else:
-        found = eval_cea_oracle(compile_cel(phi), stream, cap=cap)
+    found = eval_cel_oracle(phi, stream, cap=max(len(stream), 1))
     return [list(group) for _, group in groupby(sorted(found, key=ce_sort_key), key=attrgetter("end"))]
 
 
@@ -387,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="evaluate a query over a stream")
     p.add_argument("--query", required=True)
     p.add_argument("--stream", required=True)
-    p.add_argument("--engine", choices=["oracle", "automaton", "streaming"], required=True)
+    p.add_argument("--engine", choices=["oracle", "streaming"], required=True)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compile", help="compile a query to an automaton file")
@@ -415,7 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     # a random formula deeper than 12 can take minutes to compile, and one
     # thousands deep overflows the recursion of random_formula itself
     p.add_argument("--max-depth", type=_count(1, 12), default=4)
-    p.add_argument("--max-stream", type=_count(0), default=10)
+    # the oracles are exponential in the stream's length (at depth 5, 200
+    # cases take seconds with streams of up to 30 events and minutes with
+    # up to 40), and each stream is built whole
+    p.add_argument("--max-stream", type=_count(0, 32), default=10)
     p.set_defaults(func=cmd_diff_test)
 
     return parser

@@ -103,7 +103,7 @@ class _Trans(Value):
         object.__setattr__(self, "target", target)
 
 
-def _prepare(cea: TimedCea, scale: int) -> tuple[list[_Trans], Optional[str], str]:
+def _prepare(cea: TimedCea, scale: int) -> tuple[list[_Trans], str]:
     """Validate the automaton and read each guard's bound off its interval
     (the high end under ``le``, the low end under ``ge``), in ticks of
     ``1/scale`` s.  The initial state's guarded transitions are left out: a
@@ -133,7 +133,7 @@ def _prepare(cea: TimedCea, scale: int) -> tuple[list[_Trans], Optional[str], st
             end = iv.high if direction == "le" else iv.low
             bound = None if end is None else int(end * scale)
         out.append(_Trans(tr.source, tr.pred, bound, tr.label, reset, tr.target))
-    return out, clock, direction
+    return out, direction
 
 
 class _Field:
@@ -169,12 +169,12 @@ class _Dispatch:
     transitions."""
 
     __slots__ = (
-        "scale", "clock", "direction", "out", "atoms", "reads", "types", "no_type", "fields", "cells"
+        "scale", "direction", "out", "atoms", "reads", "types", "no_type", "fields", "cells"
     )
 
     def __init__(self, cea: TimedCea):
         self.scale = DECIMAL_SCALE * constant_scale(cea)
-        trans, self.clock, self.direction = _prepare(cea, self.scale)
+        trans, self.direction = _prepare(cea, self.scale)
         self.out: dict[object, list[_Trans]] = {}
         for tr in trans:
             self.out.setdefault(tr.source, []).append(tr)
@@ -209,7 +209,6 @@ class StreamingEngine:
             object.__setattr__(cea, "_dispatch", dispatch)
         self.cea = cea
         self.scale = dispatch.scale
-        self.clock = dispatch.clock
         self.out = dispatch.out
         self.atoms = dispatch.atoms
         self.reads = dispatch.reads
@@ -358,15 +357,3 @@ class StreamingEngine:
             for u in ul:
                 self.caecs.check(u)
                 self.max_odepth = max(self.max_odepth, u.odepth)
-
-
-def run_stream(cea: TimedCea, pairs, debug: bool = False):
-    """Evaluate the automaton over (event, time) pairs.
-
-    Yields (position, [matches]) for every position with at least one match.
-    """
-    engine = StreamingEngine(cea, debug=debug)
-    for event, time in pairs:
-        matches = engine.feed(event, time)
-        if matches:
-            yield engine.position, matches

@@ -103,7 +103,7 @@ def test_run_fuzz_ends_in_an_exit_code(query, stream):
         qpath, spath = Path(tmp, "q.tcel"), Path(tmp, "s.jsonl")
         qpath.write_text(query, encoding="utf-8")
         spath.write_text(stream, encoding="utf-8")
-        for engine in ("oracle", "automaton", "streaming"):
+        for engine in ("oracle", "streaming"):
             argv = ["run", "--query", str(qpath), "--stream", str(spath), "--engine", engine]
             assert _main(argv) in (0, 1, 2, 3)
 
