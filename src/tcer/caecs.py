@@ -43,7 +43,7 @@ the fresh run, advanced first, and every reset hold the newest anchor and
 head their lists, so an old merge seldom heads one again (the depth stayed
 at most 3 over about 3,000 automata of the tests' ``random_streamable_cea``,
 60 events each).  Under ``ge`` the oldest run stays the head and the depth
-grows by one per event: ``A as X ;[1,inf) (A (+))`` reaches 12 at the 14th
+grows by one per event: ``A as X ;[1,inf) (A (+))`` reaches 13 at the 14th
 ``A``.  So no constant bounds the depth, and ``check`` asserts none.
 """
 

@@ -83,13 +83,13 @@ def _parse(line: str, lineno: int, reads: Optional[dict], scale: int):
     if end != len(line):  # the error ``json.loads`` raises
         exc = json.JSONDecodeError("Extra data", line, WHITESPACE.match(line, end).end())
         raise StreamFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+    if obj.__class__ is not dict:
+        raise StreamFormatError(f"line {lineno}: bad event object: not a JSON object")
     try:
         etype = obj["type"]
         attrs = obj.get("attrs", {})
         time = to_units(obj["ts"], scale)
     except (KeyError, TypeError, ValueError) as exc:
-        if obj.__class__ is DecimalText:  # a line that is one decimal, named as in exponent form
-            exc = TypeError("'Fraction' object is not subscriptable")
         raise StreamFormatError(f"line {lineno}: bad event object: {exc}") from exc
     if etype.__class__ is not str or attrs.__class__ is not dict:
         raise StreamFormatError(f"line {lineno}: bad event object")

@@ -1,13 +1,21 @@
 """Query-to-automaton compilation, operator by operator.
 
-One builder, `_compile`, makes one automaton per syntax node.  `compile_cel`
-runs it with a fresh clock per time operator.  `compile_windowed` runs it in
-its ``windowed`` mode, where the clocks are fixed to two: ``zx``, reset on
-exactly the marking transitions, and ``zn``, reset on exactly the initial
-out-transitions, which keeps resets a function of the transition label and
-hence synchronous across runs.  Whether a formula may be built that way is
-decided by `cel.outside_windowed` alone.  An untimed iteration is a timed one
-with no clock and no gap guard.
+One builder, `_compile`, makes one automaton per syntax node.  A node's
+initial state has no incoming transition and its final states no outgoing
+one, so an operator redirects transitions instead of copying them: a
+sequencing sends the left side's transitions into its finals to the right
+side's initial state, a window checks its clock on the transitions into the
+finals, and ``or`` moves the right side's initial out-transitions to the
+left side's initial state.  `_finish` then keeps only the states on a path
+from the initial state to a final one, and reads the clocks off their
+transitions.
+
+`compile_cel` runs the builder with a fresh clock per time operator.
+`compile_windowed` runs it in its ``windowed`` mode, where the clocks are
+fixed to two: ``zx``, reset on exactly the marking transitions, and ``zn``,
+reset on exactly the initial out-transitions, which keeps resets a function
+of the transition label and hence synchronous across runs.  Whether a
+formula may be built that way is decided by `cel.outside_windowed` alone.
 """
 
 from __future__ import annotations
@@ -41,12 +49,10 @@ ZN = "zn"  # window clock of the windowed build
 class _Build:
     """One sub-automaton under construction (mutable scaffolding)."""
 
-    def __init__(self, states: set, delta: list, initial: State, finals: set, clocks: set):
-        self.states = states
+    def __init__(self, delta: list, initial: State, finals: set):
         self.delta = delta
         self.initial = initial
         self.finals = finals
-        self.clocks = clocks
 
 
 class _Fresh:
@@ -63,13 +69,17 @@ class _Fresh:
 
 
 def _finish(build: _Build, formula: cel.CelFormula) -> TimedCea:
+    """The automaton on the initial state and the states on a path from it to
+    a final one, their transitions and the clocks those transitions use."""
+    states = reachable(build.initial, build.delta)
+    live = build.finals & states
+    while more := {tr.source for tr in build.delta if tr.target in live} - live:
+        live |= more
+    states &= live | {build.initial}
+    delta = [tr for tr in build.delta if tr.source in states and tr.target in states]
+    clocks = {z for tr in delta for z in tr.resets | guard_clocks(tr.guard)}
     out = TimedCea(
-        states=frozenset(build.states),
-        vars=cel.formula_vars(formula),
-        clocks=frozenset(build.clocks),
-        delta=tuple(build.delta),
-        initial=build.initial,
-        finals=frozenset(build.finals),
+        states, cel.formula_vars(formula), clocks, delta, build.initial, build.finals & states
     )
     assert out.no_transition_into_initial()
     assert out.resets_before_checks()
@@ -78,8 +88,7 @@ def _finish(build: _Build, formula: cel.CelFormula) -> TimedCea:
 
 def compile_cel(phi: cel.CelFormula) -> TimedCea:
     """The general operator-by-operator construction."""
-    fresh = _Fresh()
-    return _finish(_compile(phi, fresh), phi)
+    return _finish(_compile(phi, _Fresh()), phi)
 
 
 def _interval_guard(clock: str, interval: Interval) -> Guard:
@@ -87,23 +96,21 @@ def _interval_guard(clock: str, interval: Interval) -> Guard:
     return TRUE if interval == FULL_INTERVAL else ((clock, interval),)
 
 
-def _checking(
-    tr: Transition, guard: Guard, source: State, target: State, resets: frozenset = frozenset()
-) -> list[Transition]:
-    """``tr`` from ``source`` to ``target``, also checking ``guard`` and
-    resetting ``resets``; none when no clock value passes both guards."""
+def _checking(tr: Transition, guard: Guard, source: State) -> list[Transition]:
+    """``tr`` from ``source``, also checking ``guard``; none when no clock
+    value passes both guards."""
     both = guard_meet(tr.guard, guard)
     if both is None:
         return []
-    return [Transition(source, tr.pred, both, tr.label, tr.resets | resets, target)]
+    return [Transition(source, tr.pred, both, tr.label, tr.resets, tr.target)]
 
 
-def _retarget(tr: Transition, target: State) -> Transition:
-    return Transition(tr.source, tr.pred, tr.guard, tr.label, tr.resets, target)
-
-
-def _resource(tr: Transition, source: State) -> Transition:
-    return Transition(source, tr.pred, tr.guard, tr.label, tr.resets, tr.target)
+def _gap(phi: cel.CelFormula, fresh: _Fresh, windowed: bool) -> tuple[frozenset, Guard]:
+    """The gap clock's reset and check; an untimed operator has neither."""
+    if not isinstance(phi, (cel.TimedSeq, cel.TimedContigSeq, cel.TimedIter, cel.TimedContigIter)):
+        return frozenset(), TRUE
+    z_x = ZX if windowed else fresh.clock()
+    return frozenset((z_x,)), _interval_guard(z_x, phi.interval)
 
 
 # AS, FILTER, OR, AND and projection: one combinator each.
@@ -129,16 +136,15 @@ def _filter(b: _Build, var: str, pred: Predicate) -> _Build:
     return b
 
 
-def _or(b1: _Build, b2: _Build, fresh: _Fresh) -> _Build:
-    q0 = fresh.state()
-    delta = list(b1.delta) + list(b2.delta)
-    for b in (b1, b2):
-        for tr in b.delta:
-            if tr.source == b.initial:
-                delta.append(_resource(tr, q0))
-    return _Build(
-        b1.states | b2.states | {q0}, delta, q0, b1.finals | b2.finals, b1.clocks | b2.clocks
-    )
+def _or(b1: _Build, b2: _Build) -> _Build:
+    """``b2``'s initial out-transitions leave ``b1``'s initial state instead."""
+    delta = b1.delta + [
+        tr
+        if tr.source != b2.initial
+        else Transition(b1.initial, tr.pred, tr.guard, tr.label, tr.resets, tr.target)
+        for tr in b2.delta
+    ]
+    return _Build(delta, b1.initial, b1.finals | b2.finals)
 
 
 def _and(b1: _Build, b2: _Build) -> _Build:
@@ -155,9 +161,8 @@ def _and(b1: _Build, b2: _Build) -> _Build:
         for t2 in b2.delta
         if t1.label == t2.label and (guard := guard_meet(t1.guard, t2.guard)) is not None
     ]
-    states = {(p1, p2) for p1 in b1.states for p2 in b2.states}
     finals = {(f1, f2) for f1 in b1.finals for f2 in b2.finals}
-    return _Build(states, delta, (b1.initial, b2.initial), finals, b1.clocks | b2.clocks)
+    return _Build(delta, (b1.initial, b2.initial), finals)
 
 
 def _project(b: _Build, keep: frozenset[str]) -> _Build:
@@ -180,7 +185,7 @@ def _compile(phi: cel.CelFormula, fresh: _Fresh, windowed: bool = False) -> _Bui
         q1, q2 = fresh.state(), fresh.state()
         marks = frozenset((ZX,)) if windowed else frozenset()
         tr = Transition(q1, TypeIs(phi.etype), TRUE, frozenset((phi.etype,)), marks, q2)
-        return _Build({q1, q2}, [tr], q1, {q2}, set(marks))
+        return _Build([tr], q1, {q2})
 
     if isinstance(phi, cel.As):
         return _as(_compile(phi.body, fresh, windowed), phi.var)
@@ -190,107 +195,76 @@ def _compile(phi: cel.CelFormula, fresh: _Fresh, windowed: bool = False) -> _Bui
 
     if isinstance(phi, cel.Or):
         b1 = _compile(phi.left, fresh, windowed)
-        return _or(b1, _compile(phi.right, fresh, windowed), fresh)
+        return _or(b1, _compile(phi.right, fresh, windowed))
 
     if isinstance(phi, cel.And):
         b1 = _compile(phi.left, fresh, windowed)
-        b2 = _compile(phi.right, fresh, windowed)
-        assert windowed or not (b1.clocks & b2.clocks), "operand clocks must be disjoint"
-        return _and(b1, b2)
+        return _and(b1, _compile(phi.right, fresh, windowed))
 
-    if isinstance(phi, (cel.Seq, cel.ContigSeq)):
+    if isinstance(phi, (cel.Seq, cel.ContigSeq, cel.TimedSeq, cel.TimedContigSeq)):
+        # b2's initial state ``q`` takes b1's final transitions and checks the gap
         b1 = _compile(phi.left, fresh, windowed)
         b2 = _compile(phi.right, fresh, windowed)
-        delta = list(b1.delta) + list(b2.delta)
-        for tr in b1.delta:
-            if tr.target in b1.finals:
-                delta.append(_retarget(tr, b2.initial))
-        if isinstance(phi, cel.Seq):
-            delta.append(Transition(b2.initial, TrueP(), TRUE, frozenset(), frozenset(), b2.initial))
-        return _Build(
-            b1.states | b2.states, delta, b1.initial, set(b2.finals), b1.clocks | b2.clocks
-        )
+        marks, gamma_i = _gap(phi, fresh, windowed)
+        q = b2.initial
+        delta = [
+            tr
+            if tr.target not in b1.finals
+            else Transition(tr.source, tr.pred, tr.guard, tr.label, tr.resets | marks, q)
+            for tr in b1.delta
+        ]
+        for tr in b2.delta:
+            delta += _checking(tr, gamma_i, q) if tr.source == q else [tr]
+        if isinstance(phi, (cel.Seq, cel.TimedSeq)):
+            delta.append(Transition(q, TrueP(), TRUE, frozenset(), frozenset(), q))
+        return _Build(delta, b1.initial, b2.finals)
 
     if isinstance(phi, cel.Project):
         b = _project(_compile(phi.body, fresh, windowed), phi.vars)
         return _drop_dead_marking_resets(b) if windowed else b
 
     if isinstance(phi, cel.Within):
+        # reset on the initial out-transitions, checked on the others into the finals
         b = _compile(phi.body, fresh, windowed)
-        return _within_wrap(b, phi.interval, ZN if windowed else fresh.clock(), fresh)
-
-    if isinstance(phi, (cel.TimedSeq, cel.TimedContigSeq)):
-        b1 = _compile(phi.left, fresh, windowed)
-        b2 = _compile(phi.right, fresh, windowed)
-        z_x = ZX if windowed else fresh.clock()
-        q_new = fresh.state()
-        gamma_i = _interval_guard(z_x, phi.interval)
-        delta = list(b1.delta) + list(b2.delta)
-        for tr in b1.delta:
-            if tr.target in b1.finals:
-                delta.append(
-                    Transition(tr.source, tr.pred, tr.guard, tr.label, tr.resets | {z_x}, q_new)
-                )
-        if isinstance(phi, cel.TimedSeq):
-            delta.append(Transition(q_new, TrueP(), TRUE, frozenset(), frozenset(), q_new))
-        for tr in b2.delta:
-            if tr.source == b2.initial:
-                delta += _checking(tr, gamma_i, q_new, tr.target)
-        return _Build(
-            b1.states | b2.states | {q_new},
-            delta,
-            b1.initial,
-            set(b2.finals),
-            b1.clocks | b2.clocks | {z_x},
-        )
+        z_n = ZN if windowed else fresh.clock()
+        b, gamma_i = _reset_on_initial(b, z_n), _interval_guard(z_n, phi.interval)
+        delta = []
+        for tr in b.delta:
+            if tr.target not in b.finals:
+                delta.append(tr)
+            elif tr.source != b.initial:
+                delta += _checking(tr, gamma_i, tr.source)
+            elif phi.interval.contains(0):  # a one-event match
+                delta.append(tr)
+        return _Build(delta, b.initial, b.finals)
 
     if isinstance(phi, (cel.Plus, cel.ContigPlus, cel.TimedIter, cel.TimedContigIter)):
-        # an untimed iteration is a timed one with no clock and no gap guard
+        # a block ends in the finals and in ``q_new``, which starts the next
         b = _compile(phi.body, fresh, windowed)
-        timed = isinstance(phi, (cel.TimedIter, cel.TimedContigIter))
-        z_x = (ZX if windowed else fresh.clock()) if timed else None
-        marks = frozenset((z_x,)) if timed else frozenset()
-        gamma_i = _interval_guard(z_x, phi.interval) if timed else TRUE
+        marks, gamma_i = _gap(phi, fresh, windowed)
         q_new = fresh.state()
-        delta = list(b.delta)
-        for tr in b.delta:
-            if tr.target in b.finals:
-                delta.append(
-                    Transition(tr.source, tr.pred, tr.guard, tr.label, tr.resets | marks, q_new)
-                )
+        starts = [tr for tr in b.delta if tr.source == b.initial]
+        delta = b.delta + [t for tr in starts for t in _checking(tr, gamma_i, q_new)]
+        delta += [
+            Transition(tr.source, tr.pred, tr.guard, tr.label, tr.resets | marks, q_new)
+            for tr in delta
+            if tr.target in b.finals
+        ]
         if isinstance(phi, (cel.Plus, cel.TimedIter)):
             delta.append(Transition(q_new, TrueP(), TRUE, frozenset(), frozenset(), q_new))
-        for tr in b.delta:
-            if tr.source == b.initial:
-                delta += _checking(tr, gamma_i, q_new, tr.target)
-                if tr.target in b.finals:
-                    # one-step sub-match looping back: the gap must also be
-                    # checked here, and the block-end reset applied
-                    delta += _checking(tr, gamma_i, q_new, q_new, marks)
-        return _Build(b.states | {q_new}, delta, b.initial, set(b.finals), b.clocks | marks)
+        return _Build(delta, b.initial, b.finals)
 
     raise TypeError(f"not a formula: {phi!r}")
 
 
-def _within_wrap(b: _Build, interval: Interval, z_n: str, fresh: _Fresh) -> _Build:
-    """Wrap a build with a window clock: reset on the initial out-transitions,
-    checked on the transitions entering a fresh final state."""
-    q_f = fresh.state()
-    gamma_i = _interval_guard(z_n, interval)
-    delta: list[Transition] = []
-    for tr in b.delta:
-        if tr.source == b.initial:
-            tr = Transition(tr.source, tr.pred, tr.guard, tr.label, tr.resets | {z_n}, tr.target)
-            if tr.target not in b.finals:
-                delta.append(tr)
-            elif interval.contains(0):
-                # single-event matches are possible only when 0 lies in the window
-                delta.append(_retarget(tr, q_f))
-        else:
-            delta.append(tr)
-            if tr.target in b.finals:
-                delta += _checking(tr, gamma_i, tr.source, q_f)
-    return _Build(b.states | {q_f}, delta, b.initial, {q_f}, b.clocks | {z_n})
+def _reset_on_initial(b: _Build, z: str) -> _Build:
+    b.delta = [
+        tr
+        if tr.source != b.initial
+        else Transition(tr.source, tr.pred, tr.guard, tr.label, tr.resets | {z}, tr.target)
+        for tr in b.delta
+    ]
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -302,21 +276,9 @@ def compile_windowed(phi: cel.CelFormula) -> TimedCea:
     outside = cel.outside_windowed(phi)
     if outside is not None:
         raise NotWindowed(f"operator outside the windowed fragment: {pretty(outside)}")
-    build = _add_zn_on_initial(_compile(phi, _Fresh(), windowed=True))
-    out = _finish(_prune_unreachable(build), phi)
+    out = _finish(_reset_on_initial(_compile(phi, _Fresh(), windowed=True), ZN), phi)
     assert out.clocks <= {ZX, ZN}
     return out
-
-
-def _add_zn_on_initial(b: _Build) -> _Build:
-    b.delta = [
-        tr
-        if tr.source != b.initial
-        else Transition(tr.source, tr.pred, tr.guard, tr.label, tr.resets | {ZN}, tr.target)
-        for tr in b.delta
-    ]
-    b.clocks.add(ZN)
-    return b
 
 
 def _drop_dead_marking_resets(b: _Build) -> _Build:
@@ -331,13 +293,4 @@ def _drop_dead_marking_resets(b: _Build) -> _Build:
         else tr
         for tr in b.delta
     ]
-    return b
-
-
-def _prune_unreachable(b: _Build) -> _Build:
-    live = reachable(b.initial, b.delta)
-    b.states = live
-    b.delta = [tr for tr in b.delta if tr.source in live]
-    b.finals = b.finals & live
-    b.clocks = {z for tr in b.delta for z in tr.resets | guard_clocks(tr.guard)} & b.clocks
     return b

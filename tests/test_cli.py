@@ -121,9 +121,12 @@ def test_bad_stream_lines(line):
             "line 2: timestamp 1.5 is not above 2; timestamps must be positive and increase",
             id="time-not-increasing",
         ),
-        pytest.param(
-            ["1.5"], "line 1: bad event object: 'Fraction' object is not subscriptable", id="one-number"
-        ),
+        pytest.param(["1.5"], "line 1: bad event object: not a JSON object", id="one-number"),
+        pytest.param(["7"], "line 1: bad event object: not a JSON object", id="one-integer"),
+        pytest.param(["[1]"], "line 1: bad event object: not a JSON object", id="one-list"),
+        pytest.param(['"x"'], "line 1: bad event object: not a JSON object", id="one-string"),
+        pytest.param(["null"], "line 1: bad event object: not a JSON object", id="null"),
+        pytest.param(["true"], "line 1: bad event object: not a JSON object", id="true"),
     ],
 )
 def test_a_bad_line_raises_one_message_with_or_without_an_engine(lines, message):
@@ -818,6 +821,48 @@ def test_automaton_predicate_depth_is_bounded(capsys, tmp_path):
         got, out, err = _run(capsys, ["check-sync", "--automaton", path])
         assert got == code, err
         assert code == 3 or json.loads(out)["verdict"] == "yes"
+
+
+def _nested_guard(depth: int) -> dict:
+    guard = {"kind": "true"}
+    for _ in range(depth):
+        guard = {"kind": "and", "left": guard, "right": {"kind": "true"}}
+    return guard
+
+
+@pytest.mark.parametrize("command", ["determinize", "check-sync"])
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("pred", {"kind": "maybe"}, "transitions[0].pred: unknown predicate kind 'maybe'"),
+        (
+            "guard",
+            {"kind": "xor", "left": {"kind": "true"}, "right": {"kind": "true"}},
+            "transitions[0].guard: unknown guard kind 'xor'",
+        ),
+        (
+            "guard",
+            {"kind": "cmp", "clock": "zx", "op": "!=", "constant": "1/1"},
+            "transitions[0]: unknown clock comparator '!='",
+        ),
+        (
+            "pred",
+            {"kind": "basic", "attr": "x", "op": "~", "value": 1},
+            "transitions[0]: unknown comparison '~'",
+        ),
+        ("label", ["Q"], "transitions[0].label: unknown variable"),
+        ("guard", _nested_guard(120), f"transitions[0].guard: nested deeper than {MAX_QUERY_DEPTH}"),
+    ],
+    ids=["pred-kind", "guard-kind", "clock-comparator", "comparison", "label", "deep-guard"],
+)
+def test_a_bad_transition_field_exits_3_naming_it(capsys, tmp_path, command, field, value, message):
+    doc = _compiled(tmp_path, capsys)
+    doc["transitions"][0][field] = value
+    argv = [command, "--automaton", _automaton(tmp_path, json.dumps(doc))]
+    if command == "determinize":
+        argv += ["-o", str(tmp_path / "d.json")]
+    code, _, err = _run(capsys, argv)
+    assert code == 3 and message in err, err
 
 
 @pytest.mark.parametrize("flag", ["--query", "--stream"])

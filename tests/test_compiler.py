@@ -171,3 +171,23 @@ def test_windowed_soundness_on_random_in_class_formulas(seed):
     for _ in range(3):
         stream = random_stream(rng, rng.randint(0, 8))
         assert eval_cea_oracle(cea, stream) == eval_cel_oracle(phi, stream)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 5))
+def test_every_state_but_the_initial_leads_to_a_final_state(seed, depth):
+    """An operator redirects transitions instead of copying them, and the
+    states from which no final state is reachable are dropped: so a run
+    stops only in a final state, or in the initial state of an automaton
+    that has no match."""
+    phi = random_formula(random.Random(seed), depth)
+    builds = [compile_cel(phi)]
+    if cel.outside_windowed(phi) is None:
+        builds.append(compile_windowed(phi))
+    for cea in builds:
+        live = set(cea.finals)
+        while more := {tr.source for tr in cea.delta if tr.target in live} - live:
+            live |= more
+        assert cea.states - live <= {cea.initial}
+        sources = {tr.source for tr in cea.delta}
+        assert all(q in sources or q in cea.finals or q == cea.initial for q in cea.states)

@@ -325,13 +325,13 @@ def _alternatives(k: int) -> str:
     return " OR ".join(f"(A as X ;[0,{i}] B{i} as Y)" for i in range(1, k + 1))
 
 
-def test_k_alternatives_determinize_to_k_plus_three_states():
+def test_k_alternatives_determinize_to_k_plus_two_states():
     """``k`` gaps on one clock make ``2k + 2`` guard cells, not ``2^k``
     guard types: ``k = 16`` builds at once, and agrees with the run oracle."""
     k = 16
     cea = compile_windowed(parse_query(_alternatives(k)))
     det = determinize(cea)
-    assert len(det.states) == k + 3
+    assert len(det.states) == k + 2
     assert is_deterministic(det)
     types = ["A"] + [f"B{i}" for i in range(1, k + 1)]
     for seed in range(10):

@@ -390,7 +390,7 @@ def test_invariant_bounds_hold(seed):
 
 
 def test_output_depth_grows_without_bound_under_ge():
-    # the oldest run heads the list, so odepth grows by one per A (12 at the
+    # the oldest run heads the list, so odepth grows by one per A (13 at the
     # 14th): Caecs.check, on by default, must hold at any depth
     phi = parse_query("A as X ;[1,inf) (A (+))")
     engine = StreamingEngine(determinize(compile_windowed(phi)), debug=True)
@@ -472,9 +472,10 @@ def test_nodes_built_per_event_do_not_grow_with_the_stream(text, events):
 
 
 def test_enumeration_builds_no_node_and_walks_the_merged_union_in_order():
-    """On the fan-out query, a final union-list walked node by node gives
+    """Over fan-out events, a final union-list walked node by node gives
     what ``enumerate_node`` gives on its merged union, match for match."""
-    engine = StreamingEngine(determinize(compile_windowed(parse_query(FANOUT_TEXT))), debug=False)
+    phi = parse_query("(A as X ; (B as Y +)) within [0, 5]")
+    engine = StreamingEngine(determinize(compile_windowed(phi)), debug=False)
     caecs, finals = engine.caecs, engine.cea.finals
     longest = 0
     for event, ts in fanout_events(random.Random(5), 400):

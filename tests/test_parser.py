@@ -95,6 +95,16 @@ def test_comments_and_whitespace_ignored():
     assert parse_query("# heading\nA ; B  # tail\n") == parse_query("A ; B")
 
 
+def test_ascii_and_unicode_projection_agree():
+    assert parse_query("π {X} (A as X)") == parse_query("pi {X} (A as X)")
+
+
+def test_an_unexpected_character_is_named_with_its_place():
+    with pytest.raises(ParseError) as err:
+        parse_query("A $ B")
+    assert str(err.value) == "unexpected character '$' (line 1, column 3)"
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -347,15 +347,15 @@ def test_many_independent_predicates_stay_fast():
 # -- pinned results -------------------------------------------------------------
 
 # The first 16 hex digits of the sha256 of ``_result_lines`` over each block
-# of 100 ``random_formula`` seeds, recorded before the search memoized its
-# zone operations and predicate pairs (498 "yes" and 102 "no" in all)
+# of 100 ``random_formula`` seeds, on automata that keep only the states on
+# a path from the initial state to a final one (538 "yes" and 62 "no" in all)
 _RESULT_DIGESTS = [
-    "93b10435c925b86b",
-    "2106a1735a598743",
-    "e2d9e3e72e9a4cc4",
-    "efe31756498bbd9b",
-    "bb704407906f0db1",
-    "eff46905953dcd21",
+    "b7a1440278976fdb",
+    "587729418e9c4561",
+    "8be326020fe25600",
+    "bdb86f6f11ee9e30",
+    "412df6c8f9caf71f",
+    "5847a146b66915c4",
 ]
 
 
