@@ -108,6 +108,11 @@ def format_guard(g: Guard) -> str:
     )
 
 
+def format_names(names: Iterable[str]) -> str:
+    """A label or reset set as ``{X,Y}``."""
+    return "{" + ",".join(sorted(names)) + "}"
+
+
 def constant_scale(cea: TimedCea) -> int:
     """The lcm of the clock constants' denominators: the least positive
     int that turns every clock constant into an int when multiplied by it."""
@@ -227,8 +232,8 @@ class Transition(Value):
         object.__setattr__(self, "target", target)
 
     def __str__(self) -> str:
-        lab = "{" + ",".join(sorted(self.label)) + "}"
-        rst = "{" + ",".join(sorted(self.resets)) + "}"
+        lab = format_names(self.label)
+        rst = format_names(self.resets)
         guard = format_guard(self.guard)
         return f"{self.source} --{self.pred}, {guard} / {lab}, {rst}--> {self.target}"
 
@@ -293,19 +298,31 @@ def exposed_clocks(delta: Sequence[Transition]) -> dict[State, set[str]]:
     return exposed
 
 
-def reachable(initial: State, delta: Iterable[Transition]) -> set[State]:
-    """The states that some path of transitions leads to from ``initial``."""
-    out: dict[State, list[State]] = {}
-    for tr in delta:
-        out.setdefault(tr.source, []).append(tr.target)
-    seen = {initial}
-    frontier = [initial]
+def reachable(starts: Iterable[State], edges: Iterable[tuple[State, State]]) -> set[State]:
+    """The states that some path of ``(from, to)`` edges leads to from one of
+    ``starts``, these included."""
+    step: dict[State, list[State]] = {}
+    for a, b in edges:
+        step.setdefault(a, []).append(b)
+    seen = set(starts)
+    frontier = list(seen)
     while frontier:
-        for q in out.get(frontier.pop(), ()):
+        for q in step.get(frontier.pop(), ()):
             if q not in seen:
                 seen.add(q)
                 frontier.append(q)
     return seen
+
+
+def trim(
+    initial: State, delta: Sequence[Transition], finals: Iterable[State]
+) -> tuple[set[State], list[Transition]]:
+    """The initial state and the states on a path from it to a final one,
+    with the transitions among them."""
+    states = reachable([initial], [(tr.source, tr.target) for tr in delta])
+    states &= reachable(states.intersection(finals), [(tr.target, tr.source) for tr in delta])
+    states.add(initial)
+    return states, [tr for tr in delta if tr.source in states and tr.target in states]
 
 
 def _pred_size(pred: Predicate) -> int:
@@ -462,7 +479,7 @@ def _state_key(state: State) -> str:
     return repr(state)
 
 
-def _state_order(state: State) -> tuple:
+def state_order(state: State) -> tuple:
     """Tuple states first, then ints by value, then strings."""
     if isinstance(state, int):
         return 1, state
@@ -611,7 +628,7 @@ def _holds(tree, covers: list[int], every: int) -> int:
 
 
 def cea_to_json(cea: TimedCea) -> dict:
-    states = sorted(cea.states, key=_state_order)
+    states = sorted(cea.states, key=state_order)
     index = {q: i for i, q in enumerate(states)}
     return {
         "states": [_state_key(q) for q in states],

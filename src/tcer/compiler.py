@@ -31,7 +31,7 @@ from .cea import (
     exposed_clocks,
     guard_clocks,
     guard_meet,
-    reachable,
+    trim,
 )
 from .model import And as PAnd
 from .model import Interval, Predicate, TrueP, TypeIs
@@ -71,12 +71,7 @@ class _Fresh:
 def _finish(build: _Build, formula: cel.CelFormula) -> TimedCea:
     """The automaton on the initial state and the states on a path from it to
     a final one, their transitions and the clocks those transitions use."""
-    states = reachable(build.initial, build.delta)
-    live = build.finals & states
-    while more := {tr.source for tr in build.delta if tr.target in live} - live:
-        live |= more
-    states &= live | {build.initial}
-    delta = [tr for tr in build.delta if tr.source in states and tr.target in states]
+    states, delta = trim(build.initial, build.delta, build.finals)
     clocks = {z for tr in delta for z in tr.resets | guard_clocks(tr.guard)}
     out = TimedCea(
         states, cel.formula_vars(formula), clocks, delta, build.initial, build.finals & states

@@ -1,10 +1,12 @@
 """Subset-construction determinization for synchronous-reset automata.
 
-Each source-state subset is split along two partitions: predicate cells
-(which subset of the outgoing predicates the event satisfies, among those
-``model.event_cells`` finds some event to give) and guard cells.  A guard
-cell is one numbered piece of ``[0, inf)`` per clock that the outgoing
-guards check, cut at every end of their intervals on it
+Determinism is only required among same-labeled transitions
+(``cea.deterministic_violations``), so each source-state subset's
+transitions with one label are split along two partitions of their own:
+predicate cells (which of the label's predicates the event satisfies,
+among those ``model.event_cells`` finds some event to give) and guard
+cells.  A guard cell is one numbered piece of ``[0, inf)`` per clock that
+the label's guards check, cut at every end of their intervals on it
 (``cea.guard_cuts``), so it lies inside or outside each guard and the
 number of pieces per clock is linear in the guards.  ``cea.guard_types``
 groups the cells by the guards that cover them.  A cell then has a unique
@@ -12,7 +14,7 @@ set of matching transitions, so a unique target subset and — thanks to
 synchronous resets — a unique reset set.
 
 The cells equal in everything but the guard are joined again by
-``cea.join_cells`` on the subset's cuts, one sweep per clock along runs of
+``cea.join_cells`` on the label's cuts, one sweep per clock along runs of
 consecutive pieces, and each box it leaves is one transition, so
 determinizing a monotonic automaton yields a monotonic automaton.
 """
@@ -26,11 +28,13 @@ from .cea import (
     Guard,
     TimedCea,
     Transition,
+    format_names,
     guard_clocks,
     guard_cuts,
     guard_types,
     join_cells,
-    reachable,
+    state_order,
+    trim,
 )
 from .model import Not, Predicate, event_cells, pred_and
 
@@ -43,8 +47,8 @@ class SyncResetViolation(Exception):
         self.subset = subset
         self.pair = (t1, t2)
         super().__init__(
-            f"conflicting resets {sorted(t1.resets)} vs {sorted(t2.resets)} "
-            f"in cell at subset {subset}"
+            f"conflicting resets {format_names(t1.resets)} vs {format_names(t2.resets)} on label "
+            f"{format_names(t1.label)} at states {sorted(subset, key=state_order)}"
         )
 
 
@@ -67,8 +71,6 @@ def _prune_dead_transitions(delta: list[Transition], finals: frozenset) -> list[
     semantics.
     """
     clocks = sorted({z for tr in delta for z in set(tr.resets) | guard_clocks(tr.guard)})
-    if not clocks:
-        return delta
     states = {tr.source for tr in delta} | {tr.target for tr in delta} | set(finals)
     out: dict[object, list[Transition]] = {}
     for tr in delta:
@@ -119,48 +121,36 @@ def determinize(cea: TimedCea) -> TimedCea:
     seen = {start}
     worklist = [start]
     # cells that differ only in their guard are joined: they are collected
-    # per (source, predicate cell, label, resets, target), with the cell's
-    # predicate and the source's guard cuts
+    # per (source, label, predicate cell, resets, target), with the cell's
+    # predicate and the label's guard cuts
     grouped: dict[tuple, tuple[Predicate, list, list[tuple[int, ...]]]] = {}
     while worklist:
         source_key = worklist.pop()
         subset, dom = source_key
-        out = [
-            tr
-            for q in subset
-            for tr in cea.out(q)
-            if guard_clocks(tr.guard) <= dom
-        ]
-        if not out:
-            continue
-        preds = list(dict.fromkeys([tr.pred for tr in out]))
-        guards = list(dict.fromkeys([tr.guard for tr in out]))
-        pred_at = {p: i for i, p in enumerate(preds)}
-        guard_bit = {g: 1 << i for i, g in enumerate(guards)}
-        # the subset's transitions by label, in the order of ``out``, each
-        # with the index of its predicate and the bit of its guard
-        by_label: dict[frozenset, list] = {}
-        for tr in out:
-            by_label.setdefault(tr.label, []).append((tr, pred_at[tr.pred], guard_bit[tr.guard]))
-        # the guard cells, by the guards that hold on them, in the order of
-        # the product (True, False)^k; the same for every predicate cell
-        cuts = guard_cuts(guards)
-        groups = guard_types(cuts, len(guards))
-        # the events' cells, in the order of the product (True, False)^k
-        for s_bits in sorted(event_cells(preds), key=lambda b: [not x for x in b]):
-            chosen = [p for p, b in zip(preds, s_bits) if b]
-            if not chosen:
-                continue  # no transition can match the all-complements cell
-            p_s = pred_and(
-                *chosen, *(Not(p) for p, b in zip(preds, s_bits) if not b)
-            )
-            # per label, the transitions whose predicate holds in the cell
-            live = [
-                (label, [(tr, bit) for tr, pi, bit in trs if s_bits[pi]])
-                for label, trs in by_label.items()
-            ]
-            for mask, cells in groups:
-                for label, candidates in live:
+        by_label: dict[frozenset, list[Transition]] = {}
+        for q in subset:
+            for tr in cea.out(q):
+                if guard_clocks(tr.guard) <= dom:
+                    by_label.setdefault(tr.label, []).append(tr)
+        for label, trs in by_label.items():
+            preds = list(dict.fromkeys([tr.pred for tr in trs]))
+            guards = list(dict.fromkeys([tr.guard for tr in trs]))
+            pred_at = {p: i for i, p in enumerate(preds)}
+            guard_bit = {g: 1 << i for i, g in enumerate(guards)}
+            # the guard cells, by the guards that hold on them, in the order
+            # of the product (True, False)^k; the same for every predicate cell
+            cuts = guard_cuts(guards)
+            groups = guard_types(cuts, len(guards))
+            # the events' cells, in the order of the product (True, False)^k
+            for s_bits in sorted(event_cells(preds), key=lambda b: [not x for x in b]):
+                candidates = [(tr, guard_bit[tr.guard]) for tr in trs if s_bits[pred_at[tr.pred]]]
+                if not candidates:
+                    continue  # the all-complements cell
+                p_s = pred_and(
+                    *(p for p, b in zip(preds, s_bits) if b),
+                    *(Not(p) for p, b in zip(preds, s_bits) if not b),
+                )
+                for mask, cells in groups:
                     matching = [tr for tr, bit in candidates if mask & bit]
                     if not matching:
                         continue
@@ -172,9 +162,9 @@ def determinize(cea: TimedCea) -> TimedCea:
                         frozenset(tr.target for tr in matching),
                         dom | resets,
                     )
-                    # ``p_s`` is a function of the source and ``s_bits``,
-                    # which are cheaper to hash
-                    key = (source_key, s_bits, label, resets, target_key)
+                    # ``p_s`` is a function of the source, label and
+                    # ``s_bits``, which are cheaper to hash
+                    key = (source_key, label, s_bits, resets, target_key)
                     grouped.setdefault(key, (p_s, cuts, []))[2].extend(cells)
                     if target_key not in seen:
                         seen.add(target_key)
@@ -182,7 +172,7 @@ def determinize(cea: TimedCea) -> TimedCea:
 
     state_name = _name_states(seen)
     delta = []
-    for (source_key, _, label, resets, target_key), (p_s, cuts, cells) in grouped.items():
+    for (source_key, label, _, resets, target_key), (p_s, cuts, cells) in grouped.items():
         # every checked clock is initialized here, so trivial intervals can
         # be dropped without changing the meaning
         source, target = state_name[source_key], state_name[target_key]
@@ -191,21 +181,10 @@ def determinize(cea: TimedCea) -> TimedCea:
             for box in _drop_trivial(join_cells(cuts, cells))
         ]
     finals = frozenset(state_name[s] for s in seen if s[0] & cea.finals)
-    delta = _prune_dead_transitions(delta, finals)
     initial = state_name[start]
-    live = reachable(initial, delta)
-    delta = [tr for tr in delta if tr.source in live]
-    clocks = frozenset(
-        z for tr in delta for z in set(tr.resets) | guard_clocks(tr.guard)
-    )
-    return TimedCea(
-        states=frozenset(live),
-        vars=cea.vars,
-        clocks=clocks or cea.clocks,
-        delta=tuple(delta),
-        initial=initial,
-        finals=finals & live,
-    )
+    states, delta = trim(initial, _prune_dead_transitions(delta, finals), finals)
+    clocks = {z for tr in delta for z in tr.resets | guard_clocks(tr.guard)}
+    return TimedCea(states, cea.vars, clocks or cea.clocks, delta, initial, finals & states)
 
 
 def _drop_trivial(boxes: list[Guard]) -> list[Guard]:

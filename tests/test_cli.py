@@ -367,6 +367,20 @@ def test_general_query_rejected_by_streaming_engine(capsys, tmp_path, stream_fil
     assert "windowed" in err
 
 
+def test_conflicting_resets_are_named_by_label_and_sorted_states(capsys, tmp_path, stream_file):
+    query = tmp_path / "q.tcel"
+    query.write_text("pi {} ((A +[1,3]))\n", encoding="utf-8")
+    code, out, err = _run(
+        capsys,
+        ["run", "--query", str(query), "--stream", stream_file, "--engine", "streaming"],
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "streaming engine rejected the query: "
+        "conflicting resets {zn} vs {zn,zx} on label {} at states [1]\n"
+    )
+
+
 def test_query_outside_the_windowed_fragment_is_named_in_query_syntax(
     capsys, tmp_path, stream_file
 ):

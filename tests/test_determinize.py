@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
@@ -9,7 +10,7 @@ import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tcer.cea import (
     TRUE,
@@ -30,13 +31,14 @@ from tcer.cea import (
     is_monotonic,
     join_cells,
 )
-from tcer.compiler import compile_windowed
+from tcer.compiler import NotWindowed, compile_cel, compile_windowed
 from tcer.determinize import SyncResetViolation, determinize
-from tcer.model import Event, Interval, TimedStream, TrueP, TypeIs, sat
+from tcer.model import Event, Interval, TimedStream, TrueP, TypeIs, _atoms, sat
 from tcer.parser import parse_query
-from tcer.randgen import random_stream
+from tcer.randgen import random_formula, random_stream
 
-from conftest import random_sync_cea
+from conftest import PHI2_TEXT, random_streamable_cea, random_sync_cea
+from test_engine import FANOUT_TEXT
 
 
 # -- guard boxes ---------------------------------------------------------------
@@ -175,6 +177,125 @@ def test_conflicting_resets_are_reported():
     tr1, tr2 = err.value.pair
     assert tr1.resets != tr2.resets
     assert tr1.label == tr2.label
+    assert err.value.subset == frozenset({0})
+    assert str(err.value) == "conflicting resets {z} vs {} on label {X} at states [0]"
+
+
+# -- cells cut per label -------------------------------------------------------
+
+
+def test_the_fan_out_skip_is_one_true_transition():
+    """The ``{}`` skip is cut by its own predicate only, not by the
+    ``{Y}`` transition's ``type = B``."""
+    det = determinize(compile_windowed(parse_query(FANOUT_TEXT)))
+    assert (len(det.states), len(det.delta)) == (3, 3)
+    skips = [tr for tr in det.delta if not tr.label]
+    assert len(skips) == 1
+    assert skips[0].pred == TrueP() and skips[0].source == skips[0].target
+
+
+def test_phi2_determinizes_to_the_querys_own_predicates():
+    cea = compile_windowed(parse_query(PHI2_TEXT))
+    det = determinize(cea)
+    assert (len(det.states), len(det.delta)) == (4, 4)
+    assert {(tr.label, tr.pred) for tr in det.delta} <= {(tr.label, tr.pred) for tr in cea.delta}
+    assert sorted(str(tr.pred) for tr in det.delta) == [
+        "(type = H and hum < 30)", "(type = H and hum > 30)", "type = T", "type = T"
+    ]
+
+
+def _formula_automaton(seed: int, windowed: bool) -> TimedCea:
+    phi = random_formula(random.Random(seed), 1 + seed % 5)
+    try:
+        return compile_windowed(phi) if windowed else compile_cel(phi)
+    except NotWindowed:
+        return compile_cel(phi)
+
+
+def test_no_refusal_of_a_random_formula_prints_a_python_set():
+    for seed in range(600):
+        for windowed in (True, False):
+            try:
+                determinize(_formula_automaton(seed, windowed))
+            except SyncResetViolation as e:
+                assert "frozenset(" not in str(e)
+
+
+_AUTOMATA = st.one_of(
+    st.builds(_formula_automaton, st.integers(0, 10**6), st.booleans()),
+    st.integers(0, 10**6).map(lambda seed: random_sync_cea(random.Random(seed))),
+    st.integers(0, 10**6).map(lambda seed: random_streamable_cea(random.Random(seed))),
+)
+
+
+def _determinized(cea: TimedCea) -> TimedCea:
+    try:
+        return determinize(cea)
+    except SyncResetViolation:
+        assume(False)
+
+
+@settings(deadline=None)
+@given(_AUTOMATA)
+def test_a_transition_reads_only_its_own_labels_atoms(cea):
+    """Every atom of a deterministic transition's predicate is an atom of an
+    input transition with the same label: no other label cuts its cells."""
+    det = _determinized(cea)
+    atoms = {(tr.label, atom) for tr in cea.delta for atom in _atoms(tr.pred)}
+    for tr in det.delta:
+        assert {(tr.label, atom) for atom in _atoms(tr.pred)} <= atoms
+
+
+@settings(deadline=None)
+@given(_AUTOMATA)
+def test_every_state_is_on_a_path_to_a_final_state(cea):
+    det = _determinized(cea)
+    live = set(det.finals)
+    while more := {tr.source for tr in det.delta if tr.target in live} - live:
+        live |= more
+    assert det.states - {det.initial} <= live
+
+
+def test_a_state_with_no_path_to_a_final_state_is_not_kept():
+    """The two filters contradict each other on the first ``A``, so after
+    the ``C`` no run can accept: only the initial state is left."""
+    query = "(C :[1,1.5) (((A filter A[x >= 4]) : (A +)) filter A[x <= 3]))"
+    for compile_ in (compile_windowed, compile_cel):
+        det = determinize(compile_(parse_query(query)))
+        assert det.states == {det.initial} and not det.delta
+
+
+# Recorded from ``determinize`` as it cuts each label's cells on its own
+# and keeps only the states on a path to a final state; a change to
+# either shows here.
+_DETERMINIZED_DIGESTS = [
+    "570fec6d9de4bdb4",
+    "27e538e88f42a50f",
+    "1b328a284e9444d6",
+    "23e7a55c1abff3ca",
+    "9636b99fef614962",
+    "bdce8ec645b56011",
+]
+
+
+def _determinized_lines(seeds) -> str:
+    """Per seed, the determinized automaton of the formula of depth
+    ``1 + seed % 5``, compiled windowed where it is windowed and by
+    ``compile_cel`` otherwise, or the text of its refusal."""
+    lines = []
+    for seed in seeds:
+        try:
+            doc = cea_to_json(determinize(_formula_automaton(seed, windowed=True)))
+            lines.append(f"{seed} {json.dumps(doc, sort_keys=True)}")
+        except SyncResetViolation as e:
+            lines.append(f"{seed} {e}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("block", range(len(_DETERMINIZED_DIGESTS)))
+def test_determinized_random_formulas_match_the_recorded_digest(block):
+    text = _determinized_lines(range(100 * block, 100 * block + 100))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == _DETERMINIZED_DIGESTS[block]
 
 
 # -- predicate/guard type partitions -----------------------------------------
