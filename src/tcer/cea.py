@@ -224,12 +224,7 @@ class Transition(Value):
         self, source: State, pred: Predicate, guard: Guard,
         label: frozenset[str], resets: frozenset[str], target: State,
     ):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "pred", pred)
-        object.__setattr__(self, "guard", guard)
-        object.__setattr__(self, "label", frozenset(label))
-        object.__setattr__(self, "resets", frozenset(resets))
-        object.__setattr__(self, "target", target)
+        super().__init__(source, pred, guard, frozenset(label), frozenset(resets), target)
 
     def __str__(self) -> str:
         lab = format_names(self.label)
@@ -245,25 +240,21 @@ class TimedCea(Value):
         self, states: frozenset[State], vars: frozenset[str], clocks: frozenset[str],
         delta: tuple[Transition, ...], initial: State, finals: frozenset[State],
     ):
-        object.__setattr__(self, "states", frozenset(states))
-        object.__setattr__(self, "vars", frozenset(vars))
-        object.__setattr__(self, "clocks", frozenset(clocks))
-        object.__setattr__(self, "delta", tuple(delta))
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "finals", frozenset(finals))
+        states, delta, finals = frozenset(states), tuple(delta), frozenset(finals)
         out: dict[State, list[Transition]] = {}
-        for tr in self.delta:
-            if tr.source not in self.states or tr.target not in self.states:
+        for tr in delta:
+            if tr.source not in states or tr.target not in states:
                 raise ValueError(f"transition over unknown state: {tr}")
             out.setdefault(tr.source, []).append(tr)
+        if initial not in states:
+            raise ValueError("initial state unknown")
+        if not finals <= states:
+            raise ValueError("final state unknown")
         object.__setattr__(self, "_out", out)
         # what every streaming engine over the automaton shares, built by the
         # first one (``engine._Dispatch``)
         object.__setattr__(self, "_dispatch", None)
-        if initial not in self.states:
-            raise ValueError("initial state unknown")
-        if not self.finals <= self.states:
-            raise ValueError("final state unknown")
+        super().__init__(states, frozenset(vars), frozenset(clocks), delta, initial, finals)
 
     def out(self, state: State) -> tuple[Transition, ...]:
         return tuple(self._out.get(state, ()))

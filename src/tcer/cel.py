@@ -13,7 +13,6 @@ from .model import (
     Binary,
     ComplexEvent,
     Interval,
-    Predicate,
     TimedStream,
     Unary,
     Value,
@@ -30,33 +29,20 @@ from .model import (
 class EventType(Value):
     __slots__ = ("etype",)
 
-    def __init__(self, etype: str):
-        object.__setattr__(self, "etype", etype)
-
 
 class As(Value):
     __slots__ = ("body", "var")
 
-    def __init__(self, body: "CelFormula", var: str):
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "var", var)
-
 
 class Filter(Value):
     __slots__ = ("body", "var", "pred")
-
-    def __init__(self, body: "CelFormula", var: str, pred: Predicate):
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "pred", pred)
 
 
 class Project(Value):
     __slots__ = ("vars", "body")
 
     def __init__(self, vars: frozenset[str], body: "CelFormula"):
-        object.__setattr__(self, "vars", frozenset(vars))
-        object.__setattr__(self, "body", body)
+        super().__init__(frozenset(vars), body)
 
 
 class _TimedUnary(Value):
@@ -64,20 +50,11 @@ class _TimedUnary(Value):
 
     __slots__ = ("body", "interval")
 
-    def __init__(self, body: "CelFormula", interval: Interval):
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "interval", interval)
-
 
 class _TimedBinary(Value):
     """The fields of a timed sequencing."""
 
     __slots__ = ("left", "interval", "right")
-
-    def __init__(self, left: "CelFormula", interval: Interval, right: "CelFormula"):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "interval", interval)
-        object.__setattr__(self, "right", right)
 
 
 class Or(Binary):

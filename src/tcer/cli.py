@@ -49,7 +49,7 @@ from .compiler import NotWindowed, compile_cel, compile_windowed
 from .determinize import SyncResetViolation, determinize
 from .engine import NotStreamable, StreamingEngine
 from .model import (
-    MAX_DIGITS, ComplexEvent, DecimalText, Event, TimedStream, format_rat, number_text, to_units
+    ComplexEvent, DecimalText, Event, TimedStream, format_rat, number_text, to_units
 )
 from .parser import ParseError, parse_query, pretty
 
@@ -58,16 +58,9 @@ class StreamFormatError(Exception):
     pass
 
 
-def _int_text(text: str) -> int:
-    """``parse_int`` for the reader: past ``MAX_DIGITS``, refused as by ``rat``."""
-    if len(text) > MAX_DIGITS:
-        raise ValueError(f"number longer than {MAX_DIGITS} digits")
-    return int(text)
-
-
 # the one decoder (``json.loads`` with a hook would build one per call)
-_decode = json.JSONDecoder(parse_float=number_text, parse_int=_int_text).raw_decode
-_KINDS = (str, DecimalText, int, Fraction)
+_decode = json.JSONDecoder(parse_float=number_text, parse_int=number_text).raw_decode
+_KINDS = (str, DecimalText, Fraction)
 
 
 def _parse(line: str, lineno: int, reads: Optional[dict], scale: int):

@@ -65,7 +65,9 @@ from math import isfinite, lcm
 from typing import Iterator, Optional
 
 from .caecs import Caecs, Node, enumerate_node
-from .cea import TimedCea, constant_scale, guard_clocks, is_deterministic, is_monotonic
+from .cea import (
+    TimedCea, constant_scale, format_names, guard_clocks, is_deterministic, is_monotonic
+)
 from .model import (
     Basic,
     ComplexEvent,
@@ -94,14 +96,6 @@ class _Trans(Value):
 
     __slots__ = ("source", "pred", "bound", "label", "reset", "target")
 
-    def __init__(self, source, pred, bound: Optional[int], label: frozenset, reset: bool, target):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "pred", pred)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "reset", reset)
-        object.__setattr__(self, "target", target)
-
 
 def _prepare(cea: TimedCea, scale: int) -> tuple[list[_Trans], str]:
     """Validate the automaton and read each guard's bound off its interval
@@ -115,7 +109,7 @@ def _prepare(cea: TimedCea, scale: int) -> tuple[list[_Trans], str]:
         raise NotStreamable("guards are not monotonic")
     checked = frozenset(z for tr in cea.delta for z in guard_clocks(tr.guard))
     if len(checked) > 1:
-        raise NotStreamable(f"more than one checked clock: {sorted(checked)}")
+        raise NotStreamable(f"more than one checked clock: {format_names(checked)}")
     clock = next(iter(checked), None)
     if not cea.no_transition_into_initial():
         raise NotStreamable("transition back into the initial state")
@@ -131,7 +125,7 @@ def _prepare(cea: TimedCea, scale: int) -> tuple[list[_Trans], str]:
         if tr.guard:
             ((_, iv),) = tr.guard
             end = iv.high if direction == "le" else iv.low
-            bound = None if end is None else int(end * scale)
+            bound = None if end is None else to_units(end, scale)
         out.append(_Trans(tr.source, tr.pred, bound, tr.label, reset, tr.target))
     return out, direction
 

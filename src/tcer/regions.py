@@ -37,6 +37,7 @@ from collections import deque
 from itertools import product
 
 from .cea import TimedCea, Transition, compatible_pairs, constant_scale
+from .model import to_units
 
 DEFAULT_SYNC_CAP = 1_000_000
 
@@ -49,10 +50,6 @@ def _add(a: int, b: int) -> int:
     return a + b - ((a | b) & 1)
 
 
-def _scaled(c, scale: int) -> int:
-    return c.numerator * scale // c.denominator
-
-
 def _box(guard, index: dict[str, int], scale: int):
     """A guard box as the bit mask of the clocks it checks and its DBM
     bounds ``(i, j, b)``, each ``x_i - x_j`` within ``b``."""
@@ -60,11 +57,11 @@ def _box(guard, index: dict[str, int], scale: int):
     for z, (low, high, low_closed, high_closed) in guard:
         k = index[z]
         mask |= 1 << k
-        low = _scaled(low, scale)
+        low = to_units(low, scale)
         if low or not low_closed:
             bounds.append((0, k, -2 * low + low_closed))
         if high is not None:
-            bounds.append((k, 0, 2 * _scaled(high, scale) + high_closed))
+            bounds.append((k, 0, 2 * to_units(high, scale) + high_closed))
     return mask, tuple(bounds)
 
 
@@ -157,7 +154,7 @@ def check_sync(cea: TimedCea, cap: int = DEFAULT_SYNC_CAP) -> SyncResult:
     ceilings = [0] * n  # each clock's largest constant: the high end, else the low
     for tr in cea.delta:
         for z, iv in tr.guard:
-            c = _scaled(iv.low if iv.high is None else iv.high, scale)
+            c = to_units(iv.low if iv.high is None else iv.high, scale)
             ceilings[index[z]] = max(ceilings[index[z]], c)
     if 4 * n * (max(ceilings) + 1) >= _INF:  # a finite bound could reach _INF
         return SyncResult("unknown")

@@ -381,6 +381,17 @@ def test_conflicting_resets_are_named_by_label_and_sorted_states(capsys, tmp_pat
     )
 
 
+def test_phi1p_is_refused_for_its_two_checked_clocks_named_as_a_set(capsys, tmp_path, stream_file):
+    query = tmp_path / "q.tcel"
+    query.write_text(PHI1P_TEXT + "\n", encoding="utf-8")
+    code, out, err = _run(
+        capsys,
+        ["run", "--query", str(query), "--stream", stream_file, "--engine", "streaming"],
+    )
+    assert (code, out) == (1, "")
+    assert err == "streaming engine rejected the query: more than one checked clock: {zn,zx}\n"
+
+
 def test_query_outside_the_windowed_fragment_is_named_in_query_syntax(
     capsys, tmp_path, stream_file
 ):
@@ -666,6 +677,32 @@ def test_no_source_module_imports_dataclasses():
                 assert "dataclasses" not in (alias.name for alias in node.names), path.name
             elif isinstance(node, ast.ImportFrom):
                 assert node.module != "dataclasses", path.name
+
+
+def test_only_the_value_constructors_write_a_field():
+    """A value class declares its fields once, in ``__slots__``:
+    ``Value.__init__`` sets them, and only ``Event.__init__``, on the stream
+    reader's path, writes its own.  Other code may set a ``_`` cache."""
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and path.name == "model.py" and cls.name in (
+                "Value", "Event"
+            ):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                        exempt.update(map(id, ast.walk(node)))
+        for call in ast.walk(tree):
+            if (
+                isinstance(call, ast.Call)
+                and id(call) not in exempt
+                and ast.unparse(call.func) == "object.__setattr__"
+            ):
+                name = call.args[1]
+                assert isinstance(name, ast.Constant) and name.value.startswith("_"), (
+                    f"{path.name}:{call.lineno} writes {ast.unparse(name)}"
+                )
 
 
 def test_the_package_exports_check_sync_on_first_use():

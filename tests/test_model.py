@@ -556,6 +556,14 @@ def test_value_classes_compare_hash_and_print_as_frozen_dataclasses(data):
             with pytest.raises(AttributeError):
                 delattr(x, name)
         assert pickle.loads(pickle.dumps(x)) == x and copy.deepcopy(x) == x
+        bad_calls = [lambda: cls(*fields, None), lambda: cls(*fields, new_field=None)]
+        if names:  # a field missing, and one given twice
+            bad_calls += [
+                lambda: cls(*fields[:-1]), lambda: cls(*fields, **{names[0]: fields[0]})
+            ]
+        for bad_call in bad_calls:
+            with pytest.raises(TypeError, match="field|argument"):
+                bad_call()
         for other in classes:
             if other is not cls:
                 assert x != other(*fields) and other(*fields) != x

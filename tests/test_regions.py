@@ -310,6 +310,18 @@ def test_large_constants_answer_yes_in_under_a_second():
         assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("compile_query", [compile_windowed, compile_cel])
+def test_the_zones_explored_do_not_grow_with_the_constants(compile_query):
+    """README Pipeline step 3: with every constant scaled up, the search
+    explores the same zones, 4 for ``(A ;[0,60] B) within [0,3600]``."""
+    explored = set()
+    for gap, window in ((6, 36), (60, 3600), (600000, 36000000)):
+        result = check_sync(compile_query(parse_query(f"(A ;[0,{gap}] B) within [0,{window}]")))
+        assert result.verdict == "yes"
+        explored.add(result.explored)
+    assert explored == {4}
+
+
 def _two_late_b_transitions(c):
     """After ``A`` resets ``z``, two ``B`` transitions, both guarded
     ``z > c``, one resetting ``z`` and one not."""
