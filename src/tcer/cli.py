@@ -34,6 +34,7 @@ import argparse
 import json
 import os
 import random
+import stat
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -217,11 +218,17 @@ def run_matches(engine: str, phi, fh) -> Iterable[Iterable[ComplexEvent]]:
 
 def cmd_run(args) -> int:
     phi = load_query(args.query)
-    write = sys.stdout.write
+    out = sys.stdout
+    try:  # a pipe or a terminal gets each position's matches once they are found
+        live = not stat.S_ISREG(os.fstat(out.fileno()).st_mode)
+    except (AttributeError, OSError, ValueError):  # no file descriptor
+        live = False
     with open(args.stream, encoding="utf-8") as fh:
         for found in run_matches(args.engine, phi, fh):
             if found:  # one write per position: ``print`` is two when unbuffered
-                write("".join([match_json(ce, ce.end) + "\n" for ce in found]))
+                out.write("".join([match_json(ce, ce.end) + "\n" for ce in found]))
+                if live:
+                    out.flush()
     return 0
 
 

@@ -52,16 +52,16 @@ any other value is an exact ``Fraction`` of units.  ``feed`` converts the
 time and the attributes the atoms read with ``model.to_units``; ``step``
 takes them already converted, from a reader such as the CLI's that reads
 them straight from their digits, and rebuilds an event from them only on
-the first event of a cell, for ``sat``.  Only numbers (not booleans, NaN or
-infinities) satisfy a number comparison and only strings a string
-comparison, as in ``sat``.
+the first event of a cell, for ``sat``.  ``feed`` reads each value through
+``model.operand``, as ``sat`` does, and leaves out what it maps to None (a
+boolean, NaN, an infinity), which satisfies no atom.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import isfinite, lcm
+from math import lcm
 from typing import Iterator, Optional
 
 from .caecs import Caecs, Node, enumerate_node
@@ -78,6 +78,7 @@ from .model import (
     _atoms,
     _classes,
     _compare,
+    operand,
     sat,
     to_units,
 )
@@ -225,13 +226,9 @@ class StreamingEngine:
         attrs = event.attrs
         values = {}
         for attr, scale in self.reads.items():
-            value = attrs.get(attr)
-            if isinstance(value, (int, Fraction)) and value.__class__ is not bool or (
-                isinstance(value, float) and isfinite(value)
-            ):
-                values[attr] = to_units(value, scale)
-            elif isinstance(value, str):
-                values[attr] = value
+            value = operand(attrs.get(attr))
+            if value is not None:
+                values[attr] = value if isinstance(value, str) else to_units(value, scale)
         return self.step(event.etype, values, to_units(time, self.scale))
 
     def step(self, etype: str, values: dict, ticks: Rational) -> list[ComplexEvent]:

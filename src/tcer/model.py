@@ -27,8 +27,8 @@ MAX_DIGITS = 1000
 
 
 # A plain decimal, ``-?digits(.digits)?`` in ASCII: the form stream numbers
-# and timestamps take.  It is built from two ints, skipping ``Fraction``'s
-# more general string parser, which every other form still goes to.
+# and timestamps take, which ``to_units`` reads from its digits, skipping
+# ``Fraction``'s more general string parser.
 _PLAIN_DECIMAL = re.compile(r"(-?[0-9]+)(?:\.([0-9]+))?")
 
 
@@ -40,14 +40,6 @@ def rat(value: Union[int, str, Fraction]) -> Fraction:
     ``ValueError``.
     """
     if isinstance(value, str):
-        plain = _PLAIN_DECIMAL.fullmatch(value)
-        if plain is not None:
-            if len(value) > MAX_DIGITS:
-                raise ValueError(f"number longer than {MAX_DIGITS} digits")
-            whole, frac = plain.groups()
-            if frac is None:
-                return Fraction(int(whole))
-            return Fraction(int(whole + frac), 10 ** len(frac))
         mantissa, _, exponent = value.lower().partition("e")
         if len(mantissa) + abs(int(exponent or 0)) > MAX_DIGITS:
             raise ValueError(f"number longer than {MAX_DIGITS} digits")
@@ -328,16 +320,14 @@ class TimedStream:
     def __init__(self, items: Iterable[tuple[Event, Union[int, str, Fraction]]]):
         self._events: list[Event] = []
         self._times: list[Fraction] = []
-        prev: Optional[Fraction] = None
+        last = 0
         for event, ts in items:
             t = rat(ts)
-            if t <= 0:
-                raise ValueError("timestamps must be positive")
-            if prev is not None and t <= prev:
-                raise ValueError(f"timestamps not strictly increasing at t={t}")
+            if t <= last:
+                raise ValueError(f"timestamp {format_rat(t)} is not above {format_rat(last)}")
             self._events.append(event)
             self._times.append(t)
-            prev = t
+            last = t
 
     def __len__(self) -> int:
         return len(self._events)
@@ -389,12 +379,12 @@ class TypeIs(Value):
 
 
 class Basic(Value):
-    """Comparison of one attribute against a constant.
+    """Comparison of one attribute against a constant, both read by ``operand``.
 
-    Absent attributes never satisfy a Basic predicate, and neither do
-    booleans or values of a different kind than the constant (string vs.
-    number).  A string constant takes only ``==`` and ``!=``, and holds
-    ``'`` or ``"`` but not both, so that ``str`` gives query text.
+    An attribute value that ``operand`` maps to None, or of the other kind
+    than the constant (string vs. number), satisfies no Basic; a constant it
+    maps to None is refused.  A string constant takes only ``==`` and ``!=``,
+    and holds ``'`` or ``"`` but not both, so that ``str`` gives query text.
     """
 
     __slots__ = ("attr", "op", "value")
@@ -402,12 +392,15 @@ class Basic(Value):
     def __init__(self, attr: str, op: str, value: AttrValue):
         if op not in ("<", "<=", ">", ">=", "==", "!="):
             raise ValueError(f"unknown comparison {op!r}")
-        if isinstance(value, str):
+        constant = operand(value)
+        if constant is None:
+            raise ValueError(f"constant {value!r} is not a finite number or a string")
+        if isinstance(constant, str):
             if op not in ("==", "!="):
                 raise ValueError(f"ordered comparison {op!r} needs a number constant")
-            if "'" in value and '"' in value:  # the query syntax could not write it
-                raise ValueError(f"string constant {value!r} holds both quote marks")
-        super().__init__(attr, op, rat(value) if isinstance(value, float) else value)
+            if "'" in constant and '"' in constant:  # the query syntax could not write it
+                raise ValueError(f"string constant {constant!r} holds both quote marks")
+        super().__init__(attr, op, constant)
 
     def __str__(self) -> str:
         v = self.value
@@ -451,16 +444,21 @@ COMPARISONS = {
 }
 
 
-def _compare(lhs: AttrValue, op: str, rhs: AttrValue) -> bool:
-    if (
-        isinstance(lhs, bool)
-        or not isinstance(lhs, (int, Fraction, float, str))
-        or isinstance(lhs, str) != isinstance(rhs, str)
-    ):
-        # A boolean, a value that is neither a number nor a string (a list,
-        # a complex), or mixed string/number never satisfies any comparison,
-        # including !=; a Basic predicate constrains values of its
-        # constant's kind.
+def operand(value: object) -> Optional[AttrValue]:
+    """What a comparison reads of a value: an int (not a bool), a Fraction or
+    a string as it is, and a finite float as ``rat`` reads it.  Anything else
+    (absence, a boolean, NaN or an infinity, a list, a ``Decimal``) is None,
+    which satisfies no comparison, not even ``!=``."""
+    if isinstance(value, (int, Fraction, str)):
+        return None if value.__class__ is bool else value
+    if isinstance(value, float) and math.isfinite(value):
+        return rat(value)
+    return None
+
+
+def _compare(lhs: Optional[AttrValue], op: str, rhs: AttrValue) -> bool:
+    """``lhs op rhs`` for an ``operand``: false on None and on mixed string and number."""
+    if lhs is None or isinstance(lhs, str) != isinstance(rhs, str):
         return False
     return COMPARISONS[op](lhs, rhs)
 
@@ -472,14 +470,7 @@ def sat(event: Event, pred: Predicate) -> bool:
     if isinstance(pred, TypeIs):
         return event.etype == pred.etype
     if isinstance(pred, Basic):
-        value = event.get(pred.attr)
-        if value is None:
-            return False
-        if isinstance(value, float):
-            if not math.isfinite(value):
-                return False  # NaN and the infinities satisfy no comparison
-            value = rat(value)
-        return _compare(value, pred.op, pred.value)
+        return _compare(operand(event.get(pred.attr)), pred.op, pred.value)
     if isinstance(pred, And):
         return sat(event, pred.left) and sat(event, pred.right)
     if isinstance(pred, Not):
@@ -563,7 +554,7 @@ def _fold(pred: Union[Predicate, bool], field: Optional[str], value) -> Union[Pr
     if isinstance(pred, Basic):
         if pred.attr != field:
             return pred
-        return value is not None and _compare(value, pred.op, pred.value)
+        return _compare(value, pred.op, pred.value)
     if isinstance(pred, Not):
         body = _fold(pred.body, field, value)
         if isinstance(body, bool):

@@ -34,54 +34,41 @@ def random_pred(rng: random.Random):
     return Basic(ATTR, rng.choice(["<", "<=", ">", ">=", "==", "!="]), rng.randint(0, 4))
 
 
+# What ``random_formula`` draws, in order: four operators by name, and those
+# over subformulas and an interval as ``(class, subformulas, timed)``.
+OPERATORS = (
+    "event", "as", "filter",
+    (cel.Or, 2, False), (cel.And, 2, False), (cel.Seq, 2, False), (cel.ContigSeq, 2, False),
+    (cel.Plus, 1, False), (cel.ContigPlus, 1, False),
+    "project",
+    (cel.Within, 1, True), (cel.TimedSeq, 2, True), (cel.TimedContigSeq, 2, True),
+    (cel.TimedIter, 1, True), (cel.TimedContigIter, 1, True),
+)
+
+
 def random_formula(rng: random.Random, depth: int) -> cel.CelFormula:
     if depth <= 0:
         return cel.EventType(rng.choice(TYPES))
-    ops = [
-        "event", "as", "filter", "or", "and", "seq", "cseq", "plus", "cplus",
-        "project", "within", "tseq", "tcseq", "titer", "tciter",
-    ]
-    op = rng.choice(ops)
+    op = rng.choice(OPERATORS)
     if op == "event":
         return cel.EventType(rng.choice(TYPES))
     if op == "as":
         return cel.As(random_formula(rng, depth - 1), rng.choice(("U", "V")))
     if op == "filter":
         body = random_formula(rng, depth - 1)
-        vars_ = sorted(cel.formula_vars(body))
-        if not vars_:
-            return body
-        return cel.Filter(body, rng.choice(vars_), random_pred(rng))
-    if op == "or":
-        return cel.Or(random_formula(rng, depth - 1), random_formula(rng, depth - 1))
-    if op == "and":
-        return cel.And(random_formula(rng, depth - 1), random_formula(rng, depth - 1))
-    if op == "seq":
-        return cel.Seq(random_formula(rng, depth - 1), random_formula(rng, depth - 1))
-    if op == "cseq":
-        return cel.ContigSeq(random_formula(rng, depth - 1), random_formula(rng, depth - 1))
-    if op == "plus":
-        return cel.Plus(random_formula(rng, depth - 1))
-    if op == "cplus":
-        return cel.ContigPlus(random_formula(rng, depth - 1))
+        return cel.Filter(body, rng.choice(sorted(cel.formula_vars(body))), random_pred(rng))
     if op == "project":
         body = random_formula(rng, depth - 1)
         vars_ = sorted(cel.formula_vars(body))
         keep = frozenset(v for v in vars_ if rng.random() < 0.6)
         return cel.Project(keep, body)
-    if op == "within":
-        return cel.Within(random_formula(rng, depth - 1), random_interval(rng))
-    if op == "tseq":
-        return cel.TimedSeq(
-            random_formula(rng, depth - 1), random_interval(rng), random_formula(rng, depth - 1)
-        )
-    if op == "tcseq":
-        return cel.TimedContigSeq(
-            random_formula(rng, depth - 1), random_interval(rng), random_formula(rng, depth - 1)
-        )
-    if op == "titer":
-        return cel.TimedIter(random_formula(rng, depth - 1), random_interval(rng))
-    return cel.TimedContigIter(random_formula(rng, depth - 1), random_interval(rng))
+    cls, subformulas, timed = op
+    args = [random_formula(rng, depth - 1)]
+    if timed:
+        args.append(random_interval(rng))
+    if subformulas == 2:
+        args.append(random_formula(rng, depth - 1))
+    return cls(*args)
 
 
 def random_stream(rng: random.Random, n: int) -> TimedStream:

@@ -73,6 +73,8 @@ def test_uninitialized_clock_fails_even_under_or():
     assert mentioned == {"x", "z"}
     assert boxes == [(("x", FULL_INTERVAL), ("z", FULL_INTERVAL))]
     assert not any(guard_sat(nu, box) for box in boxes)
+    # a negative constant under >= passes every clock value, as 0 does
+    assert guard_from_json(_cmp("z", ">=", "-1/1"), "guard") == ([(("z", FULL_INTERVAL),)], {"z"})
 
 
 def test_a_written_box_reloads_with_its_clocks_in_order():

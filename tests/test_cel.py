@@ -81,6 +81,8 @@ def test_classify_swg_form():
     assert label == "swg"
     assert "windowed" in flags
     assert "simple" not in flags
+    # a block over a sequence, not a disjunction of types, is only windowed
+    assert classify(parse_query("((A ; B) as X filter X[x < 1]) within [0,5]"))[0] == "windowed"
 
 
 def test_classify_general():

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import random
+import selectors
 import subprocess
 import sys
 import tempfile
@@ -74,9 +75,10 @@ def test_parse_stream_line_exact_rationals():
 
 
 def test_read_stream_rejects_nonincreasing_timestamps():
-    rows = ['{"type": "A", "ts": "2"}', '{"type": "A", "ts": "2"}']
-    with pytest.raises(StreamFormatError):
-        list(read_stream(rows))
+    repeated = ['{"type": "A", "ts": "2"}', '{"type": "A", "ts": "2"}']
+    for rows in (repeated, ['{"type": "A", "ts": 0}'], ['{"type": "A", "ts": -1}']):
+        with pytest.raises(StreamFormatError):
+            list(read_stream(rows))
 
 
 @pytest.mark.parametrize(
@@ -649,6 +651,32 @@ def test_closed_stdout_ends_quietly(tmp_path, unbuffered):
     assert proc.wait(timeout=60) == 0
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+def test_a_match_reaches_a_pipe_before_the_input_ends(tmp_path):
+    """On a live feed through pipes, a match is written out once its position
+    is evaluated, not held in the output buffer until the input ends."""
+    query = tmp_path / "ab.tcel"
+    query.write_text("A as X ; B as Y\n", encoding="utf-8")
+    argv = [sys.executable, "-m", "tcer.cli", "run", "--query", str(query), "--stream", "/dev/stdin"]
+    proc = subprocess.Popen(
+        argv + ["--engine", "streaming"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(False),
+    )
+    try:
+        proc.stdin.write(b'{"type": "A", "ts": 1}\n{"type": "B", "ts": 2}\n')
+        proc.stdin.flush()
+        with selectors.DefaultSelector() as selector:
+            selector.register(proc.stdout, selectors.EVENT_READ)
+            assert selector.select(timeout=10), "no match before the input ended"
+        line = proc.stdout.readline()
+    finally:
+        proc.stdin.close()
+        code = proc.wait(timeout=60)
+        proc.stdout.close()
+        proc.stderr.close()
+    assert json.loads(line)["bindings"] == {"A": [1], "B": [2], "X": [1], "Y": [2]}
+    assert code == 0
 
 
 # -- what a start costs --------------------------------------------------------

@@ -97,6 +97,17 @@ def test_simple_body_never_checks_the_window_clock():
         assert ZN not in guard_clocks(tr.guard)
 
 
+def test_disjoint_nested_windows_compile_to_no_transition():
+    """The inner window keeps spans up to 1, the outer only from 2: no
+    transition into the finals passes both checks."""
+    phi = parse_query("((A as X ; B as Y) within [0,1]) within [2,3]")
+    cea = compile_windowed(phi)
+    assert (len(cea.states), len(cea.delta)) == (1, 0)
+    rng = random.Random(2)
+    for _ in range(10):
+        assert eval_cel_oracle(phi, random_stream(rng, rng.randint(0, 10))) == frozenset()
+
+
 def test_windowed_rejects_general_formulas():
     nested = cel.TimedSeq(
         cel.Within(cel.EventType("A"), Interval.of("<=", Fraction(1))),

@@ -97,7 +97,7 @@ def test_fresh_run_builds_no_node_when_no_initial_transition_fires():
     assert engine.caecs.created == 0
 
 
-@pytest.mark.parametrize("time", [Fraction(-5), Fraction(0)])
+@pytest.mark.parametrize("time", [Fraction(-5), Fraction(0), Fraction(-1)])
 def test_timestamps_must_be_positive(det_t1, time):
     engine = StreamingEngine(det_t1, debug=True)
     with pytest.raises(ValueError):

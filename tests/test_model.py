@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import itertools
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from tcer.model import (
     event_cells,
     project_ce,
     number_text,
+    operand,
     rat,
     sat,
     to_units,
@@ -160,6 +162,22 @@ def test_a_value_that_is_neither_a_number_nor_a_string_satisfies_no_comparison(v
     assert not sat(event, Basic("x", "==", "a"))
 
 
+@pytest.mark.parametrize("constant", [True, None, float("nan"), [1]], ids=["bool", "none", "nan", "list"])
+def test_a_constant_that_no_value_could_equal_is_refused(constant):
+    """A comparison reads both sides through ``operand``; a constant it maps
+    to None would satisfy no comparison, not even ``!=``."""
+    with pytest.raises(ValueError, match="not a finite number or a string"):
+        Basic("x", "<", constant)
+
+
+def test_operand_passes_numbers_and_strings_and_reads_floats_as_rat():
+    for value in (3, Fraction(1, 3), "a"):
+        assert operand(value) is value
+    assert operand(0.1) == Fraction(1, 10)
+    for value in (None, True, False, float("inf"), float("nan"), [1], Decimal("1.5"), 1j):
+        assert operand(value) is None
+
+
 @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
 def test_ordered_comparison_needs_a_number_constant(op):
     with pytest.raises(ValueError, match="number constant"):
@@ -255,6 +273,9 @@ def test_stream_is_one_indexed(s0):
 
 def test_stream_requires_strict_increase():
     e = Event("A", {})
+    for first in (0, -1):
+        with pytest.raises(ValueError, match="is not above 0"):
+            TimedStream([(e, first)])
     with pytest.raises(ValueError):
         TimedStream([(e, Fraction(1)), (e, Fraction(1))])
     with pytest.raises(ValueError):
